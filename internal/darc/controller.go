@@ -29,6 +29,7 @@ type Controller struct {
 
 	pressure     bool
 	lastSnapshot []TypeStats
+	order        []int // DispatchOrder's result, reused across calls
 
 	// desiredSpillway remembers the configured spillway width so a
 	// Resize down to a tiny pool (where that many spillway cores would
@@ -51,6 +52,7 @@ func NewController(cfg Config, numTypes int) (*Controller, error) {
 		cfg:             cfg,
 		prof:            NewProfiler(numTypes, cfg.EWMAAlpha),
 		desiredSpillway: cfg.Spillway,
+		order:           make([]int, numTypes),
 	}, nil
 }
 
@@ -201,16 +203,18 @@ func (c *Controller) ForceUpdate() bool {
 // DispatchOrder returns type IDs sorted by ascending profiled service
 // time — the order Algorithm 1 scans typed queues in. Unknown types
 // are not included (the caller services the UNKNOWN queue on spillway
-// cores last).
+// cores last). The slice is the controller's own scratch, rebuilt in
+// place on every call so that a dispatcher pass allocates nothing: it
+// is valid until the next call and, like the mutating methods, for the
+// dispatcher thread only.
 func (c *Controller) DispatchOrder() []int {
-	n := c.prof.NumTypes()
-	order := make([]int, n)
+	order := c.order
 	for i := range order {
 		order[i] = i
 	}
 	// Insertion sort by profiled mean: n is small (request types, not
 	// requests) and the order is stable.
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && c.prof.MeanService(order[j]) < c.prof.MeanService(order[j-1]); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}

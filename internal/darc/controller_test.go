@@ -220,6 +220,22 @@ func TestControllerDispatchOrder(t *testing.T) {
 	if len(order) != 2 || order[0] != 1 || order[1] != 0 {
 		t.Fatalf("order %v, want [1 0]", order)
 	}
+	// The result is reused scratch: every call must rebuild it from the
+	// identity order, so types whose means tie come out by ID whatever
+	// the previous call returned, and no call allocates.
+	ctl = newTestController(t, 10)
+	ctl.cfg.EWMAAlpha = 1
+	ctl.prof = NewProfiler(2, 1) // mean == last sample
+	ctl.Observe(0, 100*time.Microsecond)
+	ctl.Observe(1, time.Microsecond)
+	ctl.DispatchOrder() // [1 0]
+	ctl.Observe(1, 100*time.Microsecond)
+	if order := ctl.DispatchOrder(); order[0] != 0 || order[1] != 1 {
+		t.Fatalf("order %v on tied means, want [0 1]", order)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ctl.DispatchOrder() }); allocs != 0 {
+		t.Fatalf("DispatchOrder allocates %.0f objects per call, want 0", allocs)
+	}
 }
 
 func TestControllerConfigValidation(t *testing.T) {

@@ -202,9 +202,13 @@ func RunUDPAddrs(addrs []string, cfg Config) (*Result, error) {
 			RequestID: id,
 		}, cfg.BuildPayload(typ))
 		now := time.Now()
-		rec := &pendingReq{typ: typ, shard: shard, firstSent: now, msg: msg}
+		rec := &pendingReq{typ: typ, shard: shard, firstSent: now}
 		if cfg.RequestTimeout > 0 {
 			rec.deadline = now.Add(cfg.RequestTimeout)
+			// The retransmitter stamps the attempt into its own copy: a
+			// NACK can re-arm the record, and the retransmitter pick it
+			// up, while the first Write below is still reading msg.
+			rec.msg = append([]byte(nil), msg...)
 		}
 		mu.Lock()
 		inflight[id] = rec

@@ -16,9 +16,12 @@ import (
 // one goroutine — the same single-dispatcher discipline the real loop
 // runs — so the measurement has no scheduler noise.
 
-// newHotPathServer builds an unstarted CFCFS server whose internals
-// the benchmark drives directly.
-func newHotPathServer(tb testing.TB) *Server {
+// newHotPathServer builds a server with no goroutines whose internals
+// the benchmark drives directly: never started under c-FCFS; under DARC
+// started, fed typed traffic until a reservation is installed (before
+// that DARC dispatches as c-FCFS and dispatchDARC never runs), and
+// stopped again.
+func newHotPathServer(tb testing.TB, mode Mode) *Server {
 	tb.Helper()
 	srv, err := NewServer(Config{
 		Workers:    1,
@@ -26,13 +29,22 @@ func newHotPathServer(tb testing.TB) *Server {
 		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode: ModeCFCFS,
+		Mode: mode,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// The server is never Started (no goroutines); give it a real
-	// start time so s.now() yields sane offsets.
+	if mode == ModeDARC {
+		srv.Start()
+		driveReservation(tb, srv)
+		srv.Stop()
+		// The dispatcher exits without reading the last completions.
+		for w := range srv.free {
+			srv.free[w] = true
+		}
+	}
+	// No goroutines (left); give the server a real start time so
+	// s.now() yields sane offsets.
 	srv.start = time.Now()
 	// Pre-size every amortized structure so the measured loop sees the
 	// steady state: the typed FIFOs' ring storage and the histograms'
@@ -67,25 +79,34 @@ func driveHotPath(srv *Server, r *Request) {
 }
 
 func TestDispatchHotPathZeroAlloc(t *testing.T) {
-	srv := newHotPathServer(t)
-	payload := typedPayload(0, "hot")
-	r := &Request{payload: payload}
-	// Warm amortized growth (FIFO ring storage) out of the measurement.
-	for i := 0; i < 64; i++ {
-		r.arrival = srv.now()
-		driveHotPath(srv, r)
-	}
-	avg := testing.AllocsPerRun(1000, func() {
-		r.arrival = srv.now()
-		driveHotPath(srv, r)
-	})
-	if avg != 0 {
-		t.Fatalf("dispatch hot path allocates %.2f objects/op with tracing enabled, want 0", avg)
+	for _, mode := range []Mode{ModeCFCFS, ModeDARC} {
+		t.Run(mode.String(), func(t *testing.T) {
+			srv := newHotPathServer(t, mode)
+			payload := typedPayload(0, "hot")
+			r := &Request{payload: payload}
+			// Warm amortized growth (FIFO ring storage) out of the measurement.
+			for i := 0; i < 64; i++ {
+				r.arrival = srv.now()
+				driveHotPath(srv, r)
+			}
+			avg := testing.AllocsPerRun(1000, func() {
+				r.arrival = srv.now()
+				driveHotPath(srv, r)
+			})
+			if avg != 0 {
+				t.Fatalf("dispatch hot path allocates %.2f objects/op with tracing enabled, want 0", avg)
+			}
+			// A pass that finds every queue empty — what the dispatcher
+			// does each time it is woken for nothing — is free as well.
+			if idle := testing.AllocsPerRun(1000, func() { srv.dispatch() }); idle != 0 {
+				t.Fatalf("idle dispatch pass allocates %.2f objects, want 0", idle)
+			}
+		})
 	}
 }
 
 func BenchmarkDispatchHotPath(b *testing.B) {
-	srv := newHotPathServer(b)
+	srv := newHotPathServer(b, ModeCFCFS)
 	payload := typedPayload(0, "hot")
 	r := &Request{payload: payload}
 	for i := 0; i < 64; i++ {
@@ -155,7 +176,7 @@ func drainOne(srv *Server) bool {
 // batched ingress path: stamping and ring-reserving a whole burst,
 // then dispatching it, must not touch the heap either.
 func TestInjectBatchZeroAlloc(t *testing.T) {
-	srv := newHotPathServer(t)
+	srv := newHotPathServer(t, ModeCFCFS)
 	payload := typedPayload(0, "hot")
 	batch := make([]*Request, 32)
 	for i := range batch {
@@ -182,7 +203,7 @@ func TestInjectBatchZeroAlloc(t *testing.T) {
 // usual per-request pipeline. The ns/req metric is comparable to
 // BenchmarkDispatchHotPath's ns/op.
 func BenchmarkDispatchHotPathBatch(b *testing.B) {
-	srv := newHotPathServer(b)
+	srv := newHotPathServer(b, ModeCFCFS)
 	payload := typedPayload(0, "hot")
 	batch := make([]*Request, 32)
 	for i := range batch {

@@ -42,7 +42,7 @@ func newModeServer(t *testing.T, cfg psp.Config) (*psp.Server, func() []trace.Sp
 	srv.Start()
 	t.Cleanup(srv.Stop)
 	return srv, func() []trace.Span {
-		srv.FlushTrace()
+		psp.WaitSpansSettled(t, srv)
 		mu.Lock()
 		defer mu.Unlock()
 		out := append([]trace.Span(nil), spans...)

@@ -204,6 +204,11 @@ type Server struct {
 	ingress  *spsc.MPSC[*Request]
 	rings    []*spsc.Ring[*Request]
 	compRing *spsc.MPSC[completion]
+	// park is where the dispatcher sleeps when a pass finds nothing to
+	// do. Everything that gives it something to do publishes and then
+	// wakes it: Submit/injectBatch (ingress), putCompletion, the
+	// Reconfigure enqueue, and Stop.
+	park *spsc.Parker
 
 	queues  []reqFIFO
 	unknown reqFIFO
@@ -361,6 +366,7 @@ func NewServer(cfg Config) (*Server, error) {
 		inj:      inj,
 		ingress:  spsc.NewMPSC[*Request](cfg.IngressCap),
 		compRing: spsc.NewMPSC[completion](cfg.IngressCap),
+		park:     spsc.NewParker(),
 		queues:   make([]reqFIFO, numTypes),
 		unknown:  reqFIFO{},
 		free:     make([]bool, cfg.Workers),
@@ -435,6 +441,7 @@ func (s *Server) Stop() {
 	if s.stopped.Swap(true) {
 		return
 	}
+	s.park.Wake()
 	s.wg.Wait()
 	// Workers are gone: whatever spans they published are final.
 	s.FlushTrace()
@@ -482,6 +489,7 @@ func (s *Server) Submit(payload []byte) (<-chan Response, error) {
 	if !s.ingress.TryPut(r) {
 		return nil, fmt.Errorf("psp: ingress ring full: %w", ErrPoolExhausted)
 	}
+	s.park.Wake()
 	return ch, nil
 }
 
@@ -516,7 +524,9 @@ func (s *Server) injectBatch(batch []*Request) int {
 		r.id = base + uint64(i) + 1
 		r.arrival = now
 	}
-	return s.ingress.TryPutBatch(batch)
+	n := s.ingress.TryPutBatch(batch)
+	s.park.Wake()
+	return n
 }
 
 // dispatcherLoop is the single thread of control for classification,
@@ -527,7 +537,6 @@ func (s *Server) dispatcherLoop() {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	idleSpins := 0
 	for {
 		progress := false
 		// 0. Control plane: begin the next reconfiguration, one at a
@@ -601,22 +610,9 @@ func (s *Server) dispatcherLoop() {
 			return
 		}
 		if progress {
-			idleSpins = 0
-			continue
-		}
-		idleSpins++
-		switch {
-		case idleSpins < 64:
-		case idleSpins < 192:
-			runtime.Gosched()
-		default:
-			// A real Perséphone busy-polls a dedicated core; on an
-			// oversubscribed host we park briefly once clearly idle.
-			// The yield window above is deliberately short: each
-			// Gosched is a full scheduler pass, and with more
-			// goroutines than cores a long yield storm here steals
-			// the CPU from the producers the dispatcher is waiting on.
-			time.Sleep(20 * time.Microsecond)
+			s.park.Busy()
+		} else {
+			s.park.Idle()
 		}
 	}
 }
@@ -1134,13 +1130,14 @@ func (s *Server) respawnWorker(id int, ring *spsc.Ring[*Request], traceRing *sps
 	s.workerLoop(id, ring, traceRing)
 }
 
-// putCompletion delivers a completion to the dispatcher, spinning if
+// putCompletion delivers a completion to the dispatcher, yielding while
 // the ring is momentarily full — losing one would leak the worker slot
 // (the dispatcher would consider it busy forever).
 func (s *Server) putCompletion(c completion) {
 	for !s.compRing.TryPut(c) {
 		runtime.Gosched()
 	}
+	s.park.Wake()
 }
 
 // Stats is a point-in-time snapshot of server metrics.

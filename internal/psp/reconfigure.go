@@ -109,6 +109,7 @@ func (s *Server) Reconfigure(spec reconfig.Spec) (reconfig.Result, error) {
 	s.rcOps = append(s.rcOps, op)
 	s.rcPending.Add(1)
 	s.rcMu.Unlock()
+	s.park.Wake()
 	<-op.done
 	if op.err != nil {
 		return reconfig.Result{}, op.err

@@ -20,7 +20,7 @@ import (
 
 // driveReservation runs typed traffic until the DARC controller
 // installs a reservation.
-func driveReservation(t *testing.T, srv *Server) {
+func driveReservation(t testing.TB, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Controller().Reservation() == nil {
@@ -139,6 +139,7 @@ func TestUnknownServedWithoutSpillwayCores(t *testing.T) {
 		t.Fatal("unknown request starved with Spillway=0 and a reservation installed")
 	}
 	// The unknown row must appear in the per-type summaries.
+	WaitSpansSettled(t, srv)
 	var found bool
 	for _, row := range srv.TraceSummaries() {
 		if row.Name == "unknown" && row.Count > 0 {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,9 +28,10 @@ import (
 //     ring synchronization (injectBatch -> MPSC.TryPutBatch, one CAS).
 //   - Egress: workers encode responses into the request's own ingress
 //     buffer (zero-copy) and push the frame onto the connection's TX
-//     ring; a per-connection TX goroutine drains the ring in batches
-//     and lands each batch with a single vectored write (net.Buffers).
-//     A full ring falls back to an inline write, never a blocked worker.
+//     ring; a per-connection TX goroutine, parked while the ring is
+//     empty, drains it in batches and lands each batch with a single
+//     vectored write (net.Buffers). A full ring falls back to an inline
+//     write, never a blocked worker.
 //   - Lifecycle: the accept path is sharded across Shards listeners
 //     (SO_REUSEPORT on unix; a shared-listener fallback elsewhere),
 //     admission is capped by MaxConns, idle connections are evicted
@@ -162,7 +162,7 @@ func (sh *tcpShard) getBuf() *spsc.Buffer {
 
 // tcpTxFrame is one encoded response waiting on a connection's egress
 // ring: a pooled buffer (reused ingress buffer, the zero-copy path) or
-// an allocated message. The zero value is the shutdown sentinel.
+// an allocated message.
 type tcpTxFrame struct {
 	buf *spsc.Buffer
 	msg []byte
@@ -175,10 +175,10 @@ type tcpConn struct {
 	sh   *tcpShard
 	conn net.Conn
 	tx   *spsc.MPSC[tcpTxFrame]
-	// wake signals the TX goroutine that frames are queued (capacity 1;
-	// producers kick after every put, so the TX loop can block on it
-	// without lost wakeups instead of burning the core sleep-polling).
-	wake chan struct{}
+	// txPark is where the TX goroutine sleeps while it has nothing to
+	// do. What gives it something to do wakes it: a frame put on tx, an
+	// inline write that settles the last owed response, and finish.
+	txPark *spsc.Parker
 
 	// writeMu serializes the TX goroutine's writev with inline
 	// fallback writes, so frames never interleave on the stream.
@@ -187,13 +187,22 @@ type tcpConn struct {
 	// pending counts responses owed on this connection: incremented
 	// when a request is accepted into the pipeline (or a shed reply is
 	// queued), decremented after the response frame reaches the
-	// socket. finish drains a connection only once this hits zero.
+	// socket. The TX goroutine closes a finished connection only once
+	// this hits zero.
 	pending atomic.Int64
 
 	scratch []byte // oversized/shed frame reads; allocated on first use
 
-	closing atomic.Bool
+	// closing is connOpen until finish marks the connection done.
+	closing atomic.Int32
 }
+
+// tcpConn.closing states.
+const (
+	connOpen    int32 = iota
+	connClosing       // peer went away, or the server is closing
+	connEvicted       // the server is dropping it (idle timeout, protocol error)
+)
 
 // ListenTCP binds addr with a single accept shard and default options,
 // and starts the datapath on top of an already-configured (not yet
@@ -399,7 +408,7 @@ func (t *TCPServer) acceptLoop(ln net.Listener, sh *tcpShard) {
 			conn.Close()
 			continue
 		}
-		c := &tcpConn{t: t, sh: sh, conn: conn, tx: spsc.NewMPSC[tcpTxFrame](t.opts.TXRing), wake: make(chan struct{}, 1)}
+		c := &tcpConn{t: t, sh: sh, conn: conn, tx: spsc.NewMPSC[tcpTxFrame](t.opts.TXRing), txPark: spsc.NewParker()}
 		t.connMu.Lock()
 		if t.closed.Load() {
 			// Raced with Close: a fresh connection must not slip past
@@ -419,36 +428,22 @@ func (t *TCPServer) acceptLoop(ln net.Listener, sh *tcpShard) {
 	}
 }
 
-// finish completes a connection's lifecycle exactly once: wait for
-// every owed response to reach the wire, stop the TX goroutine (which
-// closes the socket), and unregister. evicted marks server-initiated
-// closes (idle timeout, protocol error) for the eviction counter.
+// finish ends a connection's intake exactly once and leaves the rest
+// to its TX goroutine, which writes out every response still owed —
+// while the server runs, every accepted request settles (worker
+// completion or drop), and during Close the server has already stopped
+// and settled, so pending strictly decreases to zero — then closes the
+// socket and unregisters. Callers have stopped reading, so no response
+// becomes owed after this. evicted marks server-initiated closes (idle
+// timeout, protocol error) for the eviction counter.
 func (c *tcpConn) finish(evicted bool) {
-	if c.closing.Swap(true) {
-		return
+	state := connClosing
+	if evicted {
+		state = connEvicted
 	}
-	// Responses still owed drain through the TX loop: while the server
-	// runs, every accepted request settles (worker completion or drop),
-	// and during Close the server has already stopped and settled, so
-	// pending strictly decreases to zero.
-	for spins := 0; c.pending.Load() > 0; spins++ {
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
+	if c.closing.CompareAndSwap(connOpen, state) {
+		c.txPark.Wake()
 	}
-	for !c.tx.TryPut(tcpTxFrame{}) {
-		runtime.Gosched()
-	}
-	c.kick()
-	if evicted && !c.t.closed.Load() {
-		c.t.connsEvicted.Add(1)
-	}
-	c.t.connMu.Lock()
-	delete(c.t.conns, c)
-	c.t.connMu.Unlock()
-	c.t.connsOpen.Add(-1)
 }
 
 // readLoop is this connection's net worker: it decodes pipelined
@@ -479,17 +474,17 @@ func (c *tcpConn) readLoop() {
 					// Responses still owed: not idle, keep serving.
 					continue
 				}
-				go c.finish(true) // idle (or mid-prefix stall): evict
+				c.finish(true) // idle (or mid-prefix stall): evict
 				return
 			}
-			go c.finish(false) // peer closed or reset
+			c.finish(false) // peer closed or reset
 			return
 		}
 		batch = batch[:0]
 		frameLen := binary.LittleEndian.Uint32(lenBuf[:])
 		if !c.readFrame(rd, frameLen, &batch) {
 			c.injectBatch(batch)
-			go c.finish(true) // invalid frame or broken stream
+			c.finish(true) // invalid frame or broken stream
 			return
 		}
 		// Opportunistic burst: decode whatever additional complete
@@ -503,7 +498,7 @@ func (c *tcpConn) readLoop() {
 			if next < proto.HeaderSize || next > maxTCPFrame {
 				c.injectBatch(batch)
 				c.sh.rxDrops.Add(1)
-				go c.finish(true)
+				c.finish(true)
 				return
 			}
 			if rd.Buffered() < tcpLenPrefixSize+int(next) {
@@ -512,7 +507,7 @@ func (c *tcpConn) readLoop() {
 			rd.Discard(tcpLenPrefixSize) //nolint:errcheck // fully buffered
 			if !c.readFrame(rd, next, &batch) {
 				c.injectBatch(batch)
-				go c.finish(true)
+				c.finish(true)
 				return
 			}
 		}
@@ -653,21 +648,11 @@ func (c *tcpConn) shedReply(hdr proto.Header) {
 	binary.LittleEndian.PutUint32(msg[:tcpLenPrefixSize], uint32(len(msg)-tcpLenPrefixSize))
 	c.pending.Add(1)
 	if c.tx.TryPut(tcpTxFrame{msg: msg}) {
-		c.kick()
+		c.txPark.Wake()
 		return
 	}
 	c.sh.txFull.Add(1)
 	c.writeInline(msg)
-	c.pending.Add(-1)
-}
-
-// kick wakes the TX goroutine (non-blocking; a pending kick already
-// covers us).
-func (c *tcpConn) kick() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
 }
 
 // responder builds the respond callback for one request: encode the
@@ -720,7 +705,7 @@ func (c *tcpConn) responder(req *Request, reqID uint64, corr proto.Correlation, 
 			frame = tcpTxFrame{msg: msg}
 		}
 		if c.tx.TryPut(frame) {
-			c.kick()
+			c.txPark.Wake()
 			return
 		}
 		// TX ring full: transmit inline rather than block a worker.
@@ -731,26 +716,27 @@ func (c *tcpConn) responder(req *Request, reqID uint64, corr proto.Correlation, 
 		} else {
 			c.writeInline(frame.msg)
 		}
-		c.pending.Add(-1)
 	}
 }
 
-// writeInline transmits one frame under the connection's write lock
-// (the fallback path when the TX ring is full).
+// writeInline transmits one owed frame under the connection's write
+// lock (the fallback path when the TX ring is full) and settles it;
+// the TX goroutine may be parked waiting for exactly that.
 func (c *tcpConn) writeInline(msg []byte) {
 	c.writeMu.Lock()
 	c.conn.Write(msg) //nolint:errcheck // client may have gone
 	c.writeMu.Unlock()
+	c.pending.Add(-1)
+	c.txPark.Wake()
 }
 
 // txLoop owns the connection's socket writes: it gathers queued frames
 // — many per wakeup once responses pile up — and lands the batch with
 // a single vectored write, then recycles the pooled buffers. When the
-// ring runs dry it parks on the wake channel (producers kick after
-// every put), so an idle connection costs no CPU and a completing
-// worker hands its frame over with one goroutine wakeup. A zero-value
-// sentinel (pushed by finish once pending drains) terminates the loop
-// after the backlog is out, closing the socket.
+// ring runs dry it parks, so an idle connection costs no CPU and a
+// completing worker hands its frame over with one goroutine wakeup.
+// Once finish has marked the connection and nothing is owed any more,
+// it closes the socket and unregisters.
 func (c *tcpConn) txLoop() {
 	defer c.t.txWG.Done()
 	frames := make([]tcpTxFrame, 0, tcpTxBatch)
@@ -765,51 +751,43 @@ func (c *tcpConn) txLoop() {
 			frames = append(frames, f)
 		}
 		if len(frames) == 0 {
-			<-c.wake
+			if state := c.closing.Load(); state != connOpen && c.pending.Load() == 0 {
+				c.conn.Close()
+				c.unregister(state == connEvicted)
+				return
+			}
+			c.txPark.Idle()
 			continue
 		}
-		if len(frames) < tcpTxBatch {
-			// Small batch under load: yield one scheduling quantum so
-			// completing workers can pile more frames on the ring, then
-			// land the lot in a single writev instead of one syscall
-			// per response.
-			runtime.Gosched()
-			for len(frames) < tcpTxBatch {
-				f, ok := c.tx.TryGet()
-				if !ok {
-					break
-				}
-				frames = append(frames, f)
-			}
-		}
-		stop := false
+		c.txPark.Busy()
 		vecs = vecs[:0]
 		for i := range frames {
-			switch {
-			case frames[i].buf != nil:
+			if frames[i].buf != nil {
 				vecs = append(vecs, frames[i].buf.Bytes())
-			case frames[i].msg != nil:
+			} else {
 				vecs = append(vecs, frames[i].msg)
-			default:
-				stop = true // shutdown sentinel (always the last frame)
 			}
 		}
-		if len(vecs) > 0 {
-			c.writeMu.Lock()
-			vecs.WriteTo(c.conn) //nolint:errcheck // client may have gone
-			c.writeMu.Unlock()
-		}
+		c.writeMu.Lock()
+		vecs.WriteTo(c.conn) //nolint:errcheck // client may have gone
+		c.writeMu.Unlock()
 		for i := range frames {
 			if frames[i].buf != nil {
 				frames[i].buf.Release()
 			}
-			if frames[i].buf != nil || frames[i].msg != nil {
-				c.pending.Add(-1)
-			}
 		}
-		if stop {
-			c.conn.Close()
-			return
-		}
+		c.pending.Add(-int64(len(frames)))
 	}
+}
+
+// unregister removes a fully drained connection from the server's
+// books.
+func (c *tcpConn) unregister(evicted bool) {
+	if evicted && !c.t.closed.Load() {
+		c.t.connsEvicted.Add(1)
+	}
+	c.t.connMu.Lock()
+	delete(c.t.conns, c)
+	c.t.connMu.Unlock()
+	c.t.connsOpen.Add(-1)
 }

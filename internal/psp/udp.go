@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"repro/internal/proto"
 	"repro/internal/spsc"
@@ -17,37 +16,33 @@ import (
 // out: N ingress shards, each a net worker on its own UDP socket,
 // drain *bursts* of datagrams into pooled buffers and hand each burst
 // to the dispatcher in a single ring synchronization (§4.3.1's
-// amortized packet path). On egress, workers encode responses into
-// the request's own ingress buffer (the zero-copy path) and push the
-// frame onto the shard's TX ring; a per-shard TX goroutine drains the
-// ring in bursts and owns all socket writes, so workers never contend
-// on a shared WriteToUDP.
+// amortized packet path). On egress, the completing worker encodes the
+// response into the request's own ingress buffer (the zero-copy path)
+// and sends it itself — the paper's workers own TX. A datagram is one
+// sendto whoever makes the call, so a TX goroutine between worker and
+// socket would add a hand-off and amortize nothing.
 type UDPServer struct {
 	Server *Server
 	shards []*udpShard
 
 	rxWG   sync.WaitGroup
-	txWG   sync.WaitGroup
 	closed atomic.Bool
 }
 
 // UDPOptions tunes the sharded datapath. The zero value means one
-// shard, 32-datagram bursts, 4096 pooled buffers and a 1024-frame TX
-// ring per shard.
+// shard, 32-datagram bursts and 4096 pooled buffers per shard.
 type UDPOptions struct {
 	// Shards is the number of ingress sockets, each with its own net
-	// worker, buffer pool and TX goroutine. With a non-zero listen
-	// port, shard i binds port+i; with port 0 every shard gets its own
-	// ephemeral port. Clients pick a shard per request (see
-	// loadgen.RunUDP's multi-address support).
+	// worker and buffer pool. With a non-zero listen port, shard i binds
+	// port+i; with port 0 every shard gets its own ephemeral port.
+	// Clients pick a shard per request (see loadgen.RunUDP's
+	// multi-address support).
 	Shards int
 	// Burst caps how many datagrams one net-worker wakeup drains
 	// before the batch is handed to the dispatcher.
 	Burst int
 	// PoolSize is the number of pooled ingress buffers per shard.
 	PoolSize int
-	// TXRing is the per-shard egress ring capacity (frames).
-	TXRing int
 }
 
 func (o *UDPOptions) fill() {
@@ -60,9 +55,6 @@ func (o *UDPOptions) fill() {
 	if o.PoolSize <= 0 {
 		o.PoolSize = 4096
 	}
-	if o.TXRing <= 0 {
-		o.TXRing = 1024
-	}
 }
 
 // udpBufPayload is the largest request datagram a pooled buffer
@@ -71,20 +63,13 @@ func (o *UDPOptions) fill() {
 // default worker scratch size.
 const udpBufPayload = 2048
 
-// txFrame is one encoded response waiting on a shard's egress ring.
-type txFrame struct {
-	buf  *spsc.Buffer // encoded frame (reused ingress buffer)
-	addr *net.UDPAddr
-}
-
 // udpShard is one ingress/egress lane: socket, buffer pool, burst
-// scratch, TX ring, and counters.
+// scratch, and counters.
 type udpShard struct {
 	srv  *Server
 	conn *net.UDPConn
 	raw  syscall.RawConn
 	pool *spsc.Pool
-	tx   *spsc.MPSC[txFrame]
 
 	// Burst scratch, owned by the shard's net worker.
 	bufs    []*spsc.Buffer
@@ -101,7 +86,6 @@ type udpShard struct {
 	rx      atomic.Uint64
 	rxDrops atomic.Uint64 // malformed datagrams + ingress-ring overflow
 	rxSheds atomic.Uint64 // datagrams shed because the pool was exhausted
-	txFull  atomic.Uint64 // responses transmitted inline because the TX ring was full
 }
 
 // ListenUDP binds addr (e.g. "127.0.0.1:9940") with a single shard and
@@ -152,7 +136,6 @@ func ListenUDPShards(addr string, srv *Server, opts UDPOptions) (*UDPServer, err
 			conn:    conn,
 			raw:     raw,
 			pool:    spsc.NewPool(opts.PoolSize, udpBufPayload+proto.ResponseOverhead),
-			tx:      spsc.NewMPSC[txFrame](opts.TXRing),
 			bufs:    make([]*spsc.Buffer, opts.Burst),
 			addrs:   make([]*net.UDPAddr, opts.Burst),
 			scratch: make([]byte, udpBufPayload+proto.ResponseOverhead),
@@ -162,8 +145,6 @@ func ListenUDPShards(addr string, srv *Server, opts UDPOptions) (*UDPServer, err
 	for _, sh := range u.shards {
 		u.rxWG.Add(1)
 		go u.netWorker(sh)
-		u.txWG.Add(1)
-		go u.txLoop(sh)
 	}
 	return u, nil
 }
@@ -204,15 +185,10 @@ func (u *UDPServer) RxSheds() uint64 {
 	return n
 }
 
-// TxRingFull reports responses that bypassed the TX ring (transmitted
-// inline by the completing worker) because the ring was full.
-func (u *UDPServer) TxRingFull() uint64 {
-	var n uint64
-	for _, sh := range u.shards {
-		n += sh.txFull.Load()
-	}
-	return n
-}
+// TxRingFull always reports 0: every UDP response is transmitted by
+// the completing worker, so there is no TX ring to overflow. The method
+// remains for callers that total it with TCPServer.TxRingFull.
+func (u *UDPServer) TxRingFull() uint64 { return 0 }
 
 // Received reports datagrams accepted into the pipeline across all
 // shards.
@@ -227,8 +203,8 @@ func (u *UDPServer) Received() uint64 {
 // ShardReceived reports datagrams accepted by one shard.
 func (u *UDPServer) ShardReceived(i int) uint64 { return u.shards[i].rx.Load() }
 
-// Close stops the net workers, the server, then the TX drains, and
-// releases the sockets.
+// Close releases the sockets, waits for the net workers, and stops the
+// server.
 func (u *UDPServer) Close() error {
 	if u.closed.Swap(true) {
 		return nil
@@ -240,17 +216,9 @@ func (u *UDPServer) Close() error {
 		}
 	}
 	u.rxWG.Wait()
-	// Stop drains the queues; drop responses flow through the TX rings
-	// (and fail harmlessly on the closed sockets).
+	// Stop drains the queues; the drop responses fail harmlessly on the
+	// closed sockets.
 	u.Server.Stop()
-	// With the server stopped no producer remains; a sentinel frame
-	// terminates each TX loop after the backlog drains.
-	for _, sh := range u.shards {
-		for !sh.tx.TryPut(txFrame{}) {
-			runtime.Gosched()
-		}
-	}
-	u.txWG.Wait()
 	return err
 }
 
@@ -322,12 +290,12 @@ func (u *UDPServer) netWorker(sh *udpShard) {
 }
 
 // responder builds the respond callback for one request: encode the
-// response into the request's own ingress buffer (zero-copy) and push
-// it onto the shard's TX ring. Requests without a reusable buffer
+// response into the request's own ingress buffer (zero-copy) and send
+// it from the settling goroutine, which releases the buffer afterwards
+// as it does for every request. Requests without a reusable buffer
 // (chaos duplicates, oversized responses) fall back to a one-off
-// allocation and an inline write. Requests that arrived with a
-// correlation trailer (fan-out sub-requests) get it echoed after the
-// timing trailer.
+// allocation. Requests that arrived with a correlation trailer (fan-out
+// sub-requests) get it echoed after the timing trailer.
 func (sh *udpShard) responder(req *Request, reqID uint64, addr *net.UDPAddr, corr proto.Correlation, hasCorr bool) func(Response) {
 	return func(resp Response) {
 		hdr := proto.Header{
@@ -343,29 +311,13 @@ func (sh *udpShard) responder(req *Request, reqID uint64, addr *net.UDPAddr, cor
 		if hasCorr {
 			need += proto.CorrelationSize
 		}
+		var msg []byte
 		if b := req.buf; b != nil && cap(b.Data) >= need {
-			// Take ownership of the ingress buffer: the settling
-			// goroutine skips its release, and the TX loop returns the
-			// buffer to the pool after the frame is on the wire.
-			req.buf = nil
-			msg := proto.AppendResponse(b.Data[:0], hdr, resp.Payload, tm)
-			if resp.RetryAfter > 0 {
-				msg = proto.AppendRetryAfter(msg, resp.RetryAfter)
-			}
-			if hasCorr {
-				msg = proto.AppendCorrelation(msg, corr)
-			}
-			b.Len = len(msg)
-			if sh.tx.TryPut(txFrame{buf: b, addr: addr}) {
-				return
-			}
-			// TX ring full: transmit inline rather than block a worker.
-			sh.txFull.Add(1)
-			sh.conn.WriteToUDP(b.Bytes(), addr) //nolint:errcheck // fire-and-forget UDP
-			b.Release()
-			return
+			msg = b.Data[:0]
+		} else {
+			msg = make([]byte, 0, need)
 		}
-		msg := proto.AppendResponse(make([]byte, 0, need), hdr, resp.Payload, tm)
+		msg = proto.AppendResponse(msg, hdr, resp.Payload, tm)
 		if resp.RetryAfter > 0 {
 			msg = proto.AppendRetryAfter(msg, resp.RetryAfter)
 		}
@@ -373,35 +325,5 @@ func (sh *udpShard) responder(req *Request, reqID uint64, addr *net.UDPAddr, cor
 			msg = proto.AppendCorrelation(msg, corr)
 		}
 		sh.conn.WriteToUDP(msg, addr) //nolint:errcheck // fire-and-forget UDP
-	}
-}
-
-// txLoop owns the shard's socket writes: it drains encoded frames off
-// the TX ring — many per wakeup once responses queue up — and returns
-// each buffer to the pool. A nil-buffer sentinel (pushed by Close
-// after the server stops) terminates the loop once the backlog is
-// out.
-func (u *UDPServer) txLoop(sh *udpShard) {
-	defer u.txWG.Done()
-	spins := 0
-	for {
-		f, ok := sh.tx.TryGet()
-		if !ok {
-			spins++
-			switch {
-			case spins < 64:
-			case spins < 4096:
-				runtime.Gosched()
-			default:
-				time.Sleep(20 * time.Microsecond)
-			}
-			continue
-		}
-		spins = 0
-		if f.buf == nil {
-			return // shutdown sentinel
-		}
-		sh.conn.WriteToUDP(f.buf.Bytes(), f.addr) //nolint:errcheck // fire-and-forget UDP
-		f.buf.Release()
 	}
 }

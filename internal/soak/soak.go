@@ -26,6 +26,7 @@ package soak
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,7 +217,7 @@ func Run(cfg Config) (*Report, error) {
 				if err != nil {
 					// Ingress backpressure; the request was refused
 					// before entering any ledger.
-					time.Sleep(20 * time.Microsecond)
+					runtime.Gosched()
 					continue
 				}
 				submitted.Add(1)

@@ -1,16 +1,17 @@
 // Package spsc provides the lock-free inter-core communication
 // primitives the live Perséphone runtime is built on: a
 // single-producer/single-consumer ring with Barrelfish-style lazy head
-// synchronization (the paper's §4.3.2 "lightweight RPC" channel), and
-// a multi-producer/single-consumer ring backing the shared network
-// buffer pool (§4.3.1).
+// synchronization (the paper's §4.3.2 "lightweight RPC" channel), a
+// multi-producer/single-consumer ring backing the shared network
+// buffer pool (§4.3.1), and the Parker on which the consumer of either
+// sleeps when there is nothing to take (the paper's consumers poll a
+// core of their own instead; DESIGN.md, substitutions).
 package spsc
 
 import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 )
 
 // pad keeps hot fields on separate cache lines to avoid false sharing
@@ -27,6 +28,7 @@ type pad [64]byte
 type Ring[T any] struct {
 	buf  []T
 	mask uint64
+	park *Parker // where Get sleeps; every TryPut wakes it
 
 	_    pad
 	head atomic.Uint64 // next slot to write (owned by producer)
@@ -51,7 +53,7 @@ func NewRing[T any](capacity int) *Ring[T] {
 	for size < capacity {
 		size <<= 1
 	}
-	return &Ring[T]{buf: make([]T, size), mask: uint64(size - 1)}
+	return &Ring[T]{buf: make([]T, size), mask: uint64(size - 1), park: NewParker()}
 }
 
 // Cap reports the ring's capacity.
@@ -70,14 +72,15 @@ func (r *Ring[T]) TryPut(v T) bool {
 	}
 	r.buf[head&r.mask] = v
 	r.head.Store(head + 1)
+	r.park.Wake()
 	return true
 }
 
-// Put appends v, spinning (with escalating yields) until room exists.
-// Producer-only.
+// Put appends v, yielding to the consumer for as long as the ring is
+// full. Producer-only.
 func (r *Ring[T]) Put(v T) {
-	for spins := 0; !r.TryPut(v); spins++ {
-		backoff(spins)
+	for !r.TryPut(v) {
+		runtime.Gosched()
 	}
 }
 
@@ -97,14 +100,15 @@ func (r *Ring[T]) TryGet() (T, bool) {
 	return v, true
 }
 
-// Get removes the oldest element, spinning until one exists.
-// Consumer-only.
+// Get removes the oldest element, parking (see Parker) until one
+// exists. Consumer-only.
 func (r *Ring[T]) Get() T {
-	for spins := 0; ; spins++ {
+	for {
 		if v, ok := r.TryGet(); ok {
+			r.park.Busy()
 			return v
 		}
-		backoff(spins)
+		r.park.Idle()
 	}
 }
 
@@ -116,24 +120,6 @@ func (r *Ring[T]) Len() int {
 
 // Empty reports whether the ring appears empty.
 func (r *Ring[T]) Empty() bool { return r.Len() == 0 }
-
-// backoff escalates from busy spinning through cooperative yielding to
-// brief sleeps; on an oversubscribed box pure spinning would starve
-// the peer goroutine (a real Perséphone pins one thread per core and
-// never sleeps — see DESIGN.md on this substitution). The Gosched
-// window is kept short: every yield forces a full scheduler pass, so a
-// long yield storm on a host with fewer cores than goroutines steals
-// the very CPU the peer needs to make the awaited progress — parking
-// early costs one timer wakeup, churning costs the whole pipeline.
-func backoff(spins int) {
-	switch {
-	case spins < 64:
-	case spins < 192:
-		runtime.Gosched()
-	default:
-		time.Sleep(20 * time.Microsecond)
-	}
-}
 
 // MPSC is a bounded multi-producer/single-consumer queue used for the
 // shared buffer free list: every worker releases buffers, the net

@@ -260,10 +260,10 @@ type LiveListener struct {
 // Listen builds a live server from cfg and exposes it on network
 // ("udp" or "tcp") at addr. The UDP transport runs cfg.NetShards
 // ingress shards (port+i per shard when the port is non-zero) with
-// cfg.RxBurst-datagram batched reads and zero-copy per-shard TX
-// rings. The TCP transport frames requests with a 4-byte length
-// prefix and runs the same batched, pooled, sharded datapath on the
-// byte stream: pipelined requests per connection, out-of-order
+// cfg.RxBurst-datagram batched reads and zero-copy responses written
+// by the completing worker. The TCP transport frames requests with a
+// 4-byte length prefix and runs the same batched, pooled, sharded
+// datapath on the byte stream: pipelined requests per connection, out-of-order
 // responses matched by RequestID, cfg.NetShards accept shards,
 // vectored per-connection egress, and the cfg.TCPMaxConns /
 // cfg.TCPIdleTimeout lifecycle knobs. Close stops the transport and
