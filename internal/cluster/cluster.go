@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/eventq"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -49,6 +48,16 @@ type Worker struct {
 	// overheads) for utilization accounting.
 	busy      time.Duration
 	busySince sim.Time
+
+	// The worker's event callbacks, built once by NewMachine so that a
+	// dispatch allocates nothing. They read the per-dispatch state
+	// below, which is only live while the worker is occupied.
+	onDone, onSliceDone, onOverheadDone func()
+
+	slice      time.Duration               // length of the running slice (RunSlice)
+	sliceEnd   func(w *Worker, r *Request) // RunSlice's continuation
+	overheadOf *Request                    // the request Overhead hands to then
+	then       func(w *Worker, r *Request) // Overhead's continuation
 }
 
 // Idle reports whether the worker has no request or overhead running.
@@ -100,7 +109,13 @@ type Machine struct {
 	completed uint64
 	arrived   uint64
 	dropped   uint64
+
+	// slab is the unused tail of the block Arrive takes requests from.
+	slab []Request
 }
+
+// slabSize is how many requests Arrive allocates at once.
+const slabSize = 256
 
 // NewMachine builds a machine with the given number of workers.
 func NewMachine(s *sim.Sim, workers int, p Policy, rec *metrics.Recorder) *Machine {
@@ -109,7 +124,30 @@ func NewMachine(s *sim.Sim, workers int, p Policy, rec *metrics.Recorder) *Machi
 	}
 	m := &Machine{Sim: s, Policy: p, Recorder: rec}
 	for i := 0; i < workers; i++ {
-		m.Workers = append(m.Workers, &Worker{ID: i, busySince: -1})
+		w := &Worker{ID: i, busySince: -1}
+		w.onDone = func() {
+			r := w.cur
+			r.Remaining = 0
+			m.done(w, r)
+		}
+		w.onSliceDone = func() {
+			r := w.cur
+			r.Remaining -= w.slice
+			if r.Remaining <= 0 {
+				m.done(w, r)
+				return
+			}
+			m.finish(w, r)
+			w.sliceEnd(w, r)
+		}
+		w.onOverheadDone = func() {
+			w.busy += m.Sim.Now() - w.busySince
+			w.busySince = -1
+			r, then := w.overheadOf, w.then
+			w.overheadOf, w.then = nil, nil
+			then(w, r)
+		}
+		m.Workers = append(m.Workers, w)
 	}
 	p.Init(m)
 	return m
@@ -118,7 +156,12 @@ func NewMachine(s *sim.Sim, workers int, p Policy, rec *metrics.Recorder) *Machi
 // Arrive injects a request of the given type and service demand at the
 // current virtual instant.
 func (m *Machine) Arrive(typ int, service time.Duration) *Request {
-	r := &Request{
+	if len(m.slab) == 0 {
+		m.slab = make([]Request, slabSize)
+	}
+	r := &m.slab[0]
+	m.slab = m.slab[1:]
+	*r = Request{
 		ID:            m.nextID,
 		Type:          typ,
 		Service:       service,
@@ -137,13 +180,7 @@ func (m *Machine) Arrive(typ int, service time.Duration) *Request {
 // policy regains the worker.
 func (m *Machine) Run(w *Worker, r *Request) {
 	m.begin(w, r)
-	m.Sim.After(r.Remaining, func() {
-		r.Remaining = 0
-		m.finish(w, r)
-		m.complete(r)
-		m.notifyCompleted(w, r)
-		m.Policy.WorkerFree(w)
-	})
+	m.Sim.After(r.Remaining, w.onDone)
 }
 
 // RunSlice starts preemptive service of r on idle worker w for at most
@@ -157,60 +194,38 @@ func (m *Machine) RunSlice(w *Worker, r *Request, slice time.Duration, onSliceEn
 		panic("cluster: non-positive slice")
 	}
 	m.begin(w, r)
-	run := r.Remaining
-	if run > slice {
-		run = slice
-	}
-	m.Sim.After(run, func() {
-		r.Remaining -= run
-		if r.Remaining <= 0 {
-			m.finish(w, r)
-			m.complete(r)
-			m.notifyCompleted(w, r)
-			m.Policy.WorkerFree(w)
-			return
-		}
-		m.finish(w, r)
-		onSliceEnd(w, r)
-	})
+	w.slice = min(r.Remaining, slice)
+	w.sliceEnd = onSliceEnd
+	m.Sim.After(w.slice, w.onSliceDone)
 }
 
 // RunHandle identifies a preemptible execution started with
-// RunPreemptible so it can be interrupted before completion.
+// RunPreemptible so it can be interrupted before completion. It is a
+// value; the zero RunHandle names no execution and reports Done.
 type RunHandle struct {
 	w     *Worker
 	r     *Request
 	start sim.Time
-	ev    *eventq.Event
-	done  bool
+	ev    sim.Handle
 }
 
 // Request returns the request being executed.
-func (h *RunHandle) Request() *Request { return h.r }
+func (h RunHandle) Request() *Request { return h.r }
 
 // Worker returns the executing worker.
-func (h *RunHandle) Worker() *Worker { return h.w }
+func (h RunHandle) Worker() *Worker { return h.w }
 
 // Done reports whether the execution already completed or was
 // interrupted.
-func (h *RunHandle) Done() bool { return h.done }
+func (h RunHandle) Done() bool { return !h.ev.Pending() }
 
 // RunPreemptible starts service of r on idle worker w exactly like
 // Run, but returns a handle that Interrupt can use to stop the request
 // at an arbitrary instant — the primitive behind asynchronous
 // (arrival-triggered) preemption models.
-func (m *Machine) RunPreemptible(w *Worker, r *Request) *RunHandle {
+func (m *Machine) RunPreemptible(w *Worker, r *Request) RunHandle {
 	m.begin(w, r)
-	h := &RunHandle{w: w, r: r, start: m.Sim.Now()}
-	h.ev = m.Sim.After(r.Remaining, func() {
-		h.done = true
-		r.Remaining = 0
-		m.finish(w, r)
-		m.complete(r)
-		m.notifyCompleted(w, r)
-		m.Policy.WorkerFree(w)
-	})
-	return h
+	return RunHandle{w: w, r: r, start: m.Sim.Now(), ev: m.Sim.After(r.Remaining, w.onDone)}
 }
 
 // Interrupt stops a preemptible execution, crediting the executed time
@@ -218,37 +233,31 @@ func (m *Machine) RunPreemptible(w *Worker, r *Request) *RunHandle {
 // It reports false if the execution already finished. The caller owns
 // the request afterwards (typically: bump Preemptions, pay Overhead,
 // requeue).
-func (m *Machine) Interrupt(h *RunHandle) bool {
-	if h.done || !m.Sim.Cancel(h.ev) {
+func (m *Machine) Interrupt(h RunHandle) bool {
+	if !m.Sim.Cancel(h.ev) {
 		return false
 	}
-	h.done = true
-	executed := m.Sim.Now() - h.start
-	h.r.Remaining -= executed
-	if h.r.Remaining < 0 {
-		h.r.Remaining = 0
-	}
+	h.r.Remaining = max(h.r.Remaining-(m.Sim.Now()-h.start), 0)
 	m.finish(h.w, h.r)
 	return true
 }
 
 // Overhead occupies idle worker w for d of non-service time (steal
-// cost, preemption cost, ...) and then invokes then. A zero duration
-// invokes then immediately.
-func (m *Machine) Overhead(w *Worker, d time.Duration, then func()) {
+// cost, preemption cost, ...) and then invokes then(w, r); r is
+// whatever request the policy wants back, or nil. A zero duration
+// invokes then immediately. Passing the request through, rather than
+// capturing it, lets a policy bind then once.
+func (m *Machine) Overhead(w *Worker, d time.Duration, r *Request, then func(w *Worker, r *Request)) {
 	if d <= 0 {
-		then()
+		then(w, r)
 		return
 	}
 	if !w.Idle() {
 		panic(fmt.Sprintf("cluster: overhead on busy worker %d", w.ID))
 	}
 	w.busySince = m.Sim.Now()
-	m.Sim.After(d, func() {
-		w.busy += m.Sim.Now() - w.busySince
-		w.busySince = -1
-		then()
-	})
+	w.overheadOf, w.then = r, then
+	m.Sim.After(d, w.onOverheadDone)
 }
 
 func (m *Machine) begin(w *Worker, r *Request) {
@@ -266,6 +275,15 @@ func (m *Machine) finish(w *Worker, r *Request) {
 	w.busy += m.Sim.Now() - w.busySince
 	w.busySince = -1
 	w.cur = nil
+}
+
+// done completes r, which has no service left, and hands w back to the
+// policy.
+func (m *Machine) done(w *Worker, r *Request) {
+	m.finish(w, r)
+	m.complete(r)
+	m.notifyCompleted(w, r)
+	m.Policy.WorkerFree(w)
 }
 
 func (m *Machine) complete(r *Request) {

@@ -100,7 +100,7 @@ func TestUtilization(t *testing.T) {
 func TestOverheadCountsAsBusy(t *testing.T) {
 	s, m, _ := newTestMachine(1)
 	done := false
-	m.Overhead(m.Workers[0], 5*time.Microsecond, func() { done = true })
+	m.Overhead(m.Workers[0], 5*time.Microsecond, nil, func(*Worker, *Request) { done = true })
 	s.RunUntil(10 * time.Microsecond)
 	if !done {
 		t.Fatal("overhead continuation not invoked")
@@ -113,7 +113,7 @@ func TestOverheadCountsAsBusy(t *testing.T) {
 func TestOverheadZeroImmediate(t *testing.T) {
 	_, m, _ := newTestMachine(1)
 	ran := false
-	m.Overhead(m.Workers[0], 0, func() { ran = true })
+	m.Overhead(m.Workers[0], 0, nil, func(*Worker, *Request) { ran = true })
 	if !ran {
 		t.Fatal("zero overhead deferred")
 	}

@@ -143,16 +143,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Open-loop arrivals: each arrival schedules its successor.
-	var scheduleNext func()
-	scheduleNext = func() {
-		a := src.Next()
-		s.After(a.Gap, func() {
-			m.Arrive(a.Type, a.Service)
-			scheduleNext()
-		})
+	// Open-loop arrivals: each arrival schedules its successor, through
+	// the one callback.
+	a := src.Next()
+	var arrive func()
+	arrive = func() {
+		m.Arrive(a.Type, a.Service)
+		a = src.Next()
+		s.After(a.Gap, arrive)
 	}
-	scheduleNext()
+	s.After(a.Gap, arrive)
 
 	s.RunUntil(cfg.Duration)
 

@@ -53,18 +53,16 @@ func runTrace(cfg Config) (*Result, error) {
 
 	// Replay lazily: each arrival schedules its successor, so the
 	// event queue stays small even for multi-million-record traces.
-	var scheduleIdx func(i int)
-	scheduleIdx = func(i int) {
-		if i >= tr.Len() {
-			return
+	next := 0
+	var arrive func()
+	arrive = func() {
+		r := tr.Records[next]
+		m.Arrive(r.Type, r.Service)
+		if next++; next < tr.Len() {
+			s.At(tr.Records[next].Offset, arrive)
 		}
-		r := tr.Records[i]
-		s.At(r.Offset, func() {
-			m.Arrive(r.Type, r.Service)
-			scheduleIdx(i + 1)
-		})
 	}
-	scheduleIdx(0)
+	s.At(tr.Records[0].Offset, arrive)
 
 	s.RunUntil(duration)
 

@@ -105,13 +105,14 @@ func (c *Controller) MaybeUpdate() bool {
 	if c.prof.WindowSamples() < c.cfg.MinWindowSamples {
 		return false
 	}
+	cur := c.res.Load()
+	if cur != nil && !c.pressure {
+		return false
+	}
+	// Snapshot allocates, so it is taken only once an update is possible.
 	snapshot := c.prof.Snapshot()
-	if cur := c.res.Load(); cur != nil {
-		if !c.pressure {
-			return false
-		}
-		demands := demandsOf(snapshot)
-		if !DemandDeviates(cur.Demands, demands, c.cfg.DemandDeviation) {
+	if cur != nil {
+		if !DemandDeviates(cur.Demands, demandsOf(snapshot), c.cfg.DemandDeviation) {
 			// Pressure without a composition change: stay put, but
 			// keep watching (do not clear pressure so the next window
 			// can still react).

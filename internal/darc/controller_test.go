@@ -128,6 +128,22 @@ func TestControllerRequiresPressure(t *testing.T) {
 	}
 }
 
+// TestMaybeUpdateWithoutPressureAllocatesNothing pins the common case
+// once a reservation exists: the window is full, nothing waited too
+// long, and every completion's MaybeUpdate must return without
+// allocating.
+func TestMaybeUpdateWithoutPressureAllocatesNothing(t *testing.T) {
+	ctl := newTestController(t, 100)
+	feedHighBimodal(ctl, 100)
+	if !ctl.MaybeUpdate() {
+		t.Fatal("first reservation did not install")
+	}
+	feedHighBimodal(ctl, 200)
+	if n := testing.AllocsPerRun(100, func() { ctl.MaybeUpdate() }); n != 0 {
+		t.Fatalf("MaybeUpdate without pressure: %v allocs, want 0", n)
+	}
+}
+
 func TestControllerPressureWithoutDeviationHolds(t *testing.T) {
 	ctl := newTestController(t, 100)
 	feedHighBimodal(ctl, 100)

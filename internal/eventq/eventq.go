@@ -1,7 +1,8 @@
 // Package eventq implements the future event list of the discrete-event
 // simulator: a binary min-heap ordered by (time, sequence) so that
 // events scheduled for the same instant fire in scheduling order, which
-// keeps simulations deterministic.
+// keeps simulations deterministic. A Queue recycles the events handed
+// back to it, so a simulation in steady state allocates none.
 package eventq
 
 import "time"
@@ -12,13 +13,14 @@ type Event struct {
 	Seq uint64        // tie-breaker: schedule order
 	Fn  func()        // action; never nil for queued events
 
-	index int // heap index, -1 when not queued
+	index int // heap index; -1 once popped or cancelled, -2 once recycled
 }
 
 // Queue is a future event list. The zero value is ready to use.
 // It is not safe for concurrent use; the simulator is single-threaded.
 type Queue struct {
 	heap []*Event
+	free []*Event // recycled events, reused by Push
 	seq  uint64
 }
 
@@ -26,9 +28,17 @@ type Queue struct {
 func (q *Queue) Len() int { return len(q.heap) }
 
 // Push schedules fn at the given virtual time and returns the event,
-// which may later be passed to Cancel.
+// which may later be passed to Cancel. The event may be one recycled
+// earlier; its Seq is always new.
 func (q *Queue) Push(at time.Duration, fn func()) *Event {
-	e := &Event{At: at, Seq: q.seq, Fn: fn}
+	var e *Event
+	if n := len(q.free); n > 0 {
+		e = q.free[n-1]
+		q.free = q.free[:n-1]
+		e.At, e.Seq, e.Fn = at, q.seq, fn
+	} else {
+		e = &Event{At: at, Seq: q.seq, Fn: fn}
+	}
 	q.seq++
 	e.index = len(q.heap)
 	q.heap = append(q.heap, e)
@@ -82,6 +92,23 @@ func (q *Queue) Cancel(e *Event) bool {
 	e.index = -1
 	return true
 }
+
+// Recycle hands a popped or cancelled event back for reuse by a later
+// Push. The caller must hold no other reference it will use: the
+// pointer may come back from Push naming a different event. Recycling
+// a queued or already recycled event is a no-op.
+func (q *Queue) Recycle(e *Event) {
+	if e.index != -1 {
+		return
+	}
+	e.Fn = nil
+	e.index = -2
+	q.free = append(q.free, e)
+}
+
+// Queued reports whether e is still waiting in a queue: not yet popped
+// or cancelled.
+func (e *Event) Queued() bool { return e.index >= 0 }
 
 func (q *Queue) less(i, j int) bool {
 	a, b := q.heap[i], q.heap[j]

@@ -146,3 +146,28 @@ func TestHeapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRecycleReusesEvent(t *testing.T) {
+	var q Queue
+	e := q.Push(1, func() {})
+	q.Recycle(e) // still queued: a no-op
+	if q.Pop() != e {
+		t.Fatal("recycling a queued event disturbed the queue")
+	}
+	q.Recycle(e)
+	q.Recycle(e) // twice: still only one free slot
+	a := q.Push(2, func() {})
+	b := q.Push(3, func() {})
+	if a != e || b == e {
+		t.Fatalf("Push reused %p and %p, want exactly one reuse of %p", a, b, e)
+	}
+	if a.Seq != 1 || a.At != 2 || !a.Queued() {
+		t.Fatalf("reused event not reset: %+v", a)
+	}
+	if q.Cancel(b) {
+		q.Recycle(b)
+	}
+	if c := q.Push(4, nil); c != b {
+		t.Fatal("a cancelled event was not reused")
+	}
+}

@@ -28,6 +28,8 @@ type IngressBottleneck struct {
 	busy     bool
 	queue    cluster.FIFO
 	deferred uint64
+	serving  *cluster.Request // in the dispatcher stage while busy
+	onServed func()           // built once by Init
 }
 
 // Name implements cluster.Policy.
@@ -45,6 +47,10 @@ func (p *IngressBottleneck) Traits() Traits {
 func (p *IngressBottleneck) Init(m *cluster.Machine) {
 	p.m = m
 	p.queue.Cap = normalizeCap(p.QueueCap)
+	p.onServed = func() {
+		p.Inner.Arrive(p.serving)
+		p.serveNext()
+	}
 	p.Inner.Init(m)
 }
 
@@ -76,10 +82,8 @@ func (p *IngressBottleneck) serveNext() {
 		return
 	}
 	p.busy = true
-	p.m.Sim.After(p.PerRequest, func() {
-		p.Inner.Arrive(r)
-		p.serveNext()
-	})
+	p.serving = r
+	p.m.Sim.After(p.PerRequest, p.onServed)
 }
 
 // WorkerFree implements cluster.Policy.

@@ -19,6 +19,7 @@ type WorkStealing struct {
 	// StealCost is the cross-worker coordination charge per steal.
 	StealCost time.Duration
 	steals    uint64
+	run       func(w *cluster.Worker, r *cluster.Request) // m.Run, bound once
 }
 
 // NewWorkStealing builds the policy. stealCost models the cross-core
@@ -38,6 +39,7 @@ func (p *WorkStealing) Traits() Traits {
 // Init implements cluster.Policy.
 func (p *WorkStealing) Init(m *cluster.Machine) {
 	p.m = m
+	p.run = m.Run
 	p.queues = make([]cluster.FIFO, len(m.Workers))
 	for i := range p.queues {
 		p.queues[i].Cap = p.cap
@@ -95,7 +97,5 @@ func (p *WorkStealing) stealInto(w *cluster.Worker) {
 	p.steals++
 	// Overhead occupies w for the steal window, so no other dispatch
 	// can race onto it; the stolen request then runs.
-	p.m.Overhead(w, p.StealCost, func() {
-		p.m.Run(w, r)
-	})
+	p.m.Overhead(w, p.StealCost, r, p.run)
 }

@@ -35,6 +35,9 @@ type TSSingleQueue struct {
 	m           *cluster.Machine
 	queue       cluster.FIFO
 	preemptions uint64
+
+	// sliceEnd and requeue bound once, so a dispatch allocates nothing.
+	onSliceEnd, onPreempted func(w *cluster.Worker, r *cluster.Request)
 }
 
 // NewTSSingleQueue builds the policy.
@@ -52,7 +55,10 @@ func (p *TSSingleQueue) Traits() Traits {
 }
 
 // Init implements cluster.Policy.
-func (p *TSSingleQueue) Init(m *cluster.Machine) { p.m = m }
+func (p *TSSingleQueue) Init(m *cluster.Machine) {
+	p.m = m
+	p.onSliceEnd, p.onPreempted = p.sliceEnd, p.requeue
+}
 
 // Preemptions reports how many interrupts actually fired.
 func (p *TSSingleQueue) Preemptions() uint64 { return p.preemptions }
@@ -61,7 +67,7 @@ func (p *TSSingleQueue) Preemptions() uint64 { return p.preemptions }
 func (p *TSSingleQueue) Arrive(r *cluster.Request) {
 	for _, w := range p.m.Workers {
 		if w.Idle() {
-			p.m.RunSlice(w, r, p.cfg.Quantum, p.sliceEnd)
+			p.m.RunSlice(w, r, p.cfg.Quantum, p.onSliceEnd)
 			return
 		}
 	}
@@ -71,7 +77,7 @@ func (p *TSSingleQueue) Arrive(r *cluster.Request) {
 // WorkerFree implements cluster.Policy.
 func (p *TSSingleQueue) WorkerFree(w *cluster.Worker) {
 	if r := p.queue.Pop(); r != nil {
-		p.m.RunSlice(w, r, p.cfg.Quantum, p.sliceEnd)
+		p.m.RunSlice(w, r, p.cfg.Quantum, p.onSliceEnd)
 	}
 }
 
@@ -82,17 +88,20 @@ func (p *TSSingleQueue) WorkerFree(w *cluster.Worker) {
 // goes to the tail, and the worker takes the head.
 func (p *TSSingleQueue) sliceEnd(w *cluster.Worker, r *cluster.Request) {
 	if p.queue.Empty() {
-		p.m.RunSlice(w, r, p.cfg.Quantum, p.sliceEnd)
+		p.m.RunSlice(w, r, p.cfg.Quantum, p.onSliceEnd)
 		return
 	}
 	r.Preemptions++
 	p.preemptions++
-	p.m.Overhead(w, p.cfg.PreemptCost, func() {
-		// Re-enqueue at the tail; an overflowing tail re-enqueue would
-		// lose an admitted request, so bypass the cap.
-		if !p.queue.Push(r) {
-			p.queue.PushFront(r)
-		}
-		p.WorkerFree(w)
-	})
+	p.m.Overhead(w, p.cfg.PreemptCost, r, p.onPreempted)
+}
+
+// requeue re-enqueues a preempted request at the tail once the
+// preemption cost is paid; an overflowing tail re-enqueue would lose an
+// admitted request, so it bypasses the cap.
+func (p *TSSingleQueue) requeue(w *cluster.Worker, r *cluster.Request) {
+	if !p.queue.Push(r) {
+		p.queue.PushFront(r)
+	}
+	p.WorkerFree(w)
 }

@@ -18,9 +18,15 @@ type TSIdeal struct {
 	// queue is ordered by remaining service (SRPT).
 	queue *requestHeap
 	// running tracks the preemptible execution per worker.
-	running []*cluster.RunHandle
-	// preempting marks workers with an in-flight preemption event.
+	running []cluster.RunHandle
+	// preempting marks workers with an in-flight preemption event;
+	// target is the execution that event will interrupt, and fire[id]
+	// (built once by Init) is the event's callback.
 	preempting []bool
+	target     []cluster.RunHandle
+	fire       []func()
+	// onPreempted is requeue, bound once.
+	onPreempted func(w *cluster.Worker, r *cluster.Request)
 
 	// PropagateDelay is the time for a preemption event to reach the
 	// worker.
@@ -54,8 +60,18 @@ func (p *TSIdeal) Traits() Traits {
 // Init implements cluster.Policy.
 func (p *TSIdeal) Init(m *cluster.Machine) {
 	p.m = m
-	p.running = make([]*cluster.RunHandle, len(m.Workers))
-	p.preempting = make([]bool, len(m.Workers))
+	n := len(m.Workers)
+	p.running = make([]cluster.RunHandle, n)
+	p.preempting = make([]bool, n)
+	p.target = make([]cluster.RunHandle, n)
+	p.fire = make([]func(), n)
+	for id := range p.fire {
+		p.fire[id] = func() {
+			p.preempting[id] = false
+			p.firePreemption(id, p.target[id])
+		}
+	}
+	p.onPreempted = p.requeue
 }
 
 // Preemptions reports how many preemptions actually fired.
@@ -99,7 +115,7 @@ func (p *TSIdeal) maybePreempt() {
 	victim := -1
 	var worst time.Duration
 	for id, h := range p.running {
-		if h == nil || h.Done() || p.preempting[id] {
+		if h.Done() || p.preempting[id] {
 			continue
 		}
 		rem := h.Request().Remaining // demand when started; still an upper bound ordering
@@ -112,14 +128,11 @@ func (p *TSIdeal) maybePreempt() {
 		return
 	}
 	p.preempting[victim] = true
-	h := p.running[victim]
-	p.m.Sim.After(p.PropagateDelay, func() {
-		p.preempting[victim] = false
-		p.firePreemption(victim, h)
-	})
+	p.target[victim] = p.running[victim]
+	p.m.Sim.After(p.PropagateDelay, p.fire[victim])
 }
 
-func (p *TSIdeal) firePreemption(victim int, h *cluster.RunHandle) {
+func (p *TSIdeal) firePreemption(victim int, h cluster.RunHandle) {
 	// The world may have moved on during propagation: the victim may
 	// have finished, or the queue drained.
 	if h.Done() {
@@ -133,7 +146,7 @@ func (p *TSIdeal) firePreemption(victim int, h *cluster.RunHandle) {
 		return
 	}
 	r := h.Request()
-	p.running[victim] = nil
+	p.running[victim] = cluster.RunHandle{}
 	if r.Remaining <= head.Remaining {
 		// No longer worth preempting (it nearly finished during the
 		// delay): resume it.
@@ -142,12 +155,15 @@ func (p *TSIdeal) firePreemption(victim int, h *cluster.RunHandle) {
 	}
 	r.Preemptions++
 	p.preemptions++
-	w := h.Worker()
-	p.m.Overhead(w, p.PreemptCost, func() {
-		if !p.queue.Push(r) {
-			p.m.RecordDrop(r)
-		}
-		p.WorkerFree(w)
-		p.maybePreempt()
-	})
+	p.m.Overhead(h.Worker(), p.PreemptCost, r, p.onPreempted)
+}
+
+// requeue returns a preempted request to the queue once the preemption
+// cost is paid.
+func (p *TSIdeal) requeue(w *cluster.Worker, r *cluster.Request) {
+	if !p.queue.Push(r) {
+		p.m.RecordDrop(r)
+	}
+	p.WorkerFree(w)
+	p.maybePreempt()
 }

@@ -18,6 +18,9 @@ type TSMultiQueue struct {
 	queues      []cluster.FIFO
 	vtime       []time.Duration
 	preemptions uint64
+
+	// sliceEnd and requeue bound once, so a dispatch allocates nothing.
+	onSliceEnd, onPreempted func(w *cluster.Worker, r *cluster.Request)
 }
 
 // NewTSMultiQueue builds the policy for the given number of request
@@ -44,6 +47,7 @@ func (p *TSMultiQueue) Init(m *cluster.Machine) {
 	for i := range p.queues {
 		p.queues[i].Cap = p.cfg.QueueCap
 	}
+	p.onSliceEnd, p.onPreempted = p.sliceEnd, p.requeue
 }
 
 // Preemptions reports how many interrupts actually fired.
@@ -116,11 +120,7 @@ func (p *TSMultiQueue) minActiveVT() (time.Duration, bool) {
 }
 
 func (p *TSMultiQueue) start(w *cluster.Worker, r *cluster.Request) {
-	before := r.Remaining
-	p.m.RunSlice(w, r, p.cfg.Quantum, func(w *cluster.Worker, r *cluster.Request) {
-		p.charge(r, before-r.Remaining)
-		p.sliceEnd(w, r)
-	})
+	p.m.RunSlice(w, r, p.cfg.Quantum, p.onSliceEnd)
 	// Completed-within-slice executions are charged in Completed.
 }
 
@@ -145,18 +145,22 @@ func (p *TSMultiQueue) Completed(w *cluster.Worker, r *cluster.Request) {
 	p.charge(r, rem)
 }
 
-// sliceEnd: resume for free when nothing else waits, otherwise pay the
-// interrupt, re-enqueue at the *head* of the request's own queue and
-// pick by BVT.
+// sliceEnd charges the slice, which ran a full quantum (a shorter one
+// completes the request instead). It then resumes the request for free
+// when nothing else waits, otherwise pays the interrupt, re-enqueues at
+// the *head* of the request's own queue and picks by BVT.
 func (p *TSMultiQueue) sliceEnd(w *cluster.Worker, r *cluster.Request) {
+	p.charge(r, p.cfg.Quantum)
 	if _, anyWaiting := p.minActiveVT(); !anyWaiting {
 		p.start(w, r)
 		return
 	}
 	r.Preemptions++
 	p.preemptions++
-	p.m.Overhead(w, p.cfg.PreemptCost, func() {
-		p.queueOf(r).PushFront(r)
-		p.WorkerFree(w)
-	})
+	p.m.Overhead(w, p.cfg.PreemptCost, r, p.onPreempted)
+}
+
+func (p *TSMultiQueue) requeue(w *cluster.Worker, r *cluster.Request) {
+	p.queueOf(r).PushFront(r)
+	p.WorkerFree(w)
 }

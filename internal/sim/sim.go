@@ -33,24 +33,49 @@ func (s *Sim) Now() Time { return s.now }
 // cost measure for experiments.
 func (s *Sim) Fired() uint64 { return s.fired }
 
+// Handle names one scheduled callback so that it can be cancelled. The
+// engine recycles an event once it has fired or been cancelled, so a
+// bare *eventq.Event stops naming its callback at that point; a Handle
+// also carries the event's sequence number, which a recycled event never
+// repeats, and so stays safe to use for ever. The zero Handle names
+// nothing.
+type Handle struct {
+	e   *eventq.Event
+	seq uint64
+}
+
+// Pending reports whether the callback is still scheduled: it has
+// neither fired nor been cancelled.
+func (h Handle) Pending() bool { return h.e != nil && h.e.Seq == h.seq && h.e.Queued() }
+
 // At schedules fn to run at virtual time t. Scheduling in the past
 // (before Now) panics: it always indicates a modelling bug.
-func (s *Sim) At(t Time, fn func()) *eventq.Event {
+func (s *Sim) At(t Time, fn func()) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	return s.events.Push(t, fn)
+	e := s.events.Push(t, fn)
+	return Handle{e, e.Seq}
 }
 
 // After schedules fn to run d from now.
-func (s *Sim) After(d time.Duration, fn func()) *eventq.Event {
+func (s *Sim) After(d time.Duration, fn func()) Handle {
 	return s.At(s.now+d, fn)
 }
 
-// Cancel removes a pending event; see eventq.Queue.Cancel.
-func (s *Sim) Cancel(e *eventq.Event) bool { return s.events.Cancel(e) }
+// Cancel unschedules a pending callback. It reports false, and changes
+// nothing, if the callback already fired or was cancelled.
+func (s *Sim) Cancel(h Handle) bool {
+	if !h.Pending() || !s.events.Cancel(h.e) {
+		return false
+	}
+	s.events.Recycle(h.e)
+	return true
+}
 
-// Step fires the next event and reports whether one existed.
+// Step fires the next event and reports whether one existed. The event
+// is recycled before its callback runs, so the callback's own
+// scheduling reuses it.
 func (s *Sim) Step() bool {
 	e := s.events.Pop()
 	if e == nil {
@@ -58,7 +83,9 @@ func (s *Sim) Step() bool {
 	}
 	s.now = e.At
 	s.fired++
-	e.Fn()
+	fn := e.Fn
+	s.events.Recycle(e)
+	fn()
 	return true
 }
 

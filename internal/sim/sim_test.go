@@ -138,3 +138,46 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleHandleNeverCancelsARecycledEvent checks the handle contract:
+// once its callback has fired or been cancelled, a Handle's Cancel
+// reports false and leaves alone the event that now reuses its memory.
+func TestStaleHandleNeverCancelsARecycledEvent(t *testing.T) {
+	for _, how := range []string{"fired", "cancelled"} {
+		t.Run(how, func(t *testing.T) {
+			s := New()
+			stale := s.After(10, func() {})
+			if how == "fired" {
+				s.Run()
+			} else if !s.Cancel(stale) {
+				t.Fatal("cancel of a pending callback failed")
+			}
+			fired := false
+			fresh := s.After(10, func() { fired = true })
+			if fresh.e != stale.e {
+				t.Fatal("the engine did not reuse the event; the test proves nothing")
+			}
+			if stale.Pending() {
+				t.Fatal("stale handle reports pending")
+			}
+			if s.Cancel(stale) {
+				t.Fatal("stale handle's Cancel reported success")
+			}
+			if !fresh.Pending() || s.Pending() != 1 {
+				t.Fatal("stale handle's Cancel removed the recycled event")
+			}
+			s.Run()
+			if !fired {
+				t.Fatal("recycled event did not fire")
+			}
+		})
+	}
+}
+
+func TestZeroHandle(t *testing.T) {
+	s := New()
+	var h Handle
+	if h.Pending() || s.Cancel(h) {
+		t.Fatal("zero handle names a callback")
+	}
+}
