@@ -54,7 +54,7 @@ type Config struct {
 	// zero it auto-derives to the largest typed budget (the spillway
 	// is at least as tolerant as the slowest known type).
 	UnknownBudget time.Duration
-	// AutoMult overrides DefaultAutoMult when > 0.
+	// AutoMult overrides DefaultAutoMult when finite and > 0.
 	AutoMult float64
 	// MinBudget overrides DefaultMinBudget when > 0.
 	MinBudget time.Duration
@@ -158,7 +158,8 @@ func (c *Controller) applyConfig(cfg Config) {
 	if c.alpha <= 0 || c.alpha > 1 {
 		c.alpha = DefaultEWMAAlpha
 	}
-	if c.autoMult <= 0 {
+	// NaN and Inf would turn every auto budget into the minimum int64.
+	if !(c.autoMult > 0) || math.IsInf(c.autoMult, 0) {
 		c.autoMult = DefaultAutoMult
 	}
 	if c.minB <= 0 {

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +26,37 @@ func TestBudgetExplicitWins(t *testing.T) {
 	// Type 1 auto-derives: 20x 2ms = 40ms.
 	if got := c.Budget(1); got != 40*time.Millisecond {
 		t.Fatalf("auto budget: got %v, want 40ms", got)
+	}
+}
+
+// TestAutoMultFallsBackToDefault: a multiplier that is not a positive
+// finite number takes DefaultAutoMult, at construction and on Update.
+// NaN or Inf times a mean converts to the minimum int64, which would
+// floor every auto-derived budget at MinBudget.
+func TestAutoMultFallsBackToDefault(t *testing.T) {
+	mean := 2 * time.Millisecond
+	def := time.Duration(float64(mean) * DefaultAutoMult)
+	cases := []struct {
+		mult float64
+		want time.Duration
+	}{
+		{0, def},
+		{-3, def},
+		{math.NaN(), def},
+		{math.Inf(1), def},
+		{math.Inf(-1), def},
+		{5, 5 * mean},
+	}
+	for _, tc := range cases {
+		c := New(Config{AutoMult: tc.mult}, 1, meanTable(mean))
+		if got := c.Budget(0); got != tc.want {
+			t.Errorf("New with AutoMult %v: budget %v, want %v", tc.mult, got, tc.want)
+		}
+		c = New(Config{}, 1, meanTable(mean))
+		c.Update(Config{AutoMult: tc.mult})
+		if got := c.Budget(0); got != tc.want {
+			t.Errorf("Update to AutoMult %v: budget %v, want %v", tc.mult, got, tc.want)
+		}
 	}
 }
 

@@ -67,8 +67,7 @@ func newHotPathServer(tb testing.TB, mode Mode) *Server {
 // goroutine handoffs.
 func driveHotPath(srv *Server, r *Request) {
 	r.typ = srv.cfg.Classifier.Classify(r.payload)
-	r.classified = srv.now()
-	srv.enqueue(r)
+	srv.enqueue(r, srv.now())
 	srv.dispatch()
 	got := srv.rings[0].Get()
 	started := srv.now()
@@ -151,24 +150,14 @@ func BenchmarkDispatchHotPathUntraced(b *testing.B) {
 	}
 }
 
-// drainOne pulls the next ingress request and walks it through the
-// same classify→enqueue→dispatch→serve→trace steps driveHotPath
-// performs, minus the injection (already done by the batch path).
+// drainOne pulls the next ingress request, injected by the batch path,
+// and walks it through driveHotPath.
 func drainOne(srv *Server) bool {
 	r, ok := srv.ingress.TryGet()
 	if !ok {
 		return false
 	}
-	r.typ = srv.cfg.Classifier.Classify(r.payload)
-	r.classified = srv.now()
-	srv.enqueue(r)
-	srv.dispatch()
-	got := srv.rings[0].Get()
-	started := srv.now()
-	finished := srv.now()
-	srv.traceSpan(srv.traceRingFor(0), 0, got, started, finished, srv.now())
-	srv.free[0] = true
-	srv.FlushTrace()
+	driveHotPath(srv, r)
 	return true
 }
 

@@ -145,8 +145,10 @@ func TestWriteMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.enqueued.Store(42)
+	srv.dispatched.Store(40)
 	srv.mu.Lock()
-	srv.enqueued, srv.dispatched, srv.dropped = 42, 40, 2
+	srv.dropped = 2
 	srv.mu.Unlock()
 	for i := 0; i < 3; i++ {
 		srv.inj.IngressDrop() // DropRate 1: always injects

@@ -74,7 +74,8 @@ type Response struct {
 	Type      int
 	Status    proto.Status
 	Payload   []byte
-	// Sojourn is the server-side time from ingress to completion.
+	// Sojourn is the server-side time from ingress to the end of
+	// service (the reply is sent after it is measured).
 	Sojourn time.Duration
 	// QueueDelay is the ingress-to-worker-start wait (0 for drops).
 	QueueDelay time.Duration
@@ -106,8 +107,8 @@ type Request struct {
 
 	// Lifecycle stamps (offsets since server start), filled as the
 	// request crosses each stage; the worker completes the record and
-	// publishes it as a trace.Span.
-	classified time.Duration
+	// publishes it as a trace.Span. The dispatcher reads the clock once
+	// after classification, so enqueued is the classified stamp too.
 	enqueued   time.Duration
 	dispatched time.Duration
 
@@ -270,11 +271,17 @@ type Server struct {
 	// metrics exposition pulls the persephone_tcp_* families from it.
 	tcpSrv atomic.Pointer[TCPServer]
 
+	// enqueued and dispatched are written only by the dispatcher; they
+	// are atomics so the hand-off path takes no lock. mu guards the
+	// recorder and dropped, which workers reach through drop.
+	enqueued   atomic.Uint64
+	dispatched atomic.Uint64
 	mu         sync.Mutex
 	rec        *metrics.Recorder
-	enqueued   uint64
-	dispatched uint64
 	dropped    uint64
+	// booked holds the completions one drain of compRing took, recorded
+	// under a single acquisition of mu (dispatcher-only).
+	booked []completion
 
 	// Lifecycle tracing: each worker publishes completed-request spans
 	// into its own fixed-capacity SPSC ring; the stats path drains them
@@ -292,12 +299,16 @@ type Server struct {
 	typeNames   []string            // per type, last entry = "unknown"
 }
 
+// completion is a worker's report to the dispatcher. Its instants are
+// the worker's own clock readings (and the request's arrival stamp),
+// so booking it reads no clock.
 type completion struct {
 	worker  int
 	typ     int
 	service time.Duration
-	sojourn time.Duration
-	queue   time.Duration
+	arrival time.Duration
+	started time.Duration
+	replied time.Duration
 	// respawn marks a crashed worker coming back to life: the slot is
 	// freed without feeding the profiler.
 	respawn bool
@@ -561,7 +572,7 @@ func (s *Server) dispatcherLoop() {
 				if s.mode == ModeDARC {
 					s.maybeUpdateReservation()
 				}
-				s.record(c)
+				s.booked = append(s.booked, c)
 			}
 			if s.retiring[c.worker] {
 				// A retiring worker's final act: its completion (real
@@ -577,6 +588,7 @@ func (s *Server) dispatcherLoop() {
 			}
 			s.free[c.worker] = true
 		}
+		s.record()
 		// 1b. A pending shrink completes once its last retiree drained.
 		if op := s.pendingOp; op != nil && op.retireLeft == 0 {
 			s.finishOp(op)
@@ -590,8 +602,7 @@ func (s *Server) dispatcherLoop() {
 			}
 			progress = true
 			r.typ = s.cfg.Classifier.Classify(r.payload)
-			r.classified = s.now()
-			s.enqueue(r)
+			s.enqueue(r, s.now())
 		}
 		// 2b. Sustained overload (queue-delay EWMA above threshold):
 		// shed queued work in reverse-reservation order — the unknown
@@ -637,7 +648,12 @@ func (s *Server) maybeUpdateReservation() {
 	}
 }
 
-func (s *Server) enqueue(r *Request) {
+// enqueue admits a classified request to its queue. now is the
+// dispatcher's one clock reading after classification: it stamps the
+// request classified and enqueued and is the instant the admission
+// check measures the wait to.
+func (s *Server) enqueue(r *Request, now time.Duration) {
+	r.enqueued = now
 	if s.adm != nil {
 		// Every classified request enters the admission ledger before
 		// any check can refuse it, so the per-type identity
@@ -645,7 +661,7 @@ func (s *Server) enqueue(r *Request) {
 		// is exact by construction.
 		s.adm.NoteAccepted(r.typ)
 		r.admitted = true
-		if waited := s.now() - r.arrival; s.adm.ExceedsBudget(r.typ, waited) {
+		if waited := now - r.arrival; s.adm.ExceedsBudget(r.typ, waited) {
 			s.adm.ObserveQueueDelay(waited)
 			s.shed(r, admission.ShedDeadline)
 			return
@@ -659,7 +675,6 @@ func (s *Server) enqueue(r *Request) {
 	} else if r.typ >= 0 && r.typ < len(s.queues) {
 		q = &s.queues[r.typ]
 	}
-	r.enqueued = s.now()
 	if !q.push(r) {
 		if s.adm != nil {
 			// With admission enabled a full queue is an overload
@@ -671,9 +686,7 @@ func (s *Server) enqueue(r *Request) {
 		s.drop(r)
 		return
 	}
-	s.mu.Lock()
-	s.enqueued++
-	s.mu.Unlock()
+	s.enqueued.Add(1)
 }
 
 // steerNext draws the next d-FCFS worker assignment from a seeded
@@ -777,10 +790,18 @@ func (s *Server) drop(r *Request) {
 	}
 }
 
-func (s *Server) record(c completion) {
+// record books the completions one drain of compRing took into the
+// recorder, under one acquisition of mu. Dispatcher-only.
+func (s *Server) record() {
+	if len(s.booked) == 0 {
+		return
+	}
 	s.mu.Lock()
-	s.rec.Complete(c.typ, s.now()-c.sojourn, s.now(), c.service, s.now()-c.sojourn+c.queue, 0)
+	for _, c := range s.booked {
+		s.rec.Complete(c.typ, c.arrival, c.replied, c.service, c.started, 0)
+	}
 	s.mu.Unlock()
+	s.booked = s.booked[:0]
 }
 
 // dispatch pushes eligible queued requests to free workers; reports
@@ -983,6 +1004,8 @@ func (s *Server) firstFree(reserved, stealable []int) int {
 	return -1
 }
 
+// handoff gives r to worker w. The dispatched stamp is a reading of
+// its own for every hand-off: conformance orders spans by it.
 func (s *Server) handoff(w int, r *Request) {
 	r.dispatched = s.now()
 	delay := r.dispatched - r.arrival
@@ -991,9 +1014,7 @@ func (s *Server) handoff(w int, r *Request) {
 		s.adm.ObserveQueueDelay(delay)
 	}
 	s.free[w] = false
-	s.mu.Lock()
-	s.dispatched++
-	s.mu.Unlock()
+	s.dispatched.Add(1)
 	s.rings[w].Put(r)
 }
 
@@ -1074,16 +1095,18 @@ func (s *Server) workerLoop(id int, ring *spsc.Ring[*Request], traceRing *spsc.R
 			go s.respawnWorker(id, ring, traceRing)
 			return
 		}
-		startDur := s.now()
-		queueDelay := startDur - r.arrival
-		t0 := time.Now()
+		// Three clock readings per request — started, finished, replied —
+		// and everything the response, the span and the completion
+		// report is derived from them.
+		started := s.now()
 		n, status := s.cfg.Handler.Handle(r.typ, r.payload, scratch)
-		service := time.Since(t0)
+		finished := s.now()
+		service := finished - started
 		if extra := s.inj.WorkerSlowdown(id, service); extra > 0 {
 			time.Sleep(extra)
 			service += extra
+			finished = s.now()
 		}
-		finished := s.now()
 		if n < 0 {
 			n = 0
 		}
@@ -1100,21 +1123,23 @@ func (s *Server) workerLoop(id int, ring *spsc.Ring[*Request], traceRing *spsc.R
 				Type:       r.typ,
 				Status:     status,
 				Payload:    scratch[:n],
-				Sojourn:    s.now() - r.arrival,
-				QueueDelay: queueDelay,
+				Sojourn:    finished - r.arrival,
+				QueueDelay: started - r.arrival,
 				Service:    service,
 			})
 		}
 		if r.buf != nil {
 			r.buf.Release()
 		}
-		s.traceSpan(traceRing, id, r, startDur, finished, s.now())
+		replied := s.now()
+		s.traceSpan(traceRing, id, r, started, finished, replied)
 		s.putCompletion(completion{
 			worker:  id,
 			typ:     r.typ,
 			service: service,
-			sojourn: s.now() - r.arrival,
-			queue:   queueDelay,
+			arrival: r.arrival,
+			started: started,
+			replied: replied,
 		})
 	}
 }
@@ -1177,11 +1202,16 @@ func (s *Server) StatsSnapshot() Stats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A queued request is counted enqueued before it can be dispatched
+	// or dropped, so loading enqueued last keeps a snapshot taken
+	// mid-run at enqueued >= dispatched + dropped.
+	dispatched, dropped := s.dispatched.Load(), s.dropped
+	enqueued := s.enqueued.Load()
 	return Stats{
 		Admission:      adm,
-		Enqueued:       s.enqueued,
-		Dispatched:     s.dispatched,
-		Dropped:        s.dropped,
+		Enqueued:       enqueued,
+		Dispatched:     dispatched,
+		Dropped:        dropped,
 		Updates:        s.ctl.Updates(),
 		FaultsInjected: s.inj.Total(),
 		WorkerRestarts: s.restarts.Load(),

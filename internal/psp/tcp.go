@@ -760,17 +760,7 @@ func (c *tcpConn) txLoop() {
 			continue
 		}
 		c.txPark.Busy()
-		vecs = vecs[:0]
-		for i := range frames {
-			if frames[i].buf != nil {
-				vecs = append(vecs, frames[i].buf.Bytes())
-			} else {
-				vecs = append(vecs, frames[i].msg)
-			}
-		}
-		c.writeMu.Lock()
-		vecs.WriteTo(c.conn) //nolint:errcheck // client may have gone
-		c.writeMu.Unlock()
+		vecs = c.writeFrames(frames, vecs)
 		for i := range frames {
 			if frames[i].buf != nil {
 				frames[i].buf.Release()
@@ -778,6 +768,27 @@ func (c *tcpConn) txLoop() {
 		}
 		c.pending.Add(-int64(len(frames)))
 	}
+}
+
+// writeFrames gathers frames into vecs and lands them with one vectored
+// write, returning vecs for the next batch. net.Buffers.WriteTo
+// consumes its receiver, so the write goes through a copy of the slice
+// header: writing through vecs itself would cost it a batch's worth of
+// capacity per call.
+func (c *tcpConn) writeFrames(frames []tcpTxFrame, vecs net.Buffers) net.Buffers {
+	vecs = vecs[:0]
+	for i := range frames {
+		if frames[i].buf != nil {
+			vecs = append(vecs, frames[i].buf.Bytes())
+		} else {
+			vecs = append(vecs, frames[i].msg)
+		}
+	}
+	w := vecs
+	c.writeMu.Lock()
+	w.WriteTo(c.conn) //nolint:errcheck // client may have gone
+	c.writeMu.Unlock()
+	return vecs
 }
 
 // unregister removes a fully drained connection from the server's

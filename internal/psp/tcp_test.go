@@ -3,7 +3,9 @@ package psp
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -154,5 +156,45 @@ func TestTCPCloseUnblocksClients(t *testing.T) {
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteFramesKeepsCapacity: the TX loop gathers every batch into
+// one reused iovec slice. net.Buffers.WriteTo consumes the slice it is
+// called on, so writing through the loop's own slice would cost it a
+// batch's worth of capacity per write and make the loop re-grow it.
+func TestWriteFramesKeepsCapacity(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialed, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialed.Close()
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	c := &tcpConn{conn: dialed}
+	frames := []tcpTxFrame{{msg: []byte("ab")}, {msg: []byte("cd")}, {msg: []byte("ef")}}
+	const rounds = 4
+	vecs := make(net.Buffers, 0, tcpTxBatch)
+	for i := 0; i < rounds; i++ {
+		vecs = c.writeFrames(frames, vecs)
+		if len(vecs) != len(frames) || cap(vecs) != tcpTxBatch {
+			t.Fatalf("after write %d: len %d cap %d, want %d and %d", i, len(vecs), cap(vecs), len(frames), tcpTxBatch)
+		}
+	}
+	got := make([]byte, rounds*6)
+	if _, err := io.ReadFull(peer, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Repeat("abcdef", rounds); string(got) != want {
+		t.Fatalf("peer read %q, want %q", got, want)
 	}
 }

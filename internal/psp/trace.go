@@ -10,9 +10,10 @@ import (
 
 // Request lifecycle tracing. Every completed request carries stamps
 // for each stage it crossed (ingress, classification, enqueue,
-// dispatch, service start/end, reply); the serving worker publishes
-// the finished record as a trace.Span into its own fixed-capacity
-// SPSC ring. Nothing on the hot path allocates or locks: the stats
+// dispatch, service start/end, reply; classification and enqueue share
+// one clock reading, so the stage between them reads 0 by
+// construction); the serving worker publishes the finished record as a
+// trace.Span into its own fixed-capacity SPSC ring. Nothing on the hot path allocates or locks: the stats
 // path (StatsSnapshot, WriteMetrics, an explicit FlushTrace) drains
 // the rings under traceMu, folds each span into per-type
 // QueueDelay/Service/Slowdown histograms, and forwards it to the
@@ -33,7 +34,7 @@ func (s *Server) traceSpan(ring *spsc.Ring[trace.Span], w int, r *Request, start
 		Type:       r.typ,
 		Worker:     w,
 		Ingress:    r.arrival,
-		Classified: r.classified,
+		Classified: r.enqueued,
 		Enqueued:   r.enqueued,
 		Dispatched: r.dispatched,
 		Started:    started,

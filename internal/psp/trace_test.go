@@ -3,6 +3,7 @@ package psp
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -86,24 +87,7 @@ func TestTraceStagesMonotone(t *testing.T) {
 			t.Fatalf("duplicate span for request %d", sp.ID)
 		}
 		seen[sp.ID] = true
-		stages := []struct {
-			name string
-			at   time.Duration
-		}{
-			{"ingress", sp.Ingress},
-			{"classified", sp.Classified},
-			{"enqueued", sp.Enqueued},
-			{"dispatched", sp.Dispatched},
-			{"started", sp.Started},
-			{"finished", sp.Finished},
-			{"replied", sp.Replied},
-		}
-		for i := 1; i < len(stages); i++ {
-			if stages[i].at < stages[i-1].at {
-				t.Fatalf("span %d: %s (%v) precedes %s (%v)",
-					sp.ID, stages[i].name, stages[i].at, stages[i-1].name, stages[i-1].at)
-			}
-		}
+		assertStagesInOrder(t, sp)
 		if sp.Worker < 0 || sp.Worker >= 2 {
 			t.Fatalf("span %d: worker %d out of range", sp.ID, sp.Worker)
 		}
@@ -113,6 +97,119 @@ func TestTraceStagesMonotone(t *testing.T) {
 		if sp.QueueDelay() < 0 || sp.Service() < 0 || sp.Sojourn() < sp.Service() {
 			t.Fatalf("span %d: inconsistent decomposition %+v", sp.ID, sp)
 		}
+	}
+}
+
+// assertStagesInOrder fails unless sp's stamps advance through the
+// pipeline in stage order.
+func assertStagesInOrder(t *testing.T, sp trace.Span) {
+	t.Helper()
+	stages := []struct {
+		name string
+		at   time.Duration
+	}{
+		{"ingress", sp.Ingress},
+		{"classified", sp.Classified},
+		{"enqueued", sp.Enqueued},
+		{"dispatched", sp.Dispatched},
+		{"started", sp.Started},
+		{"finished", sp.Finished},
+		{"replied", sp.Replied},
+	}
+	for i := 1; i < len(stages); i++ {
+		if stages[i].at < stages[i-1].at {
+			t.Fatalf("span %d: %s (%v) precedes %s (%v)",
+				sp.ID, stages[i].name, stages[i].at, stages[i-1].name, stages[i-1].at)
+		}
+	}
+}
+
+// TestTimingIdentities: the worker derives a reply's timing trailer
+// from the same clock readings its span records, so over both
+// datapaths every span's stages are in order and the trailer's Queue
+// and Service equal the span's Started − Ingress and Finished − Started
+// to the nanosecond.
+func TestTimingIdentities(t *testing.T) {
+	const n = 50
+	for _, network := range []string{"udp", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			var spans []trace.Span
+			srv, err := NewServer(Config{
+				Workers:    2,
+				Classifier: classify.Field{Offset: 0, Types: 2},
+				Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
+					return copy(r, p), proto.StatusOK
+				}),
+				TraceSink: func(sp trace.Span) { spans = append(spans, sp) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One request outstanding at a time, so server-side request
+			// IDs, and therefore spans sorted by ID, follow reply order.
+			timings := make([]proto.Timing, 0, n)
+			switch network {
+			case "udp":
+				u, err := ListenUDP("127.0.0.1:0", srv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				conn := udpClient(t, u.Addr())
+				buf := make([]byte, 2048)
+				for i := 0; i < n; i++ {
+					msg := proto.AppendMessage(nil, proto.Header{Kind: proto.KindRequest, RequestID: uint64(i)}, typedPayload(i%2, "id"))
+					if _, err := conn.Write(msg); err != nil {
+						t.Fatal(err)
+					}
+					conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+					sz, err := conn.Read(buf)
+					if err != nil {
+						t.Fatalf("reply %d: %v", i, err)
+					}
+					hdr, _, err := proto.DecodeHeader(buf[:sz])
+					if err != nil {
+						t.Fatal(err)
+					}
+					tm, ok := proto.DecodeTiming(buf[:sz], hdr)
+					if !ok {
+						t.Fatalf("reply %d carries no timing trailer", i)
+					}
+					timings = append(timings, tm)
+				}
+				u.Close() // stops the server: the sink holds every span
+			case "tcp":
+				ts, err := ListenTCP("127.0.0.1:0", srv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cli, err := DialTCP(ts.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					resp, err := cli.Call(typedPayload(i%2, "id"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					timings = append(timings, proto.Timing{Queue: resp.QueueDelay, Service: resp.Service})
+				}
+				cli.Close()
+				ts.Close()
+			}
+			if len(spans) != n {
+				t.Fatalf("%d spans for %d replies", len(spans), n)
+			}
+			sort.Slice(spans, func(a, b int) bool { return spans[a].ID < spans[b].ID })
+			for i, sp := range spans {
+				assertStagesInOrder(t, sp)
+				if got, want := timings[i].Service, sp.Finished-sp.Started; got != want {
+					t.Fatalf("reply %d: trailer service %v, span finished − started %v", i, got, want)
+				}
+				if got, want := timings[i].Queue, sp.Started-sp.Ingress; got != want {
+					t.Fatalf("reply %d: trailer queue %v, span started − ingress %v", i, got, want)
+				}
+			}
+		})
 	}
 }
 

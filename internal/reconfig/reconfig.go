@@ -15,6 +15,7 @@ package reconfig
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -202,9 +203,10 @@ func ParseSpec(kv map[string]string) (Spec, error) {
 				return Spec{}, fmt.Errorf("reconfig: admission-trim: %v", err)
 			}
 		case "admission-automult":
+			// ParseFloat accepts NaN and Inf, and NaN <= 0 is false.
 			f, perr := strconv.ParseFloat(v, 64)
-			if perr != nil || f <= 0 {
-				return Spec{}, fmt.Errorf("reconfig: admission-automult=%q (want a positive number)", v)
+			if perr != nil || !(f > 0) || math.IsInf(f, 0) {
+				return Spec{}, fmt.Errorf("reconfig: admission-automult=%q (want a positive finite number)", v)
 			}
 			adm().AutoMult = &f
 		case "admission-minbudget":

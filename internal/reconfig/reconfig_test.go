@@ -51,14 +51,18 @@ func TestParseSpecFull(t *testing.T) {
 
 func TestParseSpecRejects(t *testing.T) {
 	cases := []map[string]string{
-		{},                           // empty spec
-		{"workers": "0"},             // non-positive
-		{"workers": "x"},             // non-integer
-		{"static-reserved": "1"},     // policy knob without policy=
-		{"admission": "-3ms"},        // negative budget
-		{"bogus": "1"},               // unknown key
-		{"drain": "-1s"},             // negative deadline
-		{"admission-automult": "-2"}, // non-positive multiplier
+		{},                             // empty spec
+		{"workers": "0"},               // non-positive
+		{"workers": "x"},               // non-integer
+		{"static-reserved": "1"},       // policy knob without policy=
+		{"admission": "-3ms"},          // negative budget
+		{"bogus": "1"},                 // unknown key
+		{"drain": "-1s"},               // negative deadline
+		{"admission-automult": "-2"},   // non-positive multiplier
+		{"admission-automult": "NaN"},  // not a number
+		{"admission-automult": "Inf"},  // infinite
+		{"admission-automult": "inf"},  // infinite, lower case
+		{"admission-automult": "+Inf"}, // infinite, signed
 	}
 	for _, kv := range cases {
 		if _, err := ParseSpec(kv); err == nil {

@@ -78,11 +78,11 @@ func TestParkerNoLostWakeup(t *testing.T) {
 				got++
 				continue
 			}
-			if park.idle > SpinBeforePark {
+			if park.announced {
 				parks++ // announced and re-checked: this Idle blocks
 			}
 			park.Idle()
-			if park.idle > SpinBeforePark {
+			if park.announced {
 				jitter(rnd) // announced, not yet re-checked
 			}
 		}
@@ -113,35 +113,53 @@ func TestParkerNoLostWakeup(t *testing.T) {
 // trip round its loop, never a lost or a blocked Wake.
 func TestParkerSpuriousTokenAbsorbed(t *testing.T) {
 	p := NewParker()
-	for i := 0; i <= SpinBeforePark; i++ {
-		p.Idle() // spin, then announce
-	}
-	if !p.parked.Load() {
-		t.Fatal("consumer did not announce after SpinBeforePark empty passes")
-	}
+	p.Idle() // announce
 	p.Wake() // a producer takes the announcement...
 	p.Busy() // ...while the consumer's re-check finds the work itself
 	p.Wake() // no announcement stands: one load, no token
 	if n := len(p.sema); n != 1 {
 		t.Fatalf("%d tokens in the semaphore, want the 1 stale one", n)
 	}
-	for i := 0; i <= SpinBeforePark; i++ {
-		p.Idle()
-	}
+	p.Idle()
 	p.Idle() // would block for good if the stale token were not there
-	if p.parked.Load() || p.idle != 0 {
-		t.Fatalf("after a spurious wake-up: parked=%v idle=%d, want a fresh start", p.parked.Load(), p.idle)
+	if p.parked.Load() || p.announced {
+		t.Fatalf("after a spurious wake-up: parked=%v announced=%v, want a fresh start", p.parked.Load(), p.announced)
 	}
 	// A second Wake against an announcement whose token is already in
 	// the channel must not block the producer.
-	for i := 0; i <= SpinBeforePark; i++ {
-		p.Idle()
-	}
+	p.Idle()
 	p.Wake()
 	p.parked.Store(true)
 	p.Wake()
 	if n := len(p.sema); n != 1 {
 		t.Fatalf("%d tokens in the semaphore, want 1", n)
+	}
+}
+
+// TestParkerAnnouncesOnFirstEmptyPass pins the protocol's shape: there
+// is no spin phase, so the first empty pass announces, a pass that
+// finds work withdraws the announcement, and a Wake that lands between
+// the announcement and the re-check leaves the token the next Idle
+// consumes instead of blocking.
+func TestParkerAnnouncesOnFirstEmptyPass(t *testing.T) {
+	p := NewParker()
+	p.Idle()
+	if !p.parked.Load() || !p.announced {
+		t.Fatalf("after one empty pass: parked=%v announced=%v, want an announcement", p.parked.Load(), p.announced)
+	}
+	p.Busy()
+	if p.parked.Load() || p.announced {
+		t.Fatalf("after a busy pass: parked=%v announced=%v, want none", p.parked.Load(), p.announced)
+	}
+	p.Idle()
+	p.Wake() // published after the announcement, before the re-check
+	if n := len(p.sema); n != 1 {
+		t.Fatalf("%d tokens in the semaphore, want 1", n)
+	}
+	p.Idle() // the re-check found nothing: consume the token, do not block
+	if p.parked.Load() || p.announced || len(p.sema) != 0 {
+		t.Fatalf("after the wake-up: parked=%v announced=%v tokens=%d, want a fresh start",
+			p.parked.Load(), p.announced, len(p.sema))
 	}
 }
 
