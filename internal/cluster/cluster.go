@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -39,6 +40,11 @@ func (r *Request) QueueDelay() time.Duration {
 	}
 	return r.FirstDispatch - r.Arrival
 }
+
+// FIFO is the scheduling core's bounded ring queue over simulated
+// requests. Policies use one per worker, one central, or one per
+// request type.
+type FIFO = sched.FIFO[*Request]
 
 // Worker is one simulated application core.
 type Worker struct {

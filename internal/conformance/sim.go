@@ -35,7 +35,7 @@ type SimRun struct {
 // c-FCFS startup mode well inside the warmup fraction.
 func simPolicy(spec TraceSpec, tr *trace.Trace, name string, seed uint64) (func() cluster.Policy, error) {
 	switch name {
-	case "darc", "darc-delayed": // darc-delayed only differs live-side
+	case "darc":
 		dcfg := darc.DefaultConfig(spec.Workers)
 		dcfg.MinWindowSamples = simWindow(tr.Len())
 		n := tr.NumTypes()

@@ -24,6 +24,14 @@ func TestRunAllocsPerRequest(t *testing.T) {
 			cfg.MinWindowSamples = 2000
 			return NewDARC(cfg, 2, 0)
 		}},
+		{"darc-static", func() cluster.Policy {
+			return NewDARCStatic([]time.Duration{500 * time.Nanosecond, 500 * time.Microsecond}, 2, 0)
+		}},
+		{"elastic", func() cluster.Policy {
+			cfg := darc.DefaultConfig(workers)
+			cfg.MinWindowSamples = 2000
+			return NewElasticDARC(cfg, 2, 0)
+		}},
 		{"cfcfs", func() cluster.Policy { return NewCFCFS(0) }},
 		{"shinjuku-mq", func() cluster.Policy {
 			return NewTSMultiQueue(TSConfig{Quantum: 5 * time.Microsecond, PreemptCost: time.Microsecond}, 2)

@@ -5,31 +5,29 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/darc"
+	"repro/internal/sched"
 )
 
 // DARC adapts the darc.Controller (profiler + Algorithm 1/2) to the
-// simulated machine. Requests wait in typed queues served in ascending
-// profiled-service-time order; each type runs on its group's reserved
-// cores and may steal cores reserved for longer groups; unknown
-// requests only use spillway cores. Until the first profiling window
-// completes, the policy behaves as c-FCFS (the paper's startup phase).
+// simulated machine through the scheduling core. Requests wait in
+// typed queues served in ascending profiled-service-time order; each
+// type runs on its group's reserved cores and may steal cores reserved
+// for longer groups; unknown requests use spillway cores (any idle
+// core, after every typed queue, when there are none). Until the first
+// profiling window completes, the policy behaves as c-FCFS (the
+// paper's startup phase).
 type DARC struct {
 	m        *cluster.Machine
 	ctl      *darc.Controller
+	core     *sched.Core[*cluster.Request]
 	cfg      darc.Config
 	numTypes int
-	queues   []cluster.FIFO
-	unknown  cluster.FIFO
 	cap      int
 
 	// OnReservationUpdate, when set before Init, observes every
 	// reservation change with the virtual time it took effect
 	// (Figure 7's core-allocation track).
 	OnReservationUpdate func(now time.Duration, res *darc.Reservation)
-
-	// activeLimit bounds the worker IDs the policy may use (elastic
-	// allocation); defaults to the full machine.
-	activeLimit int
 }
 
 // NewDARC builds the policy for numTypes request types. cfg.Workers is
@@ -61,25 +59,31 @@ func (p *DARC) Init(m *cluster.Machine) {
 			p.OnReservationUpdate(p.m.Sim.Now(), res)
 		}
 	}
-	p.queues = make([]cluster.FIFO, p.numTypes)
-	for i := range p.queues {
-		p.queues[i].Cap = p.cap
-	}
-	p.unknown.Cap = p.cap
-	p.activeLimit = len(m.Workers)
+	p.core = newCore(m, sched.Config[*cluster.Request]{
+		Mode:       sched.DARC,
+		NumTypes:   p.numTypes,
+		QueueCap:   p.cap,
+		Controller: ctl,
+		Take:       p.runHead,
+	})
 }
 
-// setActiveLimit bounds dispatch to worker IDs below n (elastic
-// allocation support; the reservation itself is resized through the
-// controller).
-func (p *DARC) setActiveLimit(n int) {
-	if n < 1 {
-		n = 1
+// newCore builds a scheduling core over m's workers with the simulated
+// request's accessors filled in.
+func newCore(m *cluster.Machine, cfg sched.Config[*cluster.Request]) *sched.Core[*cluster.Request] {
+	cfg.Workers = len(m.Workers)
+	cfg.Arrival = func(r *cluster.Request) time.Duration { return r.Arrival }
+	cfg.Type = func(r *cluster.Request) int { return r.Type }
+	return sched.New(cfg)
+}
+
+// arrive queues r (recording a drop when its queue is full) and
+// dispatches.
+func arrive(m *cluster.Machine, core *sched.Core[*cluster.Request], r *cluster.Request) {
+	if !core.Push(r.Type, r) {
+		m.RecordDrop(r)
 	}
-	if n > len(p.m.Workers) {
-		n = len(p.m.Workers)
-	}
-	p.activeLimit = n
+	core.Dispatch()
 }
 
 // Controller exposes the DARC controller for experiments (reservation
@@ -87,18 +91,12 @@ func (p *DARC) setActiveLimit(n int) {
 func (p *DARC) Controller() *darc.Controller { return p.ctl }
 
 // Arrive implements cluster.Policy.
-func (p *DARC) Arrive(r *cluster.Request) {
-	if r.Type < 0 || r.Type >= p.numTypes {
-		pushOrDrop(p.m, &p.unknown, r)
-	} else {
-		pushOrDrop(p.m, &p.queues[r.Type], r)
-	}
-	p.dispatch()
-}
+func (p *DARC) Arrive(r *cluster.Request) { arrive(p.m, p.core, r) }
 
 // WorkerFree implements cluster.Policy.
 func (p *DARC) WorkerFree(w *cluster.Worker) {
-	p.dispatch()
+	p.core.Release(w.ID)
+	p.core.Dispatch()
 }
 
 // Completed implements cluster.CompletionObserver: the worker's
@@ -109,119 +107,15 @@ func (p *DARC) Completed(w *cluster.Worker, r *cluster.Request) {
 	p.ctl.MaybeUpdate()
 }
 
-// dispatch implements Algorithm 1, looping until no further assignment
-// is possible.
-func (p *DARC) dispatch() {
-	for {
-		res := p.ctl.Reservation()
-		if res == nil {
-			if !p.dispatchFCFS() {
-				return
-			}
-			continue
-		}
-		if !p.dispatchDARC(res) {
-			return
-		}
-	}
-}
-
-// dispatchFCFS is the startup mode: earliest arrival across all typed
-// queues, any active idle worker.
-func (p *DARC) dispatchFCFS() bool {
-	var w *cluster.Worker
-	for _, cand := range p.m.Workers {
-		if cand.ID >= p.activeLimit {
-			break
-		}
-		if cand.Idle() {
-			w = cand
-			break
-		}
-	}
-	if w == nil {
-		return false
-	}
-	var q *cluster.FIFO
-	for i := range p.queues {
-		head := p.queues[i].Peek()
-		if head == nil {
-			continue
-		}
-		if q == nil || head.Arrival < q.Peek().Arrival {
-			q = &p.queues[i]
-		}
-	}
-	if head := p.unknown.Peek(); head != nil && (q == nil || head.Arrival < q.Peek().Arrival) {
-		q = &p.unknown
-	}
-	if q == nil {
-		return false
-	}
-	p.runOn(w, q.Pop())
-	return true
-}
-
-// dispatchDARC serves typed queues in ascending profiled service time
-// on reserved-then-stealable workers, then the unknown queue on
-// spillway cores. It reports whether any request was dispatched.
-func (p *DARC) dispatchDARC(res *darc.Reservation) bool {
-	dispatched := false
-	for _, t := range p.ctl.DispatchOrder() {
-		q := &p.queues[t]
-		if q.Empty() {
-			continue
-		}
-		w := p.firstIdle(res.ReservedFor(t), res.StealableFor(t))
-		if w == nil {
-			continue
-		}
-		p.runOn(w, q.Pop())
-		dispatched = true
-	}
-	if !p.unknown.Empty() {
-		if w := p.firstIdle(res.SpillwayWorkers, nil); w != nil {
-			p.runOn(w, p.unknown.Pop())
-			dispatched = true
-		}
-	}
-	return dispatched
-}
-
-func (p *DARC) firstIdle(reserved, stealable []int) *cluster.Worker {
-	for _, id := range reserved {
-		if w := p.m.Workers[id]; w.Idle() {
-			return w
-		}
-	}
-	for _, id := range stealable {
-		if w := p.m.Workers[id]; w.Idle() {
-			return w
-		}
-	}
-	return nil
-}
-
-func (p *DARC) runOn(w *cluster.Worker, r *cluster.Request) {
+// runHead is the core's hand-off: the head of q starts on worker w.
+func (p *DARC) runHead(q *cluster.FIFO, w int) bool {
+	r := q.Pop()
 	p.ctl.NoteQueueDelay(r.Type, p.m.Sim.Now()-r.Arrival)
-	p.m.Run(w, r)
+	p.m.Run(p.m.Workers[w], r)
+	return true
 }
 
 // QueuedRequests reports the total backlog across all typed queues
 // (the allocator's pressure signal: DARC deliberately idles reserved
 // cores, so average utilization alone under-reports demand).
-func (p *DARC) QueuedRequests() int {
-	n := p.unknown.Len()
-	for i := range p.queues {
-		n += p.queues[i].Len()
-	}
-	return n
-}
-
-// QueueLen reports a typed queue's backlog (tests).
-func (p *DARC) QueueLen(t int) int {
-	if t < 0 || t >= p.numTypes {
-		return p.unknown.Len()
-	}
-	return p.queues[t].Len()
-}
+func (p *DARC) QueuedRequests() int { return p.core.Queued() }

@@ -2,21 +2,22 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/sched"
 )
 
 // DARCStatic is the paper's §5.3 manual ablation ("DARC-static"): the
 // first Reserved workers are dedicated to the statically shortest
 // request type; short requests are scheduled first and may execute on
 // every core, longer types only on the non-reserved cores. With
-// Reserved == 0 it degenerates to FixedPriority.
+// Reserved == 0 it degenerates to FixedPriority. Dispatch runs on the
+// scheduling core's DARC-static pass.
 type DARCStatic struct {
 	m        *cluster.Machine
-	queues   []cluster.FIFO
-	order    []int
+	core     *sched.Core[*cluster.Request]
+	means    []time.Duration
 	Reserved int
 	cap      int
 }
@@ -25,14 +26,7 @@ type DARCStatic struct {
 // per-type service times (index = type ID), reserved the number of
 // cores dedicated to the shortest type.
 func NewDARCStatic(meanService []time.Duration, reserved, queueCap int) *DARCStatic {
-	order := make([]int, len(meanService))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return meanService[order[a]] < meanService[order[b]]
-	})
-	return &DARCStatic{order: order, Reserved: reserved, cap: normalizeCap(queueCap)}
+	return &DARCStatic{means: meanService, Reserved: reserved, cap: normalizeCap(queueCap)}
 }
 
 // Name implements cluster.Policy.
@@ -51,44 +45,24 @@ func (p *DARCStatic) Init(m *cluster.Machine) {
 	if p.Reserved < 0 || p.Reserved > len(m.Workers) {
 		panic(fmt.Sprintf("policy: DARC-static reserved %d out of range for %d workers", p.Reserved, len(m.Workers)))
 	}
-	p.queues = make([]cluster.FIFO, len(p.order))
-	for i := range p.queues {
-		p.queues[i].Cap = p.cap
-	}
-}
-
-func (p *DARCStatic) clampType(t int) int {
-	if t < 0 || t >= len(p.queues) {
-		return len(p.queues) - 1
-	}
-	return t
-}
-
-// eligible reports whether type t may run on worker w: the shortest
-// type runs anywhere, all others avoid the reserved cores.
-func (p *DARCStatic) eligible(t int, w *cluster.Worker) bool {
-	return t == p.order[0] || w.ID >= p.Reserved
+	p.core = newCore(m, sched.Config[*cluster.Request]{
+		Mode:           sched.DARCStatic,
+		NumTypes:       len(p.means),
+		QueueCap:       p.cap,
+		StaticMeans:    p.means,
+		StaticReserved: p.Reserved,
+		Take: func(q *cluster.FIFO, w int) bool {
+			m.Run(m.Workers[w], q.Pop())
+			return true
+		},
+	})
 }
 
 // Arrive implements cluster.Policy.
-func (p *DARCStatic) Arrive(r *cluster.Request) {
-	t := p.clampType(r.Type)
-	for _, w := range p.m.Workers {
-		if w.Idle() && p.eligible(t, w) {
-			p.m.Run(w, r)
-			return
-		}
-	}
-	pushOrDrop(p.m, &p.queues[t], r)
-}
+func (p *DARCStatic) Arrive(r *cluster.Request) { arrive(p.m, p.core, r) }
 
 // WorkerFree implements cluster.Policy.
 func (p *DARCStatic) WorkerFree(w *cluster.Worker) {
-	for _, t := range p.order {
-		if p.queues[t].Empty() || !p.eligible(t, w) {
-			continue
-		}
-		p.m.Run(w, p.queues[t].Pop())
-		return
-	}
+	p.core.Release(w.ID)
+	p.core.Dispatch()
 }

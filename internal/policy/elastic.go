@@ -11,9 +11,11 @@ import (
 // with a core allocator: the machine exposes Max workers, but the
 // policy only uses an elastic subset. A periodic allocator measures
 // utilization over the active set and grows it under pressure /
-// shrinks it when idle; every resize flows through the DARC controller
-// so reservations are recomputed for the new population (releasing the
-// highest-numbered cores back to the datacenter).
+// shrinks it when idle; every resize is the scheduling core's Resize,
+// the operation the live server's reconfiguration uses too, so the
+// active bound moves and reservations are recomputed for the new
+// population (releasing the highest-numbered cores back to the
+// datacenter).
 type ElasticDARC struct {
 	*DARC
 	// Min/Max bound the active worker count (Max defaults to the
@@ -91,11 +93,10 @@ func (p *ElasticDARC) applyActive(n int) {
 		return
 	}
 	p.active = n
-	p.setActiveLimit(n)
 	// Resize never fails for n in [Min,Max] with spillway < n; a
 	// failure would mean the config allows more spillway cores than
 	// workers, which DefaultConfig prevents.
-	if _, err := p.Controller().Resize(n); err != nil {
+	if _, _, err := p.core.Resize(n); err != nil {
 		panic(err)
 	}
 	p.resizes++
@@ -103,7 +104,7 @@ func (p *ElasticDARC) applyActive(n int) {
 		p.OnResize(p.m.Sim.Now(), n)
 	}
 	// Newly granted workers can pick up queued work immediately.
-	p.dispatch()
+	p.core.Dispatch()
 }
 
 // tick is the allocator: measure the active set's utilization over the

@@ -12,6 +12,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/darc"
 	"repro/internal/proto"
+	"repro/internal/sched"
 )
 
 // newAdmissionServer builds a stopped echo server with the given
@@ -152,7 +153,7 @@ func TestAdmissionShedOrderReverseReservation(t *testing.T) {
 	srv.ctl.Observe(1, 10*time.Millisecond)
 
 	var order []int
-	plant := func(q *reqFIFO, typ, n int) {
+	plant := func(q *sched.FIFO[*Request], typ, n int) {
 		for i := 0; i < n; i++ {
 			r := &Request{typ: typ, respond: func(resp Response) {
 				if resp.Status != proto.StatusOverloaded {
@@ -160,14 +161,14 @@ func TestAdmissionShedOrderReverseReservation(t *testing.T) {
 				}
 				order = append(order, typ)
 			}}
-			if !q.push(r) {
+			if !q.Push(r) {
 				t.Fatalf("plant type %d", typ)
 			}
 		}
 	}
-	plant(&srv.queues[0], 0, 10)
-	plant(&srv.queues[1], 1, 10)
-	plant(&srv.unknown, classify.Unknown, 3)
+	plant(srv.core.Typed(0), 0, 10)
+	plant(srv.core.Typed(1), 1, 10)
+	plant(srv.core.Unknown(), classify.Unknown, 3)
 
 	srv.adm.ObserveQueueDelay(10 * time.Millisecond) // EWMA 5ms > 1ms
 	if !srv.adm.Overloaded() {
@@ -177,13 +178,13 @@ func TestAdmissionShedOrderReverseReservation(t *testing.T) {
 		t.Fatal("overload trim shed nothing")
 	}
 
-	if got := srv.unknown.count; got != 0 {
+	if got := srv.core.Unknown().Len(); got != 0 {
 		t.Errorf("unknown queue kept %d, want 0", got)
 	}
-	if got := srv.queues[1].count; got != 1 {
+	if got := srv.core.Typed(1).Len(); got != 1 {
 		t.Errorf("long queue kept %d, want backlog cap 1", got)
 	}
-	if got := srv.queues[0].count; got != 4 {
+	if got := srv.core.Typed(0).Len(); got != 4 {
 		t.Errorf("short queue kept %d, want backlog cap 4", got)
 	}
 	want := []int{

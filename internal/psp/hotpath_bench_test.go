@@ -17,10 +17,10 @@ import (
 // runs — so the measurement has no scheduler noise.
 
 // newHotPathServer builds a server with no goroutines whose internals
-// the benchmark drives directly: never started under c-FCFS; under DARC
-// started, fed typed traffic until a reservation is installed (before
-// that DARC dispatches as c-FCFS and dispatchDARC never runs), and
-// stopped again.
+// the benchmark drives directly: never started under c-FCFS, d-FCFS
+// and DARC-static; under DARC started, fed typed traffic until a
+// reservation is installed (before that DARC dispatches as c-FCFS and
+// Algorithm 1's pass never runs), and stopped again.
 func newHotPathServer(tb testing.TB, mode Mode) *Server {
 	tb.Helper()
 	srv, err := NewServer(Config{
@@ -29,7 +29,8 @@ func newHotPathServer(tb testing.TB, mode Mode) *Server {
 		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode: mode,
+		Mode:        mode,
+		StaticMeans: []time.Duration{time.Millisecond, 10 * time.Millisecond},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -39,8 +40,8 @@ func newHotPathServer(tb testing.TB, mode Mode) *Server {
 		driveReservation(tb, srv)
 		srv.Stop()
 		// The dispatcher exits without reading the last completions.
-		for w := range srv.free {
-			srv.free[w] = true
+		for w := 0; w < srv.core.Active(); w++ {
+			srv.core.Release(w)
 		}
 	}
 	// No goroutines (left); give the server a real start time so
@@ -68,17 +69,17 @@ func newHotPathServer(tb testing.TB, mode Mode) *Server {
 func driveHotPath(srv *Server, r *Request) {
 	r.typ = srv.cfg.Classifier.Classify(r.payload)
 	srv.enqueue(r, srv.now())
-	srv.dispatch()
+	srv.core.Dispatch()
 	got := srv.rings[0].Get()
 	started := srv.now()
 	finished := srv.now()
 	srv.traceSpan(srv.traceRingFor(0), 0, got, started, finished, srv.now())
-	srv.free[0] = true
+	srv.core.Release(0)
 	srv.FlushTrace()
 }
 
 func TestDispatchHotPathZeroAlloc(t *testing.T) {
-	for _, mode := range []Mode{ModeCFCFS, ModeDARC} {
+	for _, mode := range []Mode{ModeCFCFS, ModeDARC, ModeDFCFS, ModeDARCStatic} {
 		t.Run(mode.String(), func(t *testing.T) {
 			srv := newHotPathServer(t, mode)
 			payload := typedPayload(0, "hot")
@@ -97,7 +98,7 @@ func TestDispatchHotPathZeroAlloc(t *testing.T) {
 			}
 			// A pass that finds every queue empty — what the dispatcher
 			// does each time it is woken for nothing — is free as well.
-			if idle := testing.AllocsPerRun(1000, func() { srv.dispatch() }); idle != 0 {
+			if idle := testing.AllocsPerRun(1000, func() { srv.core.Dispatch() }); idle != 0 {
 				t.Fatalf("idle dispatch pass allocates %.2f objects, want 0", idle)
 			}
 		})

@@ -3,8 +3,9 @@
 // of DPDK threads. A net worker (or in-process submitters) feeds an
 // ingress ring; a single dispatcher goroutine classifies requests with
 // a user-provided classifier, parks them in typed queues, and runs
-// DARC (shared with the simulator via internal/darc) to push work to
-// application workers over single-producer/single-consumer rings;
+// DARC (the scheduling core and controller the simulator uses too,
+// internal/sched and internal/darc) to push work to application
+// workers over single-producer/single-consumer rings;
 // workers execute the application handler, transmit the response
 // themselves, and signal completion back to the dispatcher.
 //
@@ -27,43 +28,32 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/proto"
+	"repro/internal/sched"
 	"repro/internal/spsc"
 	"repro/internal/trace"
 )
 
-// Mode selects the dispatcher's scheduling policy.
-type Mode int
+// Mode selects the dispatcher's scheduling policy; the scheduling core
+// makes every decision under it.
+type Mode = sched.Mode
 
 const (
 	// ModeDARC runs the paper's policy (with its c-FCFS startup
 	// window).
-	ModeDARC Mode = iota
+	ModeDARC = sched.DARC
 	// ModeCFCFS runs plain centralized FCFS, the paper's main
 	// non-preemptive baseline.
-	ModeCFCFS
+	ModeCFCFS = sched.CFCFS
 	// ModeDFCFS runs decentralized FCFS: each worker owns a queue and
 	// arrivals are steered uniformly at random (modelling NIC RSS, as
 	// in the simulator's d-FCFS policy). Workers never share work.
-	ModeDFCFS
+	ModeDFCFS = sched.DFCFS
 	// ModeDARCStatic runs the paper's §5.3 manual ablation: the first
 	// Config.StaticReserved workers are dedicated to the statically
 	// shortest type (per Config.StaticMeans); short requests may run
 	// anywhere, longer types only on the non-reserved workers.
-	ModeDARCStatic
+	ModeDARCStatic = sched.DARCStatic
 )
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeCFCFS:
-		return "c-FCFS"
-	case ModeDFCFS:
-		return "d-FCFS"
-	case ModeDARCStatic:
-		return "DARC-static"
-	}
-	return "DARC"
-}
 
 // Response is the completion of one request as seen by the submitter.
 // Responses returned by Submit/Call own their Payload; inside a
@@ -211,19 +201,13 @@ type Server struct {
 	// Reconfigure enqueue, and Stop.
 	park *spsc.Parker
 
-	queues  []reqFIFO
-	unknown reqFIFO
-	free    []bool // worker idle, dispatcher's view
-
-	// Live-mutable scheduling state (dispatcher-owned after Start).
-	// mode starts as cfg.Mode and policy swaps replace it; modeA
-	// mirrors it for cross-goroutine snapshots. active is the live
-	// worker-pool size: rings/free/retiring keep their historical
-	// maximum length and [0, active) is the schedulable prefix, so a
-	// stale reservation can never index a retired slot's state away.
-	mode     Mode
+	// core owns the typed, UNKNOWN and d-FCFS queues, the free-worker
+	// set, the mode and the active-pool bound, and makes every dispatch
+	// decision (dispatcher-only). rings and retiring keep the pool's
+	// historical maximum length; modeA and activeA mirror the core's
+	// mode and pool size for cross-goroutine snapshots.
+	core     *sched.Core[*Request]
 	modeA    atomic.Int64
-	active   int
 	activeA  atomic.Int64
 	retiring []bool // worker is draining out of a shrunk pool
 
@@ -247,14 +231,8 @@ type Server struct {
 	rcMigratedShed atomic.Uint64
 	rcLastDrainNs  atomic.Int64
 
-	// d-FCFS state: one queue per worker plus the xorshift steering
-	// state (dispatcher-only).
-	workerQ []reqFIFO
-	steer   uint64
-
-	// DARC-static state: type IDs sorted by ascending StaticMeans;
-	// staticOrder[0] is the protected short type.
-	staticOrder []int
+	// steer is d-FCFS's xorshift steering state (dispatcher-only).
+	steer uint64
 
 	start   time.Time
 	nextID  atomic.Uint64
@@ -378,33 +356,30 @@ func NewServer(cfg Config) (*Server, error) {
 		ingress:  spsc.NewMPSC[*Request](cfg.IngressCap),
 		compRing: spsc.NewMPSC[completion](cfg.IngressCap),
 		park:     spsc.NewParker(),
-		queues:   make([]reqFIFO, numTypes),
-		unknown:  reqFIFO{},
-		free:     make([]bool, cfg.Workers),
 		rec:      metrics.NewRecorder(numTypes, nil),
 	}
-	for i := range s.queues {
-		s.queues[i].cap = cfg.QueueCap
-	}
-	s.unknown.cap = cfg.QueueCap
-	s.mode = cfg.Mode
+	s.core = sched.New(sched.Config[*Request]{
+		Mode:           cfg.Mode,
+		NumTypes:       numTypes,
+		Workers:        cfg.Workers,
+		QueueCap:       cfg.QueueCap,
+		Controller:     ctl,
+		StaticMeans:    cfg.StaticMeans,
+		StaticReserved: cfg.StaticReserved,
+		Arrival:        func(r *Request) time.Duration { return r.arrival },
+		Type:           func(r *Request) int { return r.typ },
+		Take:           s.take,
+		Steer:          s.steerNext,
+	})
 	s.modeA.Store(int64(cfg.Mode))
-	s.active = cfg.Workers
 	s.activeA.Store(int64(cfg.Workers))
 	s.retiring = make([]bool, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		s.rings = append(s.rings, spsc.NewRing[*Request](8))
-		s.free[i] = true
 	}
 	s.steer = cfg.SteerSeed
 	if s.steer == 0 {
 		s.steer = 0x9E3779B97F4A7C15
-	}
-	switch cfg.Mode {
-	case ModeDFCFS:
-		s.ensureWorkerQ()
-	case ModeDARCStatic:
-		s.staticOrder = staticOrderFor(cfg.StaticMeans, numTypes)
 	}
 	if cfg.TraceCap >= 0 {
 		capSpans := cfg.TraceCap
@@ -569,24 +544,24 @@ func (s *Server) dispatcherLoop() {
 				if s.adm != nil {
 					s.adm.NoteCompleted(c.typ)
 				}
-				if s.mode == ModeDARC {
+				if s.core.Mode() == ModeDARC {
 					s.maybeUpdateReservation()
 				}
 				s.booked = append(s.booked, c)
 			}
+			s.core.Release(c.worker)
 			if s.retiring[c.worker] {
 				// A retiring worker's final act: its completion (real
 				// or respawn) is booked above, then the slot gets its
-				// shutdown sentinel instead of returning to the free
-				// set. The goroutine exits on consuming it.
+				// shutdown sentinel; the core's active bound keeps the
+				// freed slot out of dispatch. The goroutine exits on
+				// consuming the sentinel.
 				s.retiring[c.worker] = false
 				s.rings[c.worker].Put(nil)
 				if s.pendingOp != nil {
 					s.pendingOp.retireLeft--
 				}
-				continue
 			}
-			s.free[c.worker] = true
 		}
 		s.record()
 		// 1b. A pending shrink completes once its last retiree drained.
@@ -612,8 +587,9 @@ func (s *Server) dispatcherLoop() {
 		if s.adm != nil && s.adm.Overloaded() && s.shedOverloaded() {
 			progress = true
 		}
-		// 3. Dispatch.
-		if s.dispatch() {
+		// 3. Dispatch: the core pairs queue heads with idle workers and
+		// take hands them over.
+		if s.core.Dispatch() {
 			progress = true
 		}
 		if s.stopped.Load() {
@@ -667,15 +643,7 @@ func (s *Server) enqueue(r *Request, now time.Duration) {
 			return
 		}
 	}
-	q := &s.unknown
-	if s.mode == ModeDFCFS {
-		// d-FCFS steers each arrival to one worker's private queue,
-		// type notwithstanding (RSS hashes flows, not request types).
-		q = &s.workerQ[s.steerNext()]
-	} else if r.typ >= 0 && r.typ < len(s.queues) {
-		q = &s.queues[r.typ]
-	}
-	if !q.push(r) {
+	if !s.core.Push(r.typ, r) {
 		if s.adm != nil {
 			// With admission enabled a full queue is an overload
 			// signal, not a silent drop: the client gets a NACK with a
@@ -689,15 +657,17 @@ func (s *Server) enqueue(r *Request, now time.Duration) {
 	s.enqueued.Add(1)
 }
 
-// steerNext draws the next d-FCFS worker assignment from a seeded
+// steerNext draws the next d-FCFS worker in [0, n) from a seeded
 // xorshift64 stream (dispatcher-only, deterministic per SteerSeed).
-func (s *Server) steerNext() int {
+// d-FCFS steers each arrival to one worker's private queue, type
+// notwithstanding: RSS hashes flows, not request types.
+func (s *Server) steerNext(n int) int {
 	x := s.steer
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
 	s.steer = x
-	return int(x % uint64(s.active))
+	return int(x % uint64(n))
 }
 
 // shed refuses a request under admission control: the submitter gets
@@ -731,44 +701,41 @@ func (s *Server) shed(r *Request, reason admission.ShedReason) {
 // reservations to protect.
 func (s *Server) shedOverloaded() bool {
 	shedAny := false
-	for r := s.unknown.pop(); r != nil; r = s.unknown.pop() {
-		s.shed(r, admission.ShedOverload)
+	for q := s.core.Unknown(); !q.Empty(); {
+		s.shed(q.Pop(), admission.ShedOverload)
 		shedAny = true
 	}
 	order := s.ctl.DispatchOrder() // ascending profiled mean
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]
-		q := &s.queues[t]
+		q := s.core.Typed(t)
 		keep := s.adm.BacklogCap(t)
-		for q.count > keep {
-			s.shed(q.pop(), admission.ShedOverload)
+		for q.Len() > keep {
+			s.shed(q.Pop(), admission.ShedOverload)
 			shedAny = true
 		}
 	}
 	return shedAny
 }
 
-// popAdmit pops the next request from q for dispatch, shedding heads
-// whose queue delay has outrun their admission budget while they
-// waited. Returns the first admissible request (nil if the queue
-// drained) and whether anything was shed.
-func (s *Server) popAdmit(q *reqFIFO) (*Request, bool) {
-	shedAny := false
-	for {
-		r := q.pop()
-		if r == nil {
-			return nil, shedAny
-		}
+// take is the core's hand-off: it pops q's head for worker w, shedding
+// heads whose queue delay outran their admission budget while they
+// waited, and hands w the first admissible request. It reports false
+// if q drained without one.
+func (s *Server) take(q *sched.FIFO[*Request], w int) bool {
+	for !q.Empty() {
+		r := q.Pop()
 		if s.adm != nil {
 			if waited := s.now() - r.arrival; s.adm.ExceedsBudget(r.typ, waited) {
 				s.adm.ObserveQueueDelay(waited)
 				s.shed(r, admission.ShedDeadline)
-				shedAny = true
 				continue
 			}
 		}
-		return r, shedAny
+		s.handoff(w, r)
+		return true
 	}
+	return false
 }
 
 func (s *Server) drop(r *Request) {
@@ -804,206 +771,6 @@ func (s *Server) record() {
 	s.booked = s.booked[:0]
 }
 
-// dispatch pushes eligible queued requests to free workers; reports
-// whether anything moved.
-func (s *Server) dispatch() bool {
-	moved := false
-	switch {
-	case s.mode == ModeDFCFS:
-		for s.dispatchDFCFS() {
-			moved = true
-		}
-	case s.mode == ModeDARCStatic:
-		for s.dispatchDARCStatic() {
-			moved = true
-		}
-	case s.mode == ModeCFCFS, s.ctl.Reservation() == nil:
-		for s.dispatchFCFS() {
-			moved = true
-		}
-	default:
-		for s.dispatchDARC() {
-			moved = true
-		}
-	}
-	return moved
-}
-
-// dispatchDFCFS hands each free worker the head of its own queue;
-// workers never share work (uncontrolled non-work-conservation).
-func (s *Server) dispatchDFCFS() bool {
-	moved := false
-	for w := 0; w < s.active; w++ {
-		if !s.free[w] || s.workerQ[w].empty() {
-			continue
-		}
-		r, shedAny := s.popAdmit(&s.workerQ[w])
-		if shedAny {
-			moved = true
-		}
-		if r == nil {
-			continue
-		}
-		s.handoff(w, r)
-		moved = true
-	}
-	return moved
-}
-
-// dispatchDARCStatic scans typed queues in ascending static-mean order:
-// the shortest type runs on any free worker, every other type (and the
-// unknown queue, last) only on workers at or above StaticReserved —
-// mirroring the simulator's DARCStatic policy.
-func (s *Server) dispatchDARCStatic() bool {
-	moved := false
-	for _, t := range s.staticOrder {
-		q := &s.queues[t]
-		if q.empty() {
-			continue
-		}
-		lo := s.cfg.StaticReserved
-		if t == s.staticOrder[0] {
-			lo = 0
-		}
-		w := s.firstFreeFrom(lo)
-		if w < 0 {
-			continue
-		}
-		r, shedAny := s.popAdmit(q)
-		if shedAny {
-			moved = true
-		}
-		if r == nil {
-			continue
-		}
-		s.handoff(w, r)
-		moved = true
-	}
-	if !s.unknown.empty() {
-		if w := s.firstFreeFrom(s.cfg.StaticReserved); w >= 0 {
-			r, shedAny := s.popAdmit(&s.unknown)
-			if shedAny {
-				moved = true
-			}
-			if r != nil {
-				s.handoff(w, r)
-				moved = true
-			}
-		}
-	}
-	return moved
-}
-
-// firstFreeFrom returns the lowest free worker with ID >= lo, or -1.
-func (s *Server) firstFreeFrom(lo int) int {
-	for w := lo; w < s.active; w++ {
-		if s.free[w] {
-			return w
-		}
-	}
-	return -1
-}
-
-func (s *Server) dispatchFCFS() bool {
-	w := s.anyFree()
-	if w < 0 {
-		return false
-	}
-	var q *reqFIFO
-	for i := range s.queues {
-		if head := s.queues[i].peek(); head != nil {
-			if q == nil || head.arrival < q.peek().arrival {
-				q = &s.queues[i]
-			}
-		}
-	}
-	if head := s.unknown.peek(); head != nil && (q == nil || head.arrival < q.peek().arrival) {
-		q = &s.unknown
-	}
-	if q == nil {
-		return false
-	}
-	r, shedAny := s.popAdmit(q)
-	if r == nil {
-		return shedAny
-	}
-	s.handoff(w, r)
-	return true
-}
-
-func (s *Server) dispatchDARC() bool {
-	res := s.ctl.Reservation()
-	moved := false
-	for _, t := range s.ctl.DispatchOrder() {
-		q := &s.queues[t]
-		if q.empty() {
-			continue
-		}
-		w := s.firstFree(res.ReservedFor(t), res.StealableFor(t))
-		if w < 0 {
-			continue
-		}
-		r, shedAny := s.popAdmit(q)
-		if shedAny {
-			moved = true
-		}
-		if r == nil {
-			continue
-		}
-		s.handoff(w, r)
-		moved = true
-	}
-	if !s.unknown.empty() {
-		w := s.firstFree(res.SpillwayWorkers, nil)
-		if w < 0 && len(res.SpillwayWorkers) == 0 {
-			// No designated spillway cores (Spillway=0 or single-worker
-			// configs): unclassifiable requests must still drain, so
-			// serve them on any free worker at lowest priority — after
-			// every typed queue has had its chance — instead of
-			// starving the unknown queue until shutdown.
-			w = s.anyFree()
-		}
-		if w >= 0 {
-			r, shedAny := s.popAdmit(&s.unknown)
-			if shedAny {
-				moved = true
-			}
-			if r != nil {
-				s.handoff(w, r)
-				moved = true
-			}
-		}
-	}
-	return moved
-}
-
-func (s *Server) anyFree() int {
-	for i := 0; i < s.active; i++ {
-		if s.free[i] {
-			return i
-		}
-	}
-	return -1
-}
-
-// firstFree picks the first free worker from the reservation's lists.
-// The id < active bound guards against a stale reservation referencing
-// workers a shrink has already retired (possible when the controller
-// had no profile to recompute from at resize time).
-func (s *Server) firstFree(reserved, stealable []int) int {
-	for _, id := range reserved {
-		if id < s.active && s.free[id] {
-			return id
-		}
-	}
-	for _, id := range stealable {
-		if id < s.active && s.free[id] {
-			return id
-		}
-	}
-	return -1
-}
-
 // handoff gives r to worker w. The dispatched stamp is a reading of
 // its own for every hand-off: conformance orders spans by it.
 func (s *Server) handoff(w int, r *Request) {
@@ -1013,7 +780,6 @@ func (s *Server) handoff(w int, r *Request) {
 	if s.adm != nil {
 		s.adm.ObserveQueueDelay(delay)
 	}
-	s.free[w] = false
 	s.dispatched.Add(1)
 	s.rings[w].Put(r)
 }
@@ -1045,19 +811,7 @@ func (s *Server) drainAndShutdown() {
 		r.typ = classify.Unknown
 		s.drop(r)
 	}
-	for i := range s.queues {
-		for r := s.queues[i].pop(); r != nil; r = s.queues[i].pop() {
-			s.drop(r)
-		}
-	}
-	for i := range s.workerQ {
-		for r := s.workerQ[i].pop(); r != nil; r = s.workerQ[i].pop() {
-			s.drop(r)
-		}
-	}
-	for r := s.unknown.pop(); r != nil; r = s.unknown.pop() {
-		s.drop(r)
-	}
+	s.core.Drain(s.drop)
 	for _, ring := range s.rings {
 		ring.Put(nil) // shutdown sentinel
 	}
@@ -1227,54 +981,4 @@ func (s *Server) TypeSlowdown(typ int, q float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return metrics.SlowdownAt(s.rec.Type(typ), q)
-}
-
-// reqFIFO is a bounded queue of requests (dispatcher-local, no
-// locking needed).
-type reqFIFO struct {
-	buf   []*Request
-	head  int
-	count int
-	cap   int
-}
-
-func (q *reqFIFO) empty() bool { return q.count == 0 }
-
-func (q *reqFIFO) push(r *Request) bool {
-	if q.cap > 0 && q.count >= q.cap {
-		return false
-	}
-	if q.count == len(q.buf) {
-		size := len(q.buf) * 2
-		if size == 0 {
-			size = 16
-		}
-		buf := make([]*Request, size)
-		for i := 0; i < q.count; i++ {
-			buf[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf = buf
-		q.head = 0
-	}
-	q.buf[(q.head+q.count)%len(q.buf)] = r
-	q.count++
-	return true
-}
-
-func (q *reqFIFO) pop() *Request {
-	if q.count == 0 {
-		return nil
-	}
-	r := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
-	q.count--
-	return r
-}
-
-func (q *reqFIFO) peek() *Request {
-	if q.count == 0 {
-		return nil
-	}
-	return q.buf[q.head]
 }

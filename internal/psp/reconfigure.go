@@ -3,7 +3,6 @@ package psp
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -22,10 +21,12 @@ import (
 //     op at a time at the top of its loop (step 0).
 //   - Every requested change is validated before anything is applied,
 //     so a rejected spec leaves the server untouched.
-//   - Policy swaps migrate queued requests between queue families
-//     (central typed queues <-> per-worker d-FCFS queues) preserving
-//     arrival order; requests the target family has no room for are
-//     shed with full accounting, never silently lost.
+//   - Policy swaps and resizes are scheduling-core operations
+//     (sched.Core.SetMode, Resize): the core migrates queued requests
+//     between queue families (central typed queues <-> per-worker
+//     d-FCFS queues) preserving arrival order; requests the target
+//     family has no room for are shed here with full accounting, never
+//     silently lost.
 //   - Shrinks retire the highest-numbered workers: idle retirees get
 //     their shutdown sentinel immediately, busy ones finish their
 //     in-flight request first (the completion handler sentinels them),
@@ -185,7 +186,7 @@ func (s *Server) beginOp(op *reconfigOp) {
 // state before any of it applies.
 func (s *Server) validateOp(op *reconfigOp) error {
 	spec := op.spec
-	target := s.active
+	target := s.core.Active()
 	if spec.Workers != nil {
 		target = *spec.Workers
 	}
@@ -195,7 +196,7 @@ func (s *Server) validateOp(op *reconfigOp) error {
 			return err
 		}
 		if mode == ModeDARCStatic {
-			numTypes := len(s.queues)
+			numTypes := s.cfg.Classifier.NumTypes()
 			means := spec.Policy.StaticMeans
 			if len(means) == 0 {
 				means = s.cfg.StaticMeans
@@ -239,13 +240,13 @@ func (s *Server) applyAdmission(op *reconfigOp) {
 	op.res.Applied = append(op.res.Applied, "admission policy updated")
 }
 
-// applyPolicy swaps the scheduling policy, migrating queued requests
-// between queue families when the swap crosses the central/per-worker
-// boundary. Dispatcher-only; validated beforehand.
+// applyPolicy swaps the scheduling policy; the core migrates queued
+// requests when the swap crosses the central/per-worker boundary.
+// Dispatcher-only; validated beforehand.
 func (s *Server) applyPolicy(op *reconfigOp) {
 	pc := op.spec.Policy
 	target, _ := ParsePolicyName(pc.Mode) // validated in validateOp
-	cur := s.mode
+	cur := s.core.Mode()
 	if pc.SteerSeed != 0 {
 		s.steer = pc.SteerSeed
 	}
@@ -253,144 +254,76 @@ func (s *Server) applyPolicy(op *reconfigOp) {
 		if len(pc.StaticMeans) > 0 {
 			s.cfg.StaticMeans = append([]time.Duration(nil), pc.StaticMeans...)
 		}
-		s.cfg.StaticReserved = pc.StaticReserved
-		s.staticOrder = staticOrderFor(s.cfg.StaticMeans, len(s.queues))
+		s.core.SetStatic(s.cfg.StaticMeans, pc.StaticReserved)
 	}
 	if cur == target {
 		op.res.Applied = append(op.res.Applied, fmt.Sprintf("policy already %s", target))
 		return
 	}
-	switch {
-	case cur != ModeDFCFS && target == ModeDFCFS:
-		s.ensureWorkerQ()
-		s.migrateQueues(op, s.collectCentral(), func(r *Request) *reqFIFO {
-			return &s.workerQ[s.steerNext()]
-		})
-	case cur == ModeDFCFS && target != ModeDFCFS:
-		s.migrateQueues(op, s.collectPerWorker(), func(r *Request) *reqFIFO {
-			if r.typ >= 0 && r.typ < len(s.queues) {
-				return &s.queues[r.typ]
-			}
-			return &s.unknown
-		})
-	}
-	s.mode = target
+	moved, overflow := s.core.SetMode(target)
+	s.settleMigration(op, moved, overflow)
 	s.modeA.Store(int64(target))
 	s.rcPolicySwaps.Add(1)
 	op.res.Applied = append(op.res.Applied, fmt.Sprintf("policy %s -> %s", cur, target))
 }
 
-// collectCentral drains every typed queue and the unknown spillway
-// into one arrival-ordered slice.
-func (s *Server) collectCentral() []*Request {
-	var all []*Request
-	for i := range s.queues {
-		for r := s.queues[i].pop(); r != nil; r = s.queues[i].pop() {
-			all = append(all, r)
-		}
-	}
-	for r := s.unknown.pop(); r != nil; r = s.unknown.pop() {
-		all = append(all, r)
-	}
-	sortByArrival(all)
-	return all
-}
-
-// collectPerWorker drains every d-FCFS worker queue into one
-// arrival-ordered slice.
-func (s *Server) collectPerWorker() []*Request {
-	var all []*Request
-	for i := range s.workerQ {
-		for r := s.workerQ[i].pop(); r != nil; r = s.workerQ[i].pop() {
-			all = append(all, r)
-		}
-	}
-	sortByArrival(all)
-	return all
-}
-
-func sortByArrival(rs []*Request) {
-	sort.SliceStable(rs, func(a, b int) bool { return rs[a].arrival < rs[b].arrival })
-}
-
-// migrateQueues repushes collected requests into the target queue
-// family. A request the target has no room for is shed with full
-// accounting (admission NACK when the controller is on, StatusDropped
-// otherwise) — a migration never loses a request silently.
-func (s *Server) migrateQueues(op *reconfigOp, rs []*Request, pick func(*Request) *reqFIFO) {
-	for _, r := range rs {
-		if pick(r).push(r) {
-			op.res.Migrated++
-			continue
-		}
+// settleMigration books a core migration. A request the target queues
+// had no room for is shed with full accounting (admission NACK when
+// the controller is on, StatusDropped otherwise) — a migration never
+// loses a request silently.
+func (s *Server) settleMigration(op *reconfigOp, moved int, overflow []*Request) {
+	for _, r := range overflow {
 		if s.adm != nil {
 			s.shed(r, admission.ShedOverload)
 		} else {
 			s.drop(r)
 		}
-		op.res.MigratedShed++
 	}
-	s.rcMigrated.Add(uint64(op.res.Migrated))
-	s.rcMigratedShed.Add(uint64(op.res.MigratedShed))
-}
-
-// staticOrderFor computes the DARC-static scan order: type IDs by
-// ascending declared mean.
-func staticOrderFor(means []time.Duration, numTypes int) []int {
-	order := make([]int, numTypes)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return means[order[a]] < means[order[b]] })
-	return order
-}
-
-// ensureWorkerQ sizes the d-FCFS per-worker queues to the pool arrays.
-func (s *Server) ensureWorkerQ() {
-	for len(s.workerQ) < len(s.rings) {
-		s.workerQ = append(s.workerQ, reqFIFO{cap: s.cfg.QueueCap})
-	}
+	op.res.Migrated += moved
+	op.res.MigratedShed += len(overflow)
+	s.rcMigrated.Add(uint64(moved))
+	s.rcMigratedShed.Add(uint64(len(overflow)))
 }
 
 // applyResize grows or shrinks the worker pool to the spec's target.
-// Dispatcher-only; validated beforehand.
+// The core moves the active bound, re-steers d-FCFS backlogs off
+// retiring workers, recomputes the DARC reservation over the new
+// population (§6: DARC cooperates with a core allocator) and clamps a
+// DARC-static reservation; this side starts and retires the worker
+// goroutines. Dispatcher-only; validated beforehand.
 func (s *Server) applyResize(op *reconfigOp) {
 	target := *op.spec.Workers
-	if target == s.active {
+	old := s.core.Active()
+	if target == old {
 		op.res.Applied = append(op.res.Applied, fmt.Sprintf("workers already %d", target))
 		return
 	}
-	if target > s.active {
-		s.growWorkers(op, target)
+	reserved := s.core.StaticReserved()
+	moved, overflow, err := s.core.Resize(target)
+	s.settleMigration(op, moved, overflow)
+	s.activeA.Store(int64(target))
+	if target > old {
+		s.growWorkers(op, old, target)
 	} else {
-		s.shrinkWorkers(op, target)
+		s.shrinkWorkers(op, old, target)
 	}
-	// Recompute the reservation over the new population (§6: DARC
-	// cooperates with a core allocator, updating reservations during
-	// resize events). A startup-window controller with no profile
-	// returns false — the FCFS fallback path covers it, and firstFree
-	// bounds any stale reservation by the new active count.
-	if _, err := s.ctl.Resize(target); err != nil {
+	if err != nil {
 		// The controller refused the new geometry (cannot happen with
 		// the spillway auto-clamp, but never leave the pools and the
 		// reservation disagreeing silently).
 		op.res.Applied = append(op.res.Applied, fmt.Sprintf("darc resize: %v", err))
 	}
-	if s.mode == ModeDARCStatic && s.cfg.StaticReserved >= target {
-		// Keep at least one unreserved worker: a reserved prefix
-		// covering the whole (shrunken) pool would starve every
-		// non-short type, not just slow it down.
-		s.cfg.StaticReserved = target - 1
-		op.res.Applied = append(op.res.Applied, fmt.Sprintf("static reserved clamped to %d", target-1))
+	if got := s.core.StaticReserved(); got != reserved {
+		op.res.Applied = append(op.res.Applied, fmt.Sprintf("static reserved clamped to %d", got))
 	}
 	s.rcResizes.Add(1)
 	op.res.Applied = append(op.res.Applied, fmt.Sprintf("workers -> %d", target))
 }
 
-// growWorkers activates slots [active, target): retired slots are
+// growWorkers starts workers on slots [old, target): retired slots are
 // reused with fresh request rings, new slots extend the pool arrays.
-func (s *Server) growWorkers(op *reconfigOp, target int) {
-	for w := s.active; w < target; w++ {
+func (s *Server) growWorkers(op *reconfigOp, old, target int) {
+	for w := old; w < target; w++ {
 		if w < len(s.rings) {
 			// Reactivating a retired slot: the previous tenant got its
 			// sentinel but may not have consumed it yet, so the new
@@ -398,7 +331,6 @@ func (s *Server) growWorkers(op *reconfigOp, target int) {
 			s.rings[w] = spsc.NewRing[*Request](8)
 		} else {
 			s.rings = append(s.rings, spsc.NewRing[*Request](8))
-			s.free = append(s.free, false)
 			s.retiring = append(s.retiring, false)
 			if s.traceRings != nil {
 				// FlushTrace walks traceRings under traceMu; grow it
@@ -409,44 +341,20 @@ func (s *Server) growWorkers(op *reconfigOp, target int) {
 				s.traceMu.Unlock()
 			}
 		}
-		if s.workerQ != nil {
-			s.ensureWorkerQ()
-		}
-		s.free[w] = true
+		s.core.Release(w)
 		s.wg.Add(1)
 		go s.workerLoop(w, s.rings[w], s.traceRingFor(w))
 		op.res.Added++
 	}
-	s.active = target
-	s.activeA.Store(int64(target))
 }
 
-// shrinkWorkers retires slots [target, active): idle retirees are
+// shrinkWorkers retires slots [target, old): idle retirees are
 // sentinelled immediately, busy ones drain via the completion handler.
-// d-FCFS backlogs parked on retiring workers are re-steered first.
-func (s *Server) shrinkWorkers(op *reconfigOp, target int) {
-	old := s.active
-	s.active = target
-	s.activeA.Store(int64(target))
-	if s.mode == ModeDFCFS {
-		// Re-steer the retiring workers' backlogs across the surviving
-		// pool (steerNext already draws from [0, target)).
-		var moved []*Request
-		for w := target; w < old && w < len(s.workerQ); w++ {
-			for r := s.workerQ[w].pop(); r != nil; r = s.workerQ[w].pop() {
-				moved = append(moved, r)
-			}
-		}
-		sortByArrival(moved)
-		s.migrateQueues(op, moved, func(r *Request) *reqFIFO {
-			return &s.workerQ[s.steerNext()]
-		})
-	}
+func (s *Server) shrinkWorkers(op *reconfigOp, old, target int) {
 	for w := target; w < old; w++ {
 		op.res.Retired++
-		if s.free[w] {
+		if s.core.Idle(w) {
 			// Idle: parked in ring.Get; the sentinel releases it now.
-			s.free[w] = false
 			s.rings[w].Put(nil)
 			continue
 		}

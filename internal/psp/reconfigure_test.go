@@ -405,8 +405,8 @@ func TestReconfigDARCStaticSwap(t *testing.T) {
 	// pool size (2 reserved cores in a 1-worker pool would starve
 	// every non-short type forever).
 	mustReconfigure(t, srv, reconfig.Spec{Workers: intp(1)})
-	if srv.cfg.StaticReserved != 0 {
-		t.Fatalf("reserved %d after shrink to 1, want 0", srv.cfg.StaticReserved)
+	if got := srv.core.StaticReserved(); got != 0 {
+		t.Fatalf("reserved %d after shrink to 1, want 0", got)
 	}
 	for i := 0; i < 10; i++ {
 		if _, err := srv.Call(typedPayload(i%2, "small")); err != nil {
