@@ -143,16 +143,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Open-loop arrivals: each arrival schedules its successor, through
-	// the one callback.
+	// Open-loop arrivals on the simulator's stream: each arrival
+	// schedules its successor, through the one callback.
 	a := src.Next()
 	var arrive func()
 	arrive = func() {
 		m.Arrive(a.Type, a.Service)
 		a = src.Next()
-		s.After(a.Gap, arrive)
+		s.Stream(s.Now()+a.Gap, arrive)
 	}
-	s.After(a.Gap, arrive)
+	s.Stream(a.Gap, arrive)
 
 	s.RunUntil(cfg.Duration)
 

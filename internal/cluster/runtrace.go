@@ -51,18 +51,19 @@ func runTrace(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Replay lazily: each arrival schedules its successor, so the
-	// event queue stays small even for multi-million-record traces.
+	// Replay lazily on the simulator's stream: each arrival schedules
+	// its successor, so even a multi-million-record trace keeps one
+	// arrival pending.
 	next := 0
 	var arrive func()
 	arrive = func() {
 		r := tr.Records[next]
 		m.Arrive(r.Type, r.Service)
 		if next++; next < tr.Len() {
-			s.At(tr.Records[next].Offset, arrive)
+			s.Stream(tr.Records[next].Offset, arrive)
 		}
 	}
-	s.At(tr.Records[0].Offset, arrive)
+	s.Stream(tr.Records[0].Offset, arrive)
 
 	s.RunUntil(duration)
 

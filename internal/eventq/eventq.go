@@ -1,8 +1,10 @@
 // Package eventq implements the future event list of the discrete-event
-// simulator: a binary min-heap ordered by (time, sequence) so that
-// events scheduled for the same instant fire in scheduling order, which
-// keeps simulations deterministic. A Queue recycles the events handed
-// back to it, so a simulation in steady state allocates none.
+// simulator: a min-heap ordered by (time, sequence) so that events
+// scheduled for the same instant fire in scheduling order, which keeps
+// simulations deterministic. The heap stores each event's sort key
+// inline, so sifting compares keys without dereferencing an event. A
+// Queue recycles the events handed back to it, so a simulation in
+// steady state allocates none.
 package eventq
 
 import "time"
@@ -16,16 +18,37 @@ type Event struct {
 	index int // heap index; -1 once popped or cancelled, -2 once recycled
 }
 
+// entry is one heap slot: the event's sort key, copied inline, and the
+// event.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	e   *Event
+}
+
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
 // Queue is a future event list. The zero value is ready to use.
 // It is not safe for concurrent use; the simulator is single-threaded.
 type Queue struct {
-	heap []*Event
+	heap []entry
 	free []*Event // recycled events, reused by Push
 	seq  uint64
 }
 
 // Len reports the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
+
+// NextSeq draws the sequence number the next Push would take, for an
+// entry the caller orders against this queue itself: compared by (time,
+// sequence), it falls exactly where an event pushed now would.
+func (q *Queue) NextSeq() uint64 {
+	s := q.seq
+	q.seq++
+	return s
+}
 
 // Push schedules fn at the given virtual time and returns the event,
 // which may later be passed to Cancel. The event may be one recycled
@@ -35,14 +58,12 @@ func (q *Queue) Push(at time.Duration, fn func()) *Event {
 	if n := len(q.free); n > 0 {
 		e = q.free[n-1]
 		q.free = q.free[:n-1]
-		e.At, e.Seq, e.Fn = at, q.seq, fn
+		e.At, e.Seq, e.Fn = at, q.NextSeq(), fn
 	} else {
-		e = &Event{At: at, Seq: q.seq, Fn: fn}
+		e = &Event{At: at, Seq: q.NextSeq(), Fn: fn}
 	}
-	q.seq++
-	e.index = len(q.heap)
-	q.heap = append(q.heap, e)
-	q.up(e.index)
+	q.heap = append(q.heap, entry{})
+	q.up(len(q.heap)-1, entry{at, e.Seq, e})
 	return e
 }
 
@@ -52,14 +73,8 @@ func (q *Queue) Pop() *Event {
 	if len(q.heap) == 0 {
 		return nil
 	}
-	top := q.heap[0]
-	last := len(q.heap) - 1
-	q.swap(0, last)
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	if last > 0 {
-		q.down(0)
-	}
+	top := q.heap[0].e
+	q.remove(0)
 	top.index = -1
 	return top
 }
@@ -69,26 +84,17 @@ func (q *Queue) Peek() *Event {
 	if len(q.heap) == 0 {
 		return nil
 	}
-	return q.heap[0]
+	return q.heap[0].e
 }
 
 // Cancel removes a pending event. It reports whether the event was
 // still queued; cancelling an already-fired or already-cancelled event
 // is a harmless no-op.
 func (q *Queue) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 || e.index >= len(q.heap) || q.heap[e.index] != e {
+	if e == nil || e.index < 0 || e.index >= len(q.heap) || q.heap[e.index].e != e {
 		return false
 	}
-	i := e.index
-	last := len(q.heap) - 1
-	q.swap(i, last)
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	if i < last {
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
+	q.remove(e.index)
 	e.index = -1
 	return true
 }
@@ -110,49 +116,60 @@ func (q *Queue) Recycle(e *Event) {
 // or cancelled.
 func (e *Event) Queued() bool { return e.index >= 0 }
 
-func (q *Queue) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
-	if a.At != b.At {
-		return a.At < b.At
+// remove takes slot i out of the heap by moving the last entry into it.
+func (q *Queue) remove(i int) {
+	last := len(q.heap) - 1
+	moved := q.heap[last]
+	q.heap[last] = entry{}
+	q.heap = q.heap[:last]
+	if i == last {
+		return
 	}
-	return a.Seq < b.Seq
+	if i > 0 && moved.before(&q.heap[(i-1)/2]) {
+		q.up(i, moved)
+	} else {
+		q.down(i, moved)
+	}
 }
 
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].index = i
-	q.heap[j].index = j
+// put stores x in slot i and writes the slot back to its event, which
+// Cancel reads.
+func (q *Queue) put(i int, x entry) {
+	q.heap[i] = x
+	x.e.index = i
 }
 
-func (q *Queue) up(i int) {
+// up places x at slot i or above it: parents that sort after x move
+// down into the hole.
+func (q *Queue) up(i int, x entry) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !x.before(&q.heap[parent]) {
 			break
 		}
-		q.swap(i, parent)
+		q.put(i, q.heap[parent])
 		i = parent
 	}
+	q.put(i, x)
 }
 
-// down sifts index i downward and reports whether it moved.
-func (q *Queue) down(i int) bool {
-	start := i
+// down places x at slot i or below it: the smaller child moves up into
+// the hole while it sorts before x.
+func (q *Queue) down(i int, x entry) {
 	n := len(q.heap)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := child + 1; right < n && q.heap[right].before(&q.heap[child]) {
 			child = right
 		}
-		if !q.less(child, i) {
+		if !q.heap[child].before(&x) {
 			break
 		}
-		q.swap(i, child)
+		q.put(i, q.heap[child])
 		i = child
 	}
-	return i > start
+	q.put(i, x)
 }

@@ -1,6 +1,8 @@
 package eventq
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -169,5 +171,31 @@ func TestRecycleReusesEvent(t *testing.T) {
 	}
 	if c := q.Push(4, nil); c != b {
 		t.Fatal("a cancelled event was not reused")
+	}
+}
+
+// BenchmarkQueueHold is the classic hold model: with n events pending,
+// each operation pops the earliest and schedules a successor an
+// exponentially distributed delay later, recycling the popped event. The
+// simulator's queues hold about 17 events (one per worker plus a few
+// timers); the large sizes guard against a heap shape that only wins
+// on small queues.
+func BenchmarkQueueHold(b *testing.B) {
+	for _, n := range []int{16, 1024, 65536} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rnd := rand.New(rand.NewSource(1))
+			delay := func() time.Duration { return time.Duration(rnd.ExpFloat64() * float64(n) * 1000) }
+			var q Queue
+			for i := 0; i < n; i++ {
+				q.Push(delay(), nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := q.Pop()
+				q.Recycle(e)
+				q.Push(e.At+delay(), nil)
+			}
+		})
 	}
 }

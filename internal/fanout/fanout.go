@@ -89,6 +89,7 @@ func Run(cfg Config) (*Result, error) {
 	// recorder-less machine (we track latencies at the frontend).
 	machines := make([]*cluster.Machine, cfg.Backends)
 	pending := make(map[*cluster.Request]*query, 1024)
+	var spare []*query // answered queries, for reuse
 	for b := 0; b < cfg.Backends; b++ {
 		m := cluster.NewMachine(s, cfg.WorkersPerBackend, cfg.NewPolicy(), nil)
 		m.OnComplete = func(req *cluster.Request, at sim.Time) {
@@ -102,10 +103,14 @@ func Run(cfg Config) (*Result, error) {
 			}
 			res.ShardLatency.RecordDuration(at - req.Arrival)
 			q.remaining--
-			if q.remaining == 0 && q.counted {
+			if q.remaining > 0 {
+				return
+			}
+			if q.counted {
 				res.QueryLatency.RecordDuration(q.latest - q.arrival)
 				res.Queries++
 			}
+			spare = append(spare, q)
 		}
 		machines[b] = m
 	}
@@ -128,32 +133,47 @@ func Run(cfg Config) (*Result, error) {
 	sel := r.Split()
 	queryDist := cfg.Mix.Types[qt].Service
 
-	var scheduleQuery func()
-	scheduleQuery = func() {
-		gap := time.Duration(gapRNG.Exp(1/queryRate) * float64(time.Second))
-		s.After(gap, func() {
-			now := s.Now()
-			q := &query{arrival: now, remaining: cfg.FanOut, counted: now >= warmup}
-			perm := sel.Perm(cfg.Backends)
-			for i := 0; i < cfg.FanOut; i++ {
-				m := machines[perm[i]]
-				req := m.Arrive(qt, queryDist.Sample(svcRNG))
-				pending[req] = q
-			}
-			scheduleQuery()
-		})
+	// Arrivals allocate nothing per event: each process binds its
+	// callback once, the backend choice permutes a reused slice (the
+	// same draws as sel.Perm), and finished queries are reused.
+	perm := make([]int, cfg.Backends)
+	swap := func(i, j int) { perm[i], perm[j] = perm[j], perm[i] }
+	var arriveQuery func()
+	nextQuery := func() {
+		s.After(time.Duration(gapRNG.Exp(1/queryRate)*float64(time.Second)), arriveQuery)
 	}
-	scheduleQuery()
+	arriveQuery = func() {
+		now := s.Now()
+		var q *query
+		if n := len(spare); n > 0 {
+			q, spare = spare[n-1], spare[:n-1]
+		} else {
+			q = new(query)
+		}
+		*q = query{arrival: now, remaining: cfg.FanOut, counted: now >= warmup}
+		for i := range perm {
+			perm[i] = i
+		}
+		sel.Shuffle(len(perm), swap)
+		for i := 0; i < cfg.FanOut; i++ {
+			req := machines[perm[i]].Arrive(qt, queryDist.Sample(svcRNG))
+			pending[req] = q
+		}
+		nextQuery()
+	}
+	nextQuery()
 
 	// Background traffic: the mix's remaining types, per backend.
 	if bgRatio := 1 - queryTypeRatio; bgRatio > 1e-9 && len(cfg.Mix.Types) > 1 {
 		bgMix := workload.Mix{Name: cfg.Mix.Name + "-bg"}
+		var typeOf []int // background type -> mix type
 		for i, t := range cfg.Mix.Types {
 			if i == qt {
 				continue
 			}
 			t.Ratio /= bgRatio
 			bgMix.Types = append(bgMix.Types, t)
+			typeOf = append(typeOf, i)
 		}
 		for b := 0; b < cfg.Backends; b++ {
 			m := machines[b]
@@ -161,23 +181,14 @@ func Run(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			typeOf := make([]int, len(bgMix.Types))
-			idx := 0
-			for i := range cfg.Mix.Types {
-				if i != qt {
-					typeOf[idx] = i
-					idx++
-				}
+			a := src.Next()
+			var arrive func()
+			arrive = func() {
+				m.Arrive(typeOf[a.Type], a.Service)
+				a = src.Next()
+				s.After(a.Gap, arrive)
 			}
-			var scheduleBG func()
-			scheduleBG = func() {
-				a := src.Next()
-				s.After(a.Gap, func() {
-					m.Arrive(typeOf[a.Type], a.Service)
-					scheduleBG()
-				})
-			}
-			scheduleBG()
+			s.After(a.Gap, arrive)
 		}
 	}
 	s.RunUntil(cfg.Duration)

@@ -120,3 +120,25 @@ func TestDARCImprovesQueryTail(t *testing.T) {
 		t.Fatalf("DARC query p99 %v not clearly better than c-FCFS %v", darcP99, cfcfs)
 	}
 }
+
+// TestRunAllocsPerSubRequest bounds the fan-out simulation's
+// steady-state cost: arrival callbacks are bound once, the backend
+// choice permutes a reused slice and answered queries are reused, so a
+// run averages well under one allocation per completed sub-request.
+func TestRunAllocsPerSubRequest(t *testing.T) {
+	cfg := testConfig()
+	cfg.Duration = time.Second
+	var completed uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		completed = res.SubRequests
+	})
+	perReq := allocs / float64(completed)
+	t.Logf("%.0f allocs for %d completed sub-requests: %.3f per sub-request", allocs, completed, perReq)
+	if perReq > 0.1 {
+		t.Fatalf("%.3f allocs per completed sub-request, want at most 0.1", perReq)
+	}
+}

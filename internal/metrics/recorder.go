@@ -25,10 +25,12 @@ type TypeStats struct {
 // Recorder collects per-type and aggregate statistics for one
 // experiment run. Recording honours a warm-up cutoff: observations of
 // requests that arrived before the cutoff are discarded, matching the
-// paper's "discard the first 10% of samples".
+// paper's "discard the first 10% of samples". Only the per-type
+// statistics are written per request; the aggregate is folded from them
+// when read. It is not safe for concurrent use.
 type Recorder struct {
 	types    []*TypeStats
-	all      TypeStats
+	all      TypeStats // All's result, folded anew on every call
 	warmup   time.Duration
 	rtt      time.Duration
 	started  time.Duration // virtual time recording started (for throughput)
@@ -46,7 +48,6 @@ func NewRecorder(n int, names []string) *Recorder {
 		}
 		r.types[i] = &TypeStats{Name: name}
 	}
-	r.all.Name = "all"
 	return r
 }
 
@@ -85,15 +86,14 @@ func (r *Recorder) Complete(typ int, arrival, completion time.Duration, service 
 	} else {
 		slowdown = SlowdownScale
 	}
-	for _, ts := range []*TypeStats{r.typeStats(typ), &r.all} {
-		ts.Latency.RecordDuration(sojourn)
-		ts.EndToEnd.RecordDuration(sojourn + r.rtt)
-		ts.Slowdown.Record(slowdown)
-		ts.QueueDelay.RecordDuration(queue)
-		ts.Completed++
-		ts.Preemptions += uint64(preemptions)
-		ts.ServiceSum += service
-	}
+	ts := r.typeStats(typ)
+	ts.Latency.RecordDuration(sojourn)
+	ts.EndToEnd.RecordDuration(sojourn + r.rtt)
+	ts.Slowdown.Record(slowdown)
+	ts.QueueDelay.RecordDuration(queue)
+	ts.Completed++
+	ts.Preemptions += uint64(preemptions)
+	ts.ServiceSum += service
 }
 
 // Drop records a shed request of the given type.
@@ -102,7 +102,6 @@ func (r *Recorder) Drop(typ int, arrival time.Duration) {
 		return
 	}
 	r.typeStats(typ).Dropped++
-	r.all.Dropped++
 }
 
 func (r *Recorder) typeStats(typ int) *TypeStats {
@@ -120,8 +119,26 @@ func (r *Recorder) typeStats(typ int) *TypeStats {
 // Type returns the statistics for one request type.
 func (r *Recorder) Type(i int) *TypeStats { return r.types[i] }
 
-// All returns the aggregate statistics across every type.
-func (r *Recorder) All() *TypeStats { return &r.all }
+// All returns the aggregate statistics across every type, folded from
+// the per-type statistics on each call; the next call overwrites them.
+// The fold equals recording every request twice: the buckets are the
+// same, and the histograms' sums add integers, exactly while they stay
+// below 2^53 (about 104 days of summed nanoseconds).
+func (r *Recorder) All() *TypeStats {
+	r.all = TypeStats{Name: "all"}
+	a := &r.all
+	for _, ts := range r.types {
+		a.Latency.Merge(&ts.Latency)
+		a.EndToEnd.Merge(&ts.EndToEnd)
+		a.Slowdown.Merge(&ts.Slowdown)
+		a.QueueDelay.Merge(&ts.QueueDelay)
+		a.Completed += ts.Completed
+		a.Dropped += ts.Dropped
+		a.Preemptions += ts.Preemptions
+		a.ServiceSum += ts.ServiceSum
+	}
+	return a
+}
 
 // Throughput reports completed requests per second over the measured
 // span, or 0 if the span is degenerate.
@@ -130,17 +147,18 @@ func (r *Recorder) Throughput() float64 {
 	if span <= 0 {
 		return 0
 	}
-	return float64(r.all.Completed) / span.Seconds()
+	return float64(r.All().Completed) / span.Seconds()
 }
 
 // DropRate reports the fraction of post-warm-up requests that were
 // shed.
 func (r *Recorder) DropRate() float64 {
-	total := r.all.Completed + r.all.Dropped
+	all := r.All()
+	total := all.Completed + all.Dropped
 	if total == 0 {
 		return 0
 	}
-	return float64(r.all.Dropped) / float64(total)
+	return float64(all.Dropped) / float64(total)
 }
 
 // SlowdownAt converts a scaled slowdown histogram quantile into a
@@ -170,7 +188,7 @@ func (r *Recorder) Summarize() []Summary {
 	for _, ts := range r.types {
 		rows = append(rows, summarize(ts))
 	}
-	rows = append(rows, summarize(&r.all))
+	rows = append(rows, summarize(r.All()))
 	return rows
 }
 

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -175,5 +177,45 @@ func TestWarmupAccessor(t *testing.T) {
 	r.SetWarmup(42 * time.Millisecond)
 	if r.Warmup() != 42*time.Millisecond {
 		t.Fatalf("warmup %v", r.Warmup())
+	}
+}
+
+// TestAllFoldEqualsRecordingTwice: the aggregate All folds from the
+// per-type statistics equals one recorded alongside them, request by
+// request, also when an earlier fold was taken mid-run.
+func TestAllFoldEqualsRecordingTwice(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	r := NewRecorder(3, nil)
+	r.SetRTT(10 * time.Microsecond)
+	want := TypeStats{Name: "all"}
+	for i := 0; i < 20000; i++ {
+		if i == 10000 {
+			r.All()
+		}
+		typ := rnd.Intn(4) - 1 // -1 folds into the last type
+		if rnd.Intn(50) == 0 {
+			r.Drop(typ, 0)
+			want.Dropped++
+			continue
+		}
+		service := time.Duration(rnd.ExpFloat64() * float64(time.Millisecond))
+		queue := time.Duration(rnd.ExpFloat64() * float64(10*time.Millisecond))
+		preempt := rnd.Intn(3)
+		r.Complete(typ, 0, queue+service, service, queue, preempt)
+		want.Latency.RecordDuration(queue + service)
+		want.EndToEnd.RecordDuration(queue + service + 10*time.Microsecond)
+		slowdown := int64(SlowdownScale)
+		if service > 0 {
+			slowdown = int64(float64(queue+service) / float64(service) * SlowdownScale)
+		}
+		want.Slowdown.Record(slowdown)
+		want.QueueDelay.RecordDuration(queue)
+		want.Completed++
+		want.Preemptions += uint64(preempt)
+		want.ServiceSum += service
+	}
+	if got := r.All(); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("folded aggregate differs from the recorded one:\n got %v %v\nwant %v %v",
+			got.Latency.String(), got.Slowdown.String(), want.Latency.String(), want.Slowdown.String())
 	}
 }

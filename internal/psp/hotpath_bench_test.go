@@ -1,6 +1,7 @@
 package psp
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -100,6 +101,26 @@ func TestDispatchHotPathZeroAlloc(t *testing.T) {
 			// does each time it is woken for nothing — is free as well.
 			if idle := testing.AllocsPerRun(1000, func() { srv.core.Dispatch() }); idle != 0 {
 				t.Fatalf("idle dispatch pass allocates %.2f objects, want 0", idle)
+			}
+			if mode != ModeDARC {
+				return
+			}
+			// The first pass after a reservation swap rebuilds the core's
+			// worker masks, in place. AllocsPerRun would spend that pass
+			// on its warm-up call, so count the one call directly.
+			for typ := 0; typ < 2; typ++ {
+				srv.ctl.Observe(typ, time.Millisecond)
+			}
+			if !srv.ctl.ForceUpdate() {
+				t.Fatal("no reservation to swap in")
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r.arrival = srv.now()
+			driveHotPath(srv, r)
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("first pass after a reservation swap allocates %d objects, want 0", n)
 			}
 		})
 	}

@@ -14,6 +14,7 @@
 package sched
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -103,14 +104,22 @@ type Core[T any] struct {
 	perWorker []FIFO[T]
 	queueCap  int
 
-	// free[w] is true while worker w has nothing in flight. It spans
+	// free has bit w set while worker w has nothing in flight. It spans
 	// every slot the pool ever had; only [0, active) is schedulable, so
 	// a stale reservation naming a retired worker is never dispatched
 	// to. idle counts the free schedulable workers: at zero no pass can
 	// move anything, and Dispatch skips the scan.
-	free   []bool
+	free   []uint64
 	active int
 	idle   int
+
+	// masks holds reservation maskRes as bitsets over free's words: for
+	// each type its reserved workers, then the ones it may steal; last
+	// UNKNOWN's pair, the spillway and nothing. A new reservation is a
+	// new pointer, so the masks are rebuilt in place only when the
+	// pointer changes or the pool outgrows them.
+	masks   []uint64
+	maskRes *darc.Reservation
 
 	staticOrder    []int // type IDs by ascending static mean; [0] is protected
 	staticReserved int
@@ -152,15 +161,15 @@ func (c *Core[T]) Mode() Mode { return c.mode }
 func (c *Core[T]) Active() int { return c.active }
 
 // Idle reports whether worker w has nothing in flight.
-func (c *Core[T]) Idle(w int) bool { return c.free[w] }
+func (c *Core[T]) Idle(w int) bool { return c.free[w>>6]&(1<<(w&63)) != 0 }
 
 // Release returns worker w to the free set (its request completed). A
 // slot at or above the active bound stays unschedulable until a grow.
 func (c *Core[T]) Release(w int) {
-	if !c.free[w] && w < c.active {
+	if !c.Idle(w) && w < c.active {
 		c.idle++
 	}
-	c.free[w] = true
+	c.free[w>>6] |= 1 << (w & 63)
 }
 
 // StaticReserved reports how many workers DARC-static protects.
@@ -233,7 +242,7 @@ func (c *Core[T]) Dispatch() bool {
 func (c *Core[T]) assign(q *FIFO[T], w int) bool {
 	n := q.Len()
 	if c.take(q, w) {
-		c.free[w] = false
+		c.free[w>>6] &^= 1 << (w & 63)
 		c.idle--
 	}
 	return q.Len() != n
@@ -267,18 +276,21 @@ func (c *Core[T]) stepFCFS() bool {
 // spillway workers UNKNOWN runs on any idle worker, still after every
 // typed queue, so it drains instead of starving.
 func (c *Core[T]) passDARC(res *darc.Reservation, order []int) bool {
+	if res != c.maskRes {
+		c.buildMasks(res)
+	}
 	moved := false
 	for _, t := range order {
 		q := &c.typed[t]
 		if q.Empty() {
 			continue
 		}
-		if w := c.idleIn(res.ReservedFor(t), res.StealableFor(t)); w >= 0 && c.assign(q, w) {
+		if w := c.idleFor(t); w >= 0 && c.assign(q, w) {
 			moved = true
 		}
 	}
 	if !c.unknown.Empty() {
-		w := c.idleIn(res.SpillwayWorkers, nil)
+		w := c.idleFor(len(c.typed))
 		if w < 0 && len(res.SpillwayWorkers) == 0 {
 			w = c.idleFrom(0)
 		}
@@ -293,7 +305,7 @@ func (c *Core[T]) passDARC(res *darc.Reservation, order []int) bool {
 func (c *Core[T]) passDFCFS() bool {
 	moved := false
 	for w := 0; w < c.active; w++ {
-		if c.free[w] && !c.perWorker[w].Empty() && c.assign(&c.perWorker[w], w) {
+		if c.Idle(w) && !c.perWorker[w].Empty() && c.assign(&c.perWorker[w], w) {
 			moved = true
 		}
 	}
@@ -328,25 +340,65 @@ func (c *Core[T]) passStatic() bool {
 
 // idleFrom returns the lowest idle active worker with ID >= lo, or -1.
 func (c *Core[T]) idleFrom(lo int) int {
-	for w := lo; w < c.active; w++ {
-		if c.free[w] {
-			return w
+	for i := lo >> 6; i < len(c.free); i++ {
+		x := c.free[i]
+		if i == lo>>6 {
+			x &= ^uint64(0) << (lo & 63)
+		}
+		if x != 0 {
+			return c.schedulable(i<<6 + bits.TrailingZeros64(x))
 		}
 	}
 	return -1
 }
 
-// idleIn returns the first idle active worker named by reserved, then
-// by stealable, or -1.
-func (c *Core[T]) idleIn(reserved, stealable []int) int {
-	for _, ids := range [2][]int{reserved, stealable} {
-		for _, w := range ids {
-			if w < c.active && c.free[w] {
-				return w
+// idleFor returns the lowest idle active worker reserved for type t,
+// else the lowest one t may steal, or -1; t == len(c.typed) names
+// UNKNOWN, whose reserved workers are the spillway. ComputeReservation
+// lists workers in ascending ID order, so the lowest idle ID is the
+// first idle worker each list names.
+func (c *Core[T]) idleFor(t int) int {
+	nw := len(c.free)
+	for _, m := range [2][]uint64{c.masks[2*t*nw:], c.masks[(2*t+1)*nw:]} {
+		for i, f := range c.free {
+			if x := f & m[i]; x != 0 {
+				if w := c.schedulable(i<<6 + bits.TrailingZeros64(x)); w >= 0 {
+					return w
+				}
+				break
 			}
 		}
 	}
 	return -1
+}
+
+// schedulable returns w if it is below the active bound, else -1. Scans
+// go up in ID, so no idle worker of the set after w is below it either.
+func (c *Core[T]) schedulable(w int) int {
+	if w >= c.active {
+		return -1
+	}
+	return w
+}
+
+// buildMasks caches res in c.masks, reusing its storage. Workers past
+// the free set's words have never existed, so they are left out.
+func (c *Core[T]) buildMasks(res *darc.Reservation) {
+	nw := len(c.free)
+	clear(c.masks)
+	set := func(slot int, ids []int) {
+		for _, w := range ids {
+			if w>>6 < nw {
+				c.masks[slot*nw+(w>>6)] |= 1 << (w & 63)
+			}
+		}
+	}
+	for t := range c.typed {
+		set(2*t, res.ReservedFor(t))
+		set(2*t+1, res.StealableFor(t))
+	}
+	set(2*len(c.typed), res.SpillwayWorkers)
+	c.maskRes = res
 }
 
 // SetStatic installs DARC-static's per-type means (the scan order) and
@@ -389,7 +441,7 @@ func (c *Core[T]) Resize(n int) (moved int, overflow []T, err error) {
 	old := c.active
 	c.active, c.idle = n, 0
 	for w := 0; w < n; w++ {
-		if c.free[w] {
+		if c.Idle(w) {
 			c.idle++
 		}
 	}
@@ -429,10 +481,16 @@ func drain[T any](q *FIFO[T], fn func(T)) {
 	}
 }
 
-// grow extends the per-worker state to n slots, new slots idle.
+// grow extends the per-worker state to n slots, new slots idle. A new
+// word of the free set resizes the mask storage and marks it stale.
 func (c *Core[T]) grow(n int) {
-	for len(c.free) < n {
-		c.free = append(c.free, true)
+	for w := len(c.perWorker); w < n; w++ {
+		if w>>6 == len(c.free) {
+			c.free = append(c.free, 0)
+			c.masks = make([]uint64, 2*(len(c.typed)+1)*len(c.free))
+			c.maskRes = nil
+		}
+		c.free[w>>6] |= 1 << (w & 63)
 		c.perWorker = append(c.perWorker, FIFO[T]{Cap: c.queueCap})
 	}
 }

@@ -1,11 +1,15 @@
 // Package sim is a single-threaded discrete-event simulation engine
 // with a nanosecond-resolution virtual clock. Components schedule
 // callbacks at virtual instants; the engine fires them in (time,
-// schedule-order) order, so runs are fully deterministic.
+// schedule-order) order, so runs are fully deterministic. One callback
+// at a time, the stream, may live outside the event heap: an open-loop
+// arrival process that always has exactly one arrival pending costs no
+// heap push or pop.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/eventq"
@@ -21,6 +25,12 @@ type Sim struct {
 	events eventq.Queue
 	fired  uint64
 	halted bool
+
+	// The stream's pending callback (nil when none) and its (time,
+	// sequence) key, the sequence drawn from the heap's own counter.
+	streamFn  func()
+	streamAt  Time
+	streamSeq uint64
 }
 
 // New returns an empty simulator at virtual time zero.
@@ -63,6 +73,22 @@ func (s *Sim) After(d time.Duration, fn func()) Handle {
 	return s.At(s.now+d, fn)
 }
 
+// Stream schedules fn to run at virtual time t as the simulator's one
+// stream callback. It fires in exactly the order At(t, fn) would give
+// it, against every other callback, but it is not cancellable and at
+// most one may be pending: scheduling a second (or one in the past)
+// panics. The stream is meant for an arrival process whose callback
+// schedules its successor.
+func (s *Sim) Stream(t Time, fn func()) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling stream at %v before now %v", t, s.now))
+	}
+	if s.streamFn != nil {
+		panic("sim: stream already pending")
+	}
+	s.streamFn, s.streamAt, s.streamSeq = fn, t, s.events.NextSeq()
+}
+
 // Cancel unschedules a pending callback. It reports false, and changes
 // nothing, if the callback already fired or was cancelled.
 func (s *Sim) Cancel(h Handle) bool {
@@ -73,14 +99,28 @@ func (s *Sim) Cancel(h Handle) bool {
 	return true
 }
 
-// Step fires the next event and reports whether one existed. The event
-// is recycled before its callback runs, so the callback's own
-// scheduling reuses it.
-func (s *Sim) Step() bool {
-	e := s.events.Pop()
-	if e == nil {
+// Step fires the next callback and reports whether one existed.
+func (s *Sim) Step() bool { return s.stepUntil(math.MaxInt64) }
+
+// stepUntil fires the next callback if it is due at or before horizon
+// and reports whether it did. A heap event is recycled before its
+// callback runs, so the callback's own scheduling reuses it.
+func (s *Sim) stepUntil(horizon Time) bool {
+	e := s.events.Peek()
+	if fn := s.streamFn; fn != nil && (e == nil || s.streamAt < e.At || s.streamAt == e.At && s.streamSeq < e.Seq) {
+		if s.streamAt > horizon {
+			return false
+		}
+		s.streamFn = nil
+		s.now = s.streamAt
+		s.fired++
+		fn()
+		return true
+	}
+	if e == nil || e.At > horizon {
 		return false
 	}
+	s.events.Pop()
 	s.now = e.At
 	s.fired++
 	fn := e.Fn
@@ -97,12 +137,7 @@ func (s *Sim) Step() bool {
 // experiments.
 func (s *Sim) RunUntil(horizon Time) {
 	s.halted = false
-	for !s.halted {
-		e := s.events.Peek()
-		if e == nil || e.At > horizon {
-			break
-		}
-		s.Step()
+	for !s.halted && s.stepUntil(horizon) {
 	}
 	if s.now < horizon {
 		s.now = horizon
@@ -119,5 +154,11 @@ func (s *Sim) Run() {
 // Halt stops Run/RunUntil after the currently executing event returns.
 func (s *Sim) Halt() { s.halted = true }
 
-// Pending reports the number of scheduled events.
-func (s *Sim) Pending() int { return s.events.Len() }
+// Pending reports the number of scheduled callbacks, the stream's
+// included.
+func (s *Sim) Pending() int {
+	if s.streamFn != nil {
+		return s.events.Len() + 1
+	}
+	return s.events.Len()
+}
