@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/darc"
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -33,6 +34,10 @@ func TestRunAllocsPerRequest(t *testing.T) {
 			return NewElasticDARC(cfg, 2, 0)
 		}},
 		{"cfcfs", func() cluster.Policy { return NewCFCFS(0) }},
+		{"dfcfs", func() cluster.Policy { return NewDFCFS(rng.New(1), 0) }},
+		{"fp", func() cluster.Policy {
+			return NewFixedPriority([]time.Duration{500 * time.Nanosecond, 500 * time.Microsecond}, 0)
+		}},
 		{"shinjuku-mq", func() cluster.Policy {
 			return NewTSMultiQueue(TSConfig{Quantum: 5 * time.Microsecond, PreemptCost: time.Microsecond}, 2)
 		}},

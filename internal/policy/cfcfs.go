@@ -1,20 +1,18 @@
 package policy
 
-import "repro/internal/cluster"
+import "repro/internal/sched"
 
 // CFCFS is centralized first-come-first-served: a single queue feeds
 // every worker, the discipline ZygOS and Shenango approximate with
 // work stealing and the baseline Perséphone exposes before DARC's
-// first reservation.
-type CFCFS struct {
-	m     *cluster.Machine
-	queue cluster.FIFO
-}
+// first reservation. On the scheduling core it has no typed queue, so
+// every arrival waits on the one UNKNOWN queue.
+type CFCFS struct{ coreAdapter }
 
 // NewCFCFS builds a c-FCFS policy. A queueCap of 0 applies
 // DefaultQueueCap; negative means unbounded.
 func NewCFCFS(queueCap int) *CFCFS {
-	return &CFCFS{queue: cluster.FIFO{Cap: normalizeCap(queueCap)}}
+	return &CFCFS{coreAdapter{conf: coreConfig{Mode: sched.CFCFS, QueueCap: normalizeCap(queueCap)}}}
 }
 
 // Name implements cluster.Policy.
@@ -25,26 +23,5 @@ func (p *CFCFS) Traits() Traits {
 	return Traits{AppAware: false, TypedQueues: false, WorkConserving: true, Preemptive: false}
 }
 
-// Init implements cluster.Policy.
-func (p *CFCFS) Init(m *cluster.Machine) { p.m = m }
-
-// Arrive implements cluster.Policy.
-func (p *CFCFS) Arrive(r *cluster.Request) {
-	for _, w := range p.m.Workers {
-		if w.Idle() {
-			p.m.Run(w, r)
-			return
-		}
-	}
-	pushOrDrop(p.m, &p.queue, r)
-}
-
-// WorkerFree implements cluster.Policy.
-func (p *CFCFS) WorkerFree(w *cluster.Worker) {
-	if r := p.queue.Pop(); r != nil {
-		p.m.Run(w, r)
-	}
-}
-
 // QueueLen reports the central backlog.
-func (p *CFCFS) QueueLen() int { return p.queue.Len() }
+func (p *CFCFS) QueueLen() int { return p.core.Queued() }

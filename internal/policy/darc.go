@@ -17,12 +17,9 @@ import (
 // profiling window completes, the policy behaves as c-FCFS (the
 // paper's startup phase).
 type DARC struct {
-	m        *cluster.Machine
-	ctl      *darc.Controller
-	core     *sched.Core[*cluster.Request]
-	cfg      darc.Config
-	numTypes int
-	cap      int
+	coreAdapter
+	ctl *darc.Controller
+	cfg darc.Config
 
 	// OnReservationUpdate, when set before Init, observes every
 	// reservation change with the virtual time it took effect
@@ -34,7 +31,9 @@ type DARC struct {
 // overwritten from the machine at Init. A queueCap of 0 applies
 // DefaultQueueCap; negative means unbounded.
 func NewDARC(cfg darc.Config, numTypes, queueCap int) *DARC {
-	return &DARC{cfg: cfg, numTypes: numTypes, cap: normalizeCap(queueCap)}
+	p := &DARC{cfg: cfg}
+	p.conf = coreConfig{Mode: sched.DARC, NumTypes: numTypes, QueueCap: normalizeCap(queueCap), Take: p.runHead}
+	return p
 }
 
 // Name implements cluster.Policy.
@@ -47,9 +46,8 @@ func (p *DARC) Traits() Traits {
 
 // Init implements cluster.Policy.
 func (p *DARC) Init(m *cluster.Machine) {
-	p.m = m
 	p.cfg.Workers = len(m.Workers)
-	ctl, err := darc.NewController(p.cfg, p.numTypes)
+	ctl, err := darc.NewController(p.cfg, p.conf.NumTypes)
 	if err != nil {
 		panic(err) // config was validated by the experiment setup
 	}
@@ -59,45 +57,13 @@ func (p *DARC) Init(m *cluster.Machine) {
 			p.OnReservationUpdate(p.m.Sim.Now(), res)
 		}
 	}
-	p.core = newCore(m, sched.Config[*cluster.Request]{
-		Mode:       sched.DARC,
-		NumTypes:   p.numTypes,
-		QueueCap:   p.cap,
-		Controller: ctl,
-		Take:       p.runHead,
-	})
-}
-
-// newCore builds a scheduling core over m's workers with the simulated
-// request's accessors filled in.
-func newCore(m *cluster.Machine, cfg sched.Config[*cluster.Request]) *sched.Core[*cluster.Request] {
-	cfg.Workers = len(m.Workers)
-	cfg.Arrival = func(r *cluster.Request) time.Duration { return r.Arrival }
-	cfg.Type = func(r *cluster.Request) int { return r.Type }
-	return sched.New(cfg)
-}
-
-// arrive queues r (recording a drop when its queue is full) and
-// dispatches.
-func arrive(m *cluster.Machine, core *sched.Core[*cluster.Request], r *cluster.Request) {
-	if !core.Push(r.Type, r) {
-		m.RecordDrop(r)
-	}
-	core.Dispatch()
+	p.conf.Controller = ctl
+	p.coreAdapter.Init(m)
 }
 
 // Controller exposes the DARC controller for experiments (reservation
 // snapshots, update counts, Figure 7's core-allocation track).
 func (p *DARC) Controller() *darc.Controller { return p.ctl }
-
-// Arrive implements cluster.Policy.
-func (p *DARC) Arrive(r *cluster.Request) { arrive(p.m, p.core, r) }
-
-// WorkerFree implements cluster.Policy.
-func (p *DARC) WorkerFree(w *cluster.Worker) {
-	p.core.Release(w.ID)
-	p.core.Dispatch()
-}
 
 // Completed implements cluster.CompletionObserver: the worker's
 // completion signal feeds the profiler and may trigger a reservation
@@ -107,7 +73,8 @@ func (p *DARC) Completed(w *cluster.Worker, r *cluster.Request) {
 	p.ctl.MaybeUpdate()
 }
 
-// runHead is the core's hand-off: the head of q starts on worker w.
+// runHead is the core's hand-off: the head of q starts on worker w,
+// and the profiler sees how long it queued.
 func (p *DARC) runHead(q *cluster.FIFO, w int) bool {
 	r := q.Pop()
 	p.ctl.NoteQueueDelay(r.Type, p.m.Sim.Now()-r.Arrival)

@@ -15,18 +15,20 @@ import (
 // Reserved == 0 it degenerates to FixedPriority. Dispatch runs on the
 // scheduling core's DARC-static pass.
 type DARCStatic struct {
-	m        *cluster.Machine
-	core     *sched.Core[*cluster.Request]
-	means    []time.Duration
+	coreAdapter
 	Reserved int
-	cap      int
 }
 
 // NewDARCStatic builds the policy: meanService gives the static
 // per-type service times (index = type ID), reserved the number of
 // cores dedicated to the shortest type.
 func NewDARCStatic(meanService []time.Duration, reserved, queueCap int) *DARCStatic {
-	return &DARCStatic{means: meanService, Reserved: reserved, cap: normalizeCap(queueCap)}
+	return &DARCStatic{coreAdapter{conf: coreConfig{
+		Mode:        sched.DARCStatic,
+		NumTypes:    len(meanService),
+		QueueCap:    normalizeCap(queueCap),
+		StaticMeans: meanService,
+	}}, reserved}
 }
 
 // Name implements cluster.Policy.
@@ -41,28 +43,9 @@ func (p *DARCStatic) Traits() Traits {
 
 // Init implements cluster.Policy.
 func (p *DARCStatic) Init(m *cluster.Machine) {
-	p.m = m
 	if p.Reserved < 0 || p.Reserved > len(m.Workers) {
 		panic(fmt.Sprintf("policy: DARC-static reserved %d out of range for %d workers", p.Reserved, len(m.Workers)))
 	}
-	p.core = newCore(m, sched.Config[*cluster.Request]{
-		Mode:           sched.DARCStatic,
-		NumTypes:       len(p.means),
-		QueueCap:       p.cap,
-		StaticMeans:    p.means,
-		StaticReserved: p.Reserved,
-		Take: func(q *cluster.FIFO, w int) bool {
-			m.Run(m.Workers[w], q.Pop())
-			return true
-		},
-	})
-}
-
-// Arrive implements cluster.Policy.
-func (p *DARCStatic) Arrive(r *cluster.Request) { arrive(p.m, p.core, r) }
-
-// WorkerFree implements cluster.Policy.
-func (p *DARCStatic) WorkerFree(w *cluster.Worker) {
-	p.core.Release(w.ID)
-	p.core.Dispatch()
+	p.conf.StaticReserved = p.Reserved
+	p.coreAdapter.Init(m)
 }

@@ -1,8 +1,8 @@
 package policy
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 // DFCFS is decentralized first-come-first-served: each worker owns a
@@ -10,29 +10,14 @@ import (
 // Receive Side Scaling as used by IX and Arrakis. Workers never share
 // work, so it exhibits uncontrolled non-work-conservation (idle
 // workers coexist with backlogged ones).
-type DFCFS struct {
-	m      *cluster.Machine
-	queues []cluster.FIFO
-	r      *rng.RNG
-	cap    int
-}
+type DFCFS struct{ coreAdapter }
 
-// NewDFCFS builds a d-FCFS policy. Arrival steering uses the supplied
-// generator (RSS hashing over many flows is effectively uniform). A
-// queueCap of 0 applies DefaultQueueCap; negative means unbounded.
+// NewDFCFS builds a d-FCFS policy. Arrival steering draws from the
+// supplied generator, once per arrival (RSS hashing over many flows is
+// effectively uniform). A queueCap of 0 applies DefaultQueueCap;
+// negative means unbounded.
 func NewDFCFS(r *rng.RNG, queueCap int) *DFCFS {
-	return &DFCFS{r: r, cap: normalizeCap(queueCap)}
-}
-
-func normalizeCap(c int) int {
-	switch {
-	case c == 0:
-		return DefaultQueueCap
-	case c < 0:
-		return 0 // cluster.FIFO treats 0 as unbounded
-	default:
-		return c
-	}
+	return &DFCFS{coreAdapter{conf: coreConfig{Mode: sched.DFCFS, QueueCap: normalizeCap(queueCap), Steer: r.Intn}}}
 }
 
 // Name implements cluster.Policy.
@@ -42,33 +27,3 @@ func (p *DFCFS) Name() string { return "d-FCFS" }
 func (p *DFCFS) Traits() Traits {
 	return Traits{AppAware: false, TypedQueues: false, WorkConserving: false, Preemptive: false}
 }
-
-// Init implements cluster.Policy.
-func (p *DFCFS) Init(m *cluster.Machine) {
-	p.m = m
-	p.queues = make([]cluster.FIFO, len(m.Workers))
-	for i := range p.queues {
-		p.queues[i].Cap = p.cap
-	}
-}
-
-// Arrive implements cluster.Policy.
-func (p *DFCFS) Arrive(r *cluster.Request) {
-	i := p.r.Intn(len(p.queues))
-	w := p.m.Workers[i]
-	if w.Idle() && p.queues[i].Empty() {
-		p.m.Run(w, r)
-		return
-	}
-	pushOrDrop(p.m, &p.queues[i], r)
-}
-
-// WorkerFree implements cluster.Policy.
-func (p *DFCFS) WorkerFree(w *cluster.Worker) {
-	if r := p.queues[w.ID].Pop(); r != nil {
-		p.m.Run(w, r)
-	}
-}
-
-// QueueLen reports worker i's backlog (tests and reports).
-func (p *DFCFS) QueueLen(i int) int { return p.queues[i].Len() }

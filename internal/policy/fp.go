@@ -1,36 +1,19 @@
 package policy
 
-import (
-	"sort"
-	"time"
-
-	"repro/internal/cluster"
-)
+import "time"
 
 // FixedPriority is non-preemptive fixed-priority scheduling over typed
 // queues: queues are served in ascending (static) service-time order
 // on any idle worker. It is work conserving, so short requests still
 // suffer dispersion-based head-of-line blocking once all workers are
 // occupied by long ones — the failure mode DARC's reservations remove.
-// DARC-static with zero reserved cores degenerates to this policy.
-type FixedPriority struct {
-	m      *cluster.Machine
-	queues []cluster.FIFO
-	order  []int // type indexes in priority (ascending service) order
-	cap    int
-}
+// On the scheduling core it is DARC-static with no reserved worker.
+type FixedPriority struct{ coreAdapter }
 
 // NewFixedPriority builds the policy from the per-type mean service
 // times (index = type ID); smaller means higher priority.
 func NewFixedPriority(meanService []time.Duration, queueCap int) *FixedPriority {
-	order := make([]int, len(meanService))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return meanService[order[a]] < meanService[order[b]]
-	})
-	return &FixedPriority{order: order, cap: normalizeCap(queueCap)}
+	return &FixedPriority{NewDARCStatic(meanService, 0, queueCap).coreAdapter}
 }
 
 // Name implements cluster.Policy.
@@ -39,41 +22,4 @@ func (p *FixedPriority) Name() string { return "fixed-priority" }
 // Traits implements TraitsProvider.
 func (p *FixedPriority) Traits() Traits {
 	return Traits{AppAware: true, TypedQueues: true, WorkConserving: true, Preemptive: false}
-}
-
-// Init implements cluster.Policy.
-func (p *FixedPriority) Init(m *cluster.Machine) {
-	p.m = m
-	p.queues = make([]cluster.FIFO, len(p.order))
-	for i := range p.queues {
-		p.queues[i].Cap = p.cap
-	}
-}
-
-func (p *FixedPriority) clampType(t int) int {
-	if t < 0 || t >= len(p.queues) {
-		return len(p.queues) - 1
-	}
-	return t
-}
-
-// Arrive implements cluster.Policy.
-func (p *FixedPriority) Arrive(r *cluster.Request) {
-	for _, w := range p.m.Workers {
-		if w.Idle() {
-			p.m.Run(w, r)
-			return
-		}
-	}
-	pushOrDrop(p.m, &p.queues[p.clampType(r.Type)], r)
-}
-
-// WorkerFree implements cluster.Policy.
-func (p *FixedPriority) WorkerFree(w *cluster.Worker) {
-	for _, t := range p.order {
-		if r := p.queues[t].Pop(); r != nil {
-			p.m.Run(w, r)
-			return
-		}
-	}
 }

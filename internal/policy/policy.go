@@ -18,6 +18,19 @@ import "repro/internal/cluster"
 // Perséphone's per-type flow control.
 const DefaultQueueCap = 65536
 
+// normalizeCap maps a constructor's queueCap to a queue bound: 0
+// applies DefaultQueueCap, negative means unbounded.
+func normalizeCap(c int) int {
+	switch {
+	case c == 0:
+		return DefaultQueueCap
+	case c < 0:
+		return 0 // cluster.FIFO treats 0 as unbounded
+	default:
+		return c
+	}
+}
+
 // Traits describes a policy for the paper's taxonomy tables.
 type Traits struct {
 	// AppAware: the policy uses request types.

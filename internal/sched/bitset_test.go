@@ -148,38 +148,44 @@ func TestReservationSwapAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkDARCPass measures one arrival through Algorithm 1 on a
-// reservation computed for a bimodal profile: push, a dispatch pass,
-// and the release of the worker it chose.
-func BenchmarkDARCPass(b *testing.B) {
-	for _, workers := range []int{16, 130} {
-		b.Run(fmt.Sprint(workers), func(b *testing.B) {
-			dcfg := darc.DefaultConfig(workers)
-			res, err := darc.ComputeReservation([]darc.TypeStats{
-				{Mean: 500 * time.Nanosecond, Ratio: 0.995},
-				{Mean: 500 * time.Microsecond, Ratio: 0.005},
-			}, dcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var last int
-			c := New(Config[int]{
-				Mode: DARC, NumTypes: 2, Workers: workers,
-				Controller: &fixed{order: []int{0, 1}, res: res},
-				Take:       func(q *FIFO[int], w int) bool { q.Pop(); last = w; return true },
+// BenchmarkDispatchPass measures one arrival through each dispatch
+// mode: push, a dispatch, and the release of the worker it chose. DARC
+// runs on a reservation computed for a bimodal profile, DARC-static
+// reserves half the pool, and d-FCFS steers every arrival to the idle
+// worker. All but the last worker stay busy, so every lookup scans.
+func BenchmarkDispatchPass(b *testing.B) {
+	for _, mode := range []Mode{DARC, CFCFS, DFCFS, DARCStatic} {
+		for _, workers := range []int{16, 130} {
+			b.Run(fmt.Sprintf("%v/%d", mode, workers), func(b *testing.B) {
+				res, err := darc.ComputeReservation([]darc.TypeStats{
+					{Mean: 500 * time.Nanosecond, Ratio: 0.995},
+					{Mean: 500 * time.Microsecond, Ratio: 0.005},
+				}, darc.DefaultConfig(workers))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var last int
+				c := New(Config[int]{
+					Mode: mode, NumTypes: 2, Workers: workers,
+					Controller:     &fixed{order: []int{0, 1}, res: res},
+					StaticMeans:    []time.Duration{500 * time.Nanosecond, 500 * time.Microsecond},
+					StaticReserved: workers / 2,
+					Arrival:        func(i int) time.Duration { return time.Duration(i) },
+					Take:           func(q *FIFO[int], w int) bool { q.Pop(); last = w; return true },
+					Steer:          func(n int) int { return n - 1 },
+				})
+				for w := 0; w < workers-1; w++ {
+					c.free[w>>6] &^= 1 << (w & 63)
+				}
+				c.idle = 1
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.Push(i&1, i)
+					c.Dispatch()
+					c.Release(last)
+				}
 			})
-			// Keep all but the last worker busy, so every lookup scans.
-			for w := 0; w < workers-1; w++ {
-				c.free[w>>6] &^= 1 << (w & 63)
-			}
-			c.idle = 1
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Push(i&1, i)
-				c.Dispatch()
-				c.Release(last)
-			}
-		})
+		}
 	}
 }

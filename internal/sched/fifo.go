@@ -5,6 +5,8 @@ package sched
 // UNKNOWN and one per worker; the simulator's other policies use it as
 // cluster.FIFO. A Cap of 0 means unbounded.
 type FIFO[T any] struct {
+	// buf's length is 0 or a power of two (grow starts at 16 and
+	// doubles), so an index wraps with a mask instead of a division.
 	buf   []T
 	head  int
 	count int
@@ -29,7 +31,7 @@ func (q *FIFO[T]) Push(v T) bool {
 	if q.count == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.count)%len(q.buf)] = v
+	q.buf[(q.head+q.count)&(len(q.buf)-1)] = v
 	q.count++
 	return true
 }
@@ -41,7 +43,7 @@ func (q *FIFO[T]) PushFront(v T) {
 	if q.count == len(q.buf) {
 		q.grow()
 	}
-	q.head = (q.head - 1 + len(q.buf)) % len(q.buf)
+	q.head = (q.head - 1) & (len(q.buf) - 1)
 	q.buf[q.head] = v
 	q.count++
 }
@@ -54,7 +56,7 @@ func (q *FIFO[T]) Pop() T {
 	}
 	v := q.buf[q.head]
 	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.count--
 	return v
 }
@@ -75,7 +77,7 @@ func (q *FIFO[T]) PopBack() T {
 	if q.count == 0 {
 		return zero
 	}
-	idx := (q.head + q.count - 1) % len(q.buf)
+	idx := (q.head + q.count - 1) & (len(q.buf) - 1)
 	v := q.buf[idx]
 	q.buf[idx] = zero
 	q.count--
@@ -89,7 +91,7 @@ func (q *FIFO[T]) grow() {
 	}
 	buf := make([]T, size)
 	for i := 0; i < q.count; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = buf
 	q.head = 0

@@ -1,10 +1,11 @@
 // Package sched is the scheduling core: the one place a dispatch
-// decision is made, shared by the simulator's DARC policies and the
-// live dispatcher. It owns the typed, UNKNOWN and per-worker queues,
-// the free-worker set and the active-pool bound, and it decides which
+// decision is made, shared by the simulator's DARC, DARC-static,
+// c-FCFS, d-FCFS and fixed-priority policies and by the live
+// dispatcher. It owns the typed, UNKNOWN and per-worker queues, the
+// free-worker set and the active-pool bound, and it decides which
 // queue's head goes to which idle worker under the four dispatch modes
 // (DARC with its c-FCFS startup window, c-FCFS, d-FCFS and
-// DARC-static).
+// DARC-static; fixed priority is DARC-static with no reserved worker).
 //
 // The core is pure bookkeeping: it reads no clock, starts no
 // goroutine, takes no lock and does no I/O, and a dispatch pass
@@ -210,14 +211,13 @@ func (c *Core[T]) target(typ int) *FIFO[T] {
 
 // Dispatch runs passes until one moves nothing and reports whether any
 // did. A DARC or DARC-static pass takes at most one request per queue,
-// so types interleave across passes exactly as Algorithm 1 loops.
+// so types interleave across passes exactly as Algorithm 1 loops. One
+// d-FCFS pass is always enough.
 func (c *Core[T]) Dispatch() bool {
 	moved := false
 	switch {
 	case c.mode == DFCFS:
-		for c.idle > 0 && c.passDFCFS() {
-			moved = true
-		}
+		moved = c.idle > 0 && c.passDFCFS()
 	case c.mode == DARCStatic:
 		for c.idle > 0 && c.passStatic() {
 			moved = true
@@ -250,11 +250,9 @@ func (c *Core[T]) assign(q *FIFO[T], w int) bool {
 
 // stepFCFS hands the earliest queued arrival — a strict < over typed
 // queue heads in type order, UNKNOWN last — to the lowest idle worker.
+// It looks for the arrival first: the step that ends a dispatch
+// usually finds the queues empty, and then never scans the free set.
 func (c *Core[T]) stepFCFS() bool {
-	w := c.idleFrom(0)
-	if w < 0 {
-		return false
-	}
 	var q *FIFO[T]
 	for i := range c.typed {
 		if !c.typed[i].Empty() && (q == nil || c.arrival(c.typed[i].Peek()) < c.arrival(q.Peek())) {
@@ -265,6 +263,10 @@ func (c *Core[T]) stepFCFS() bool {
 		q = &c.unknown
 	}
 	if q == nil {
+		return false
+	}
+	w := c.idleFrom(0)
+	if w < 0 {
 		return false
 	}
 	return c.assign(q, w)
@@ -301,12 +303,21 @@ func (c *Core[T]) passDARC(res *darc.Reservation, order []int) bool {
 	return moved
 }
 
-// passDFCFS hands each idle worker the head of its own queue.
+// passDFCFS hands each idle worker the head of its own queue, walking
+// the free set once. A worker's queue feeds no other worker, and Take
+// either occupies the worker or empties its queue, so a second pass
+// could move nothing.
 func (c *Core[T]) passDFCFS() bool {
 	moved := false
-	for w := 0; w < c.active; w++ {
-		if c.Idle(w) && !c.perWorker[w].Empty() && c.assign(&c.perWorker[w], w) {
-			moved = true
+	for i, x := range c.free {
+		for ; x != 0; x &= x - 1 {
+			w := i<<6 + bits.TrailingZeros64(x)
+			if w >= c.active {
+				return moved
+			}
+			if !c.perWorker[w].Empty() && c.assign(&c.perWorker[w], w) {
+				moved = true
+			}
 		}
 	}
 	return moved

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -217,6 +218,163 @@ func TestDFCFSPerWorkerQueues(t *testing.T) {
 	expect(t, r.dispatch()) // worker 0's queue is empty; b waits for 1
 	r.core.Release(1)
 	expect(t, r.dispatch(), "b->1")
+}
+
+// TestCFCFSSingleQueue pins the configuration the simulator's c-FCFS
+// runs: no typed queue, so every arrival, whatever its type, waits on
+// the one UNKNOWN queue. Each arrival is pushed and dispatched in turn,
+// all at the same instant; then every worker is released in ID order.
+func TestCFCFSSingleQueue(t *testing.T) {
+	cases := []struct {
+		name     string
+		workers  int
+		queueCap int
+		idle     []int // idle before the arrivals; nil: every worker
+		arrivals []int // types, named a, b, c, ...
+		want     []string
+		refused  []string
+	}{
+		{
+			name: "push order", workers: 3, arrivals: []int{1, 0, -1, 5, 0},
+			want: []string{"a->0", "b->1", "c->2", "d->0", "e->1"},
+		},
+		{
+			name: "lowest idle worker", workers: 4, idle: []int{1, 3}, arrivals: []int{0, 0, 0},
+			want: []string{"a->1", "b->3", "c->0"},
+		},
+		{
+			name: "more than 64 workers", workers: 70, idle: []int{64, 69}, arrivals: []int{0, 1, 2},
+			want: []string{"a->64", "b->69", "c->0"},
+		},
+		{
+			name: "drops at QueueCap", workers: 1, queueCap: 2, arrivals: []int{0, 1, 0, 1, 0},
+			want: []string{"a->0", "b->0"}, refused: []string{"d", "e"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(Config[*item]{Mode: CFCFS, Workers: tc.workers, QueueCap: tc.queueCap})
+			if tc.idle != nil {
+				clear(r.core.free)
+				for _, w := range tc.idle {
+					r.core.free[w>>6] |= 1 << (w & 63)
+				}
+				r.core.idle = len(tc.idle)
+			}
+			var got []string
+			var refused []*item
+			for i, typ := range tc.arrivals {
+				it := &item{name: string(rune('a' + i)), typ: typ}
+				if !r.core.Push(typ, it) {
+					refused = append(refused, it)
+					continue
+				}
+				got = append(got, r.dispatch()...)
+			}
+			if n := r.core.Unknown().Len(); n != r.core.Queued() {
+				t.Fatalf("%d queued, %d of them on UNKNOWN", r.core.Queued(), n)
+			}
+			for w := 0; w < tc.workers; w++ {
+				r.core.Release(w)
+				got = append(got, r.dispatch()...)
+			}
+			expect(t, got, tc.want...)
+			if names(refused) != fmt.Sprint(tc.refused) {
+				t.Fatalf("refused %s, want %v", names(refused), tc.refused)
+			}
+		})
+	}
+}
+
+// dispatchDFCFSLoop is the d-FCFS dispatch the single pass replaced:
+// passes over the active workers until one moves nothing.
+func dispatchDFCFSLoop(c *Core[*item]) bool {
+	moved := false
+	for c.idle > 0 {
+		pass := false
+		for w := 0; w < c.active; w++ {
+			if c.Idle(w) && !c.perWorker[w].Empty() && c.assign(&c.perWorker[w], w) {
+				pass = true
+			}
+		}
+		if !pass {
+			break
+		}
+		moved = true
+	}
+	return moved
+}
+
+// TestDFCFSSinglePassMatchesLoop drives two d-FCFS cores through the
+// same random pushes, releases (retired slots included) and resizes
+// over pools of up to 130 workers; one dispatches with the single
+// pass, the other with the loop it replaced. Take sheds "stale" heads
+// as admission does. Both must make the same hand-offs in the same
+// order and end every step in the same state.
+func TestDFCFSSinglePassMatchesLoop(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	for seq := 0; seq < 200; seq++ {
+		n, queueCap, seed := 1+rnd.Intn(130), rnd.Intn(4), rnd.Int63()
+		var cores [2]*Core[*item]
+		var logs [2][]string
+		for i := range cores {
+			steer := rand.New(rand.NewSource(seed))
+			cores[i] = New(Config[*item]{
+				Mode: DFCFS, Workers: n, QueueCap: queueCap,
+				Arrival: func(it *item) time.Duration { return it.at },
+				Type:    func(it *item) int { return it.typ },
+				Steer:   steer.Intn,
+				Take: func(q *FIFO[*item], w int) bool {
+					for !q.Empty() {
+						if it := q.Pop(); it.name != "stale" {
+							logs[i] = append(logs[i], fmt.Sprintf("%d->%d", it.at, w))
+							return true
+						}
+					}
+					return false
+				},
+			})
+		}
+		for op := 0; op < 300; op++ {
+			var desc string
+			switch k := rnd.Intn(10); {
+			case k < 6:
+				it := &item{name: "fresh", at: time.Duration(op)}
+				if rnd.Intn(5) == 0 {
+					it.name = "stale"
+				}
+				desc = fmt.Sprintf("push %v", it)
+				for _, c := range cores {
+					c.Push(0, it)
+				}
+			case k < 9:
+				w := rnd.Intn(len(cores[0].perWorker))
+				desc = fmt.Sprintf("release %d", w)
+				for _, c := range cores {
+					c.Release(w)
+				}
+			default:
+				m := 1 + rnd.Intn(130)
+				desc = fmt.Sprintf("resize %d", m)
+				var over [2]string
+				for i, c := range cores {
+					_, overflow, _ := c.Resize(m)
+					over[i] = names(overflow)
+				}
+				if over[0] != over[1] {
+					t.Fatalf("seq %d op %d %s: overflow %s vs %s", seq, op, desc, over[0], over[1])
+				}
+			}
+			logs[0], logs[1] = logs[0][:0], logs[1][:0]
+			pass, loop := cores[0].Dispatch(), dispatchDFCFSLoop(cores[1])
+			a, b := cores[0], cores[1]
+			if pass != loop || !reflect.DeepEqual(logs[0], logs[1]) ||
+				!reflect.DeepEqual(a.free, b.free) || a.idle != b.idle || a.Queued() != b.Queued() {
+				t.Fatalf("seq %d (%d workers) op %d %s:\npass moved %v %v, idle %d, queued %d\nloop moved %v %v, idle %d, queued %d",
+					seq, n, op, desc, pass, logs[0], a.idle, a.Queued(), loop, logs[1], b.idle, b.Queued())
+			}
+		}
+	}
 }
 
 // TestMigration swaps central <-> per-worker queues: arrival order is
