@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -63,6 +62,5 @@ func AblationDispatcher(opt Options) ([]*Table, error) {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"at 50x slowdown: plain policy sustains %.2f of peak, with the measured dispatcher path %.2f (paper observed Shinjuku dropping past 0.55 on this workload)",
 		plainSustain, cappedSustain))
-	_ = metrics.SlowdownScale
 	return []*Table{t, drops}, nil
 }

@@ -1,12 +1,11 @@
 package frontend
 
 import (
-	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"strings"
+	"strconv"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // WriteMetrics renders the frontend's query-level counters, latency
@@ -15,98 +14,60 @@ import (
 // test — add new series at the end.
 func (f *Frontend) WriteMetrics(w io.Writer) error {
 	st := f.Stats()
-	var b strings.Builder
-	b.WriteString("# HELP persephone_frontend_queries_total Client queries accepted for fan-out.\n")
-	b.WriteString("# TYPE persephone_frontend_queries_total counter\n")
-	fmt.Fprintf(&b, "persephone_frontend_queries_total %d\n", st.Queries)
-	b.WriteString("# HELP persephone_frontend_queries_ok_total Queries answered with every shard settled.\n")
-	b.WriteString("# TYPE persephone_frontend_queries_ok_total counter\n")
-	fmt.Fprintf(&b, "persephone_frontend_queries_ok_total %d\n", st.QueriesOK)
-	b.WriteString("# HELP persephone_frontend_queries_failed_total Queries answered with an error after a shard deadline.\n")
-	b.WriteString("# TYPE persephone_frontend_queries_failed_total counter\n")
-	fmt.Fprintf(&b, "persephone_frontend_queries_failed_total %d\n", st.QueriesFailed)
-	b.WriteString("# HELP persephone_frontend_queries_shed_total Queries rejected at intake (buffer pool exhausted or no healthy backend).\n")
-	b.WriteString("# TYPE persephone_frontend_queries_shed_total counter\n")
-	fmt.Fprintf(&b, "persephone_frontend_queries_shed_total %d\n", st.QueriesShed)
+	var p metrics.Page
+	p.Counter("persephone_frontend_queries_total", "Client queries accepted for fan-out.", st.Queries)
+	p.Counter("persephone_frontend_queries_ok_total", "Queries answered with every shard settled.", st.QueriesOK)
+	p.Counter("persephone_frontend_queries_failed_total", "Queries answered with an error after a shard deadline.", st.QueriesFailed)
+	p.Counter("persephone_frontend_queries_shed_total", "Queries rejected at intake (buffer pool exhausted or no healthy backend).", st.QueriesShed)
 
-	b.WriteString("# HELP persephone_frontend_subrequests_total Sub-request transmissions by outcome (issued = replied + duplicate + timeout + nacked + pending).\n")
-	b.WriteString("# TYPE persephone_frontend_subrequests_total counter\n")
-	fmt.Fprintf(&b, "persephone_frontend_subrequests_total{outcome=\"issued\"} %d\n", st.SubIssued)
-	fmt.Fprintf(&b, "persephone_frontend_subrequests_total{outcome=\"replied\"} %d\n", st.SubReplied)
-	fmt.Fprintf(&b, "persephone_frontend_subrequests_total{outcome=\"duplicate\"} %d\n", st.SubDuplicate)
-	fmt.Fprintf(&b, "persephone_frontend_subrequests_total{outcome=\"timeout\"} %d\n", st.SubTimedOut)
-	fmt.Fprintf(&b, "persephone_frontend_subrequests_total{outcome=\"nacked\"} %d\n", st.SubNacked)
-	b.WriteString("# HELP persephone_frontend_subrequests_pending Sub-requests currently awaiting a backend reply.\n")
-	b.WriteString("# TYPE persephone_frontend_subrequests_pending gauge\n")
-	fmt.Fprintf(&b, "persephone_frontend_subrequests_pending %d\n", st.Pending)
-	b.WriteString("# HELP persephone_frontend_stray_replies_total Backend replies matching no pending sub-request.\n")
-	b.WriteString("# TYPE persephone_frontend_stray_replies_total counter\n")
-	fmt.Fprintf(&b, "persephone_frontend_stray_replies_total %d\n", st.Strays)
+	const sub = "persephone_frontend_subrequests_total"
+	p.Family(sub, "counter", "Sub-request transmissions by outcome (issued = replied + duplicate + timeout + nacked + pending).")
+	p.Sample(sub, st.SubIssued, "outcome", "issued")
+	p.Sample(sub, st.SubReplied, "outcome", "replied")
+	p.Sample(sub, st.SubDuplicate, "outcome", "duplicate")
+	p.Sample(sub, st.SubTimedOut, "outcome", "timeout")
+	p.Sample(sub, st.SubNacked, "outcome", "nacked")
+	p.Gauge("persephone_frontend_subrequests_pending", "Sub-requests currently awaiting a backend reply.", st.Pending)
+	p.Counter("persephone_frontend_stray_replies_total", "Backend replies matching no pending sub-request.", st.Strays)
 
-	b.WriteString("# HELP persephone_frontend_hedges_total Hedge transmissions issued for slow sub-requests.\n")
-	b.WriteString("# TYPE persephone_frontend_hedges_total counter\n")
-	fmt.Fprintf(&b, "persephone_frontend_hedges_total %d\n", st.Hedges)
-	b.WriteString("# HELP persephone_frontend_hedge_wins_total Hedge transmissions whose reply settled the shard first.\n")
-	b.WriteString("# TYPE persephone_frontend_hedge_wins_total counter\n")
-	fmt.Fprintf(&b, "persephone_frontend_hedge_wins_total %d\n", st.HedgeWins)
-	b.WriteString("# HELP persephone_frontend_ejections_total Backend health ejections (timeout streaks and crash events).\n")
-	b.WriteString("# TYPE persephone_frontend_ejections_total counter\n")
-	fmt.Fprintf(&b, "persephone_frontend_ejections_total %d\n", st.Ejections)
+	p.Counter("persephone_frontend_hedges_total", "Hedge transmissions issued for slow sub-requests.", st.Hedges)
+	p.Counter("persephone_frontend_hedge_wins_total", "Hedge transmissions whose reply settled the shard first.", st.HedgeWins)
+	p.Counter("persephone_frontend_ejections_total", "Backend health ejections (timeout streaks and crash events).", st.Ejections)
 
 	if st.QueryCount > 0 {
-		b.WriteString("# HELP persephone_frontend_query_latency_seconds Client-observed query latency quantiles (slowest-shard completion).\n")
-		b.WriteString("# TYPE persephone_frontend_query_latency_seconds summary\n")
-		fmt.Fprintf(&b, "persephone_frontend_query_latency_seconds{quantile=\"0.5\"} %g\n", st.QueryP50.Seconds())
-		fmt.Fprintf(&b, "persephone_frontend_query_latency_seconds{quantile=\"0.99\"} %g\n", st.QueryP99.Seconds())
-		fmt.Fprintf(&b, "persephone_frontend_query_latency_seconds{quantile=\"0.999\"} %g\n", st.QueryP999.Seconds())
-		fmt.Fprintf(&b, "persephone_frontend_query_latency_seconds_count %d\n", st.QueryCount)
+		const lat = "persephone_frontend_query_latency_seconds"
+		p.Family(lat, "summary", "Client-observed query latency quantiles (slowest-shard completion).")
+		p.Sample(lat, st.QueryP50.Seconds(), "quantile", "0.5")
+		p.Sample(lat, st.QueryP99.Seconds(), "quantile", "0.99")
+		p.Sample(lat, st.QueryP999.Seconds(), "quantile", "0.999")
+		p.Sample(lat+"_count", st.QueryCount)
 	}
 
-	b.WriteString("# HELP persephone_frontend_backend_healthy Whether the backend currently receives sub-requests (1 healthy, 0 ejected).\n")
-	b.WriteString("# TYPE persephone_frontend_backend_healthy gauge\n")
+	p.Family("persephone_frontend_backend_healthy", "gauge", "Whether the backend currently receives sub-requests (1 healthy, 0 ejected).")
 	now := time.Now()
 	for i, h := range f.health {
 		v := 0
 		if h.healthy(now) {
 			v = 1
 		}
-		fmt.Fprintf(&b, "persephone_frontend_backend_healthy{backend=\"%d\"} %d\n", i, v)
+		p.Sample("persephone_frontend_backend_healthy", v, "backend", strconv.Itoa(i))
 	}
-	b.WriteString("# HELP persephone_frontend_backend_sent_total Sub-request transmissions per backend.\n")
-	b.WriteString("# TYPE persephone_frontend_backend_sent_total counter\n")
+	p.Family("persephone_frontend_backend_sent_total", "counter", "Sub-request transmissions per backend.")
 	for i, bc := range f.backends {
-		fmt.Fprintf(&b, "persephone_frontend_backend_sent_total{backend=\"%d\"} %d\n", i, bc.sent.Load())
+		p.Sample("persephone_frontend_backend_sent_total", bc.sent.Load(), "backend", strconv.Itoa(i))
 	}
-	b.WriteString("# HELP persephone_frontend_backend_replies_total Settling replies per backend.\n")
-	b.WriteString("# TYPE persephone_frontend_backend_replies_total counter\n")
+	p.Family("persephone_frontend_backend_replies_total", "counter", "Settling replies per backend.")
 	for i, bc := range f.backends {
-		fmt.Fprintf(&b, "persephone_frontend_backend_replies_total{backend=\"%d\"} %d\n", i, bc.replies.Load())
+		p.Sample("persephone_frontend_backend_replies_total", bc.replies.Load(), "backend", strconv.Itoa(i))
 	}
-	_, err := io.WriteString(w, b.String())
+	p.Counter("persephone_frontend_rx_drops_total", "Malformed client datagrams dropped at intake.", st.RxDrops)
+	_, err := p.WriteTo(w)
 	return err
 }
 
 // ServeMetrics exposes /metrics (and /healthz) on addr, returning the
-// bound address and a shutdown function. Fresh mux, no global handler
-// registration — same contract as the backend's psp.ServeMetrics.
+// bound address and a shutdown function — the same listener as the
+// backend's psp.ServeMetrics, without the admin plane.
 func (f *Frontend) ServeMetrics(addr string) (bound string, shutdown func() error, err error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		f.WriteMetrics(w) //nolint:errcheck
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if f.closed.Load() {
-			http.Error(w, "stopped", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	go srv.Serve(ln) //nolint:errcheck
-	return ln.Addr().String(), srv.Close, nil
+	return metrics.Serve(addr, f.WriteMetrics, f.closed.Load, nil)
 }

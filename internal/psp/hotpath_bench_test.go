@@ -56,8 +56,6 @@ func newHotPathServer(tb testing.TB, mode Mode) *Server {
 		srv.queueDelayH[i].Reset()
 		srv.serviceH[i].Record(1 << 50)
 		srv.serviceH[i].Reset()
-		srv.slowdownH[i].Record(1 << 50)
-		srv.slowdownH[i].Reset()
 	}
 	return srv
 }

@@ -1,14 +1,11 @@
 package psp
 
 import (
-	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"strings"
-	"time"
+	"strconv"
 
 	"repro/internal/admission"
+	"repro/internal/metrics"
 	"repro/internal/reconfig"
 )
 
@@ -17,79 +14,63 @@ import (
 // Perséphone can be scraped by standard tooling.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	st := s.StatsSnapshot()
-	var b strings.Builder
-	b.WriteString("# HELP persephone_requests_total Requests admitted to typed queues.\n")
-	b.WriteString("# TYPE persephone_requests_total counter\n")
-	fmt.Fprintf(&b, "persephone_requests_total %d\n", st.Enqueued)
-	b.WriteString("# HELP persephone_dispatched_total Requests handed to workers.\n")
-	b.WriteString("# TYPE persephone_dispatched_total counter\n")
-	fmt.Fprintf(&b, "persephone_dispatched_total %d\n", st.Dispatched)
-	b.WriteString("# HELP persephone_dropped_total Requests shed by flow control.\n")
-	b.WriteString("# TYPE persephone_dropped_total counter\n")
-	fmt.Fprintf(&b, "persephone_dropped_total %d\n", st.Dropped)
-	b.WriteString("# HELP persephone_reservation_updates_total DARC reservation recomputations.\n")
-	b.WriteString("# TYPE persephone_reservation_updates_total counter\n")
-	fmt.Fprintf(&b, "persephone_reservation_updates_total %d\n", st.Updates)
-	b.WriteString("# HELP persephone_faults_injected_total Faults created by the chaos layer (drops, dups, stalls, slowdowns, crashes).\n")
-	b.WriteString("# TYPE persephone_faults_injected_total counter\n")
-	fmt.Fprintf(&b, "persephone_faults_injected_total %d\n", st.FaultsInjected)
-	b.WriteString("# HELP persephone_retries_total Client retransmissions observed at ingress.\n")
-	b.WriteString("# TYPE persephone_retries_total counter\n")
-	fmt.Fprintf(&b, "persephone_retries_total %d\n", st.RetriesSeen)
-	b.WriteString("# HELP persephone_worker_restarts_total Workers crash-respawned by fault injection.\n")
-	b.WriteString("# TYPE persephone_worker_restarts_total counter\n")
-	fmt.Fprintf(&b, "persephone_worker_restarts_total %d\n", st.WorkerRestarts)
+	var p metrics.Page
+	p.Counter("persephone_requests_total", "Requests admitted to typed queues.", st.Enqueued)
+	p.Counter("persephone_dispatched_total", "Requests handed to workers.", st.Dispatched)
+	p.Counter("persephone_dropped_total", "Requests shed by flow control.", st.Dropped)
+	p.Counter("persephone_reservation_updates_total", "DARC reservation recomputations.", st.Updates)
+	p.Counter("persephone_faults_injected_total", "Faults created by the chaos layer (drops, dups, stalls, slowdowns, crashes).", st.FaultsInjected)
+	p.Counter("persephone_retries_total", "Client retransmissions observed at ingress.", st.RetriesSeen)
+	p.Counter("persephone_worker_restarts_total", "Workers crash-respawned by fault injection.", st.WorkerRestarts)
 
-	b.WriteString("# HELP persephone_latency_seconds Server-side sojourn quantiles per request type.\n")
-	b.WriteString("# TYPE persephone_latency_seconds summary\n")
+	p.Family("persephone_latency_seconds", "summary", "Server-side sojourn quantiles per request type.")
 	for _, row := range st.Summaries {
 		if row.Completed == 0 {
 			continue
 		}
-		name := sanitizeLabel(row.Name)
-		fmt.Fprintf(&b, "persephone_latency_seconds{type=%q,quantile=\"0.5\"} %g\n", name, row.P50.Seconds())
-		fmt.Fprintf(&b, "persephone_latency_seconds{type=%q,quantile=\"0.99\"} %g\n", name, row.P99.Seconds())
-		fmt.Fprintf(&b, "persephone_latency_seconds{type=%q,quantile=\"0.999\"} %g\n", name, row.P999.Seconds())
-		fmt.Fprintf(&b, "persephone_latency_seconds_count{type=%q} %d\n", name, row.Completed)
-		fmt.Fprintf(&b, "persephone_slowdown_p999{type=%q} %g\n", name, row.Slowdown999)
+		name := metrics.SanitizeLabel(row.Name)
+		p.Sample("persephone_latency_seconds", row.P50.Seconds(), "type", name, "quantile", "0.5")
+		p.Sample("persephone_latency_seconds", row.P99.Seconds(), "type", name, "quantile", "0.99")
+		p.Sample("persephone_latency_seconds", row.P999.Seconds(), "type", name, "quantile", "0.999")
+		p.Sample("persephone_latency_seconds_count", row.Completed, "type", name)
+	}
+	p.Family("persephone_slowdown_p999", "gauge", "Server-side p99.9 slowdown (sojourn over service time) per request type.")
+	for _, row := range st.Summaries {
+		if row.Completed > 0 {
+			p.Sample("persephone_slowdown_p999", row.Slowdown999, "type", metrics.SanitizeLabel(row.Name))
+		}
 	}
 
 	if t := s.tcpSrv.Load(); t != nil {
-		writeTCPMetrics(&b, t)
+		writeTCPMetrics(&p, t)
 	}
 	if st.Admission != nil {
-		s.writeAdmissionMetrics(&b, st.Admission)
+		s.writeAdmissionMetrics(&p, st.Admission)
 	}
 
-	s.writeReconfigMetrics(&b)
+	s.writeReconfigMetrics(&p)
 
-	b.WriteString("# HELP persephone_trace_spans_total Lifecycle spans drained from worker trace rings.\n")
-	b.WriteString("# TYPE persephone_trace_spans_total counter\n")
-	fmt.Fprintf(&b, "persephone_trace_spans_total %d\n", st.TraceSpans)
-	b.WriteString("# HELP persephone_trace_lost_total Lifecycle spans dropped because a trace ring was full.\n")
-	b.WriteString("# TYPE persephone_trace_lost_total counter\n")
-	fmt.Fprintf(&b, "persephone_trace_lost_total %d\n", st.TraceLost)
+	p.Counter("persephone_trace_spans_total", "Lifecycle spans drained from worker trace rings.", st.TraceSpans)
+	p.Counter("persephone_trace_lost_total", "Lifecycle spans dropped because a trace ring was full.", st.TraceLost)
 
 	rows := s.TraceSummaries()
-	b.WriteString("# HELP persephone_queue_delay_ns Lifecycle queueing delay (ingress to worker start) per request type, in nanoseconds.\n")
-	b.WriteString("# TYPE persephone_queue_delay_ns summary\n")
+	p.Family("persephone_queue_delay_ns", "summary", "Lifecycle queueing delay (ingress to worker start) per request type, in nanoseconds.")
 	for _, row := range rows {
-		name := sanitizeLabel(row.Name)
-		fmt.Fprintf(&b, "persephone_queue_delay_ns{type=%q,quantile=\"0.5\"} %d\n", name, row.QueueP50.Nanoseconds())
-		fmt.Fprintf(&b, "persephone_queue_delay_ns{type=%q,quantile=\"0.99\"} %d\n", name, row.QueueP99.Nanoseconds())
-		fmt.Fprintf(&b, "persephone_queue_delay_ns{type=%q,quantile=\"0.999\"} %d\n", name, row.QueueP999.Nanoseconds())
-		fmt.Fprintf(&b, "persephone_queue_delay_ns_count{type=%q} %d\n", name, row.Count)
+		name := metrics.SanitizeLabel(row.Name)
+		p.Sample("persephone_queue_delay_ns", row.QueueP50.Nanoseconds(), "type", name, "quantile", "0.5")
+		p.Sample("persephone_queue_delay_ns", row.QueueP99.Nanoseconds(), "type", name, "quantile", "0.99")
+		p.Sample("persephone_queue_delay_ns", row.QueueP999.Nanoseconds(), "type", name, "quantile", "0.999")
+		p.Sample("persephone_queue_delay_ns_count", row.Count, "type", name)
 	}
-	b.WriteString("# HELP persephone_service_ns Measured handler execution time per request type, in nanoseconds.\n")
-	b.WriteString("# TYPE persephone_service_ns summary\n")
+	p.Family("persephone_service_ns", "summary", "Measured handler execution time per request type, in nanoseconds.")
 	for _, row := range rows {
-		name := sanitizeLabel(row.Name)
-		fmt.Fprintf(&b, "persephone_service_ns{type=%q,quantile=\"0.5\"} %d\n", name, row.SvcP50.Nanoseconds())
-		fmt.Fprintf(&b, "persephone_service_ns{type=%q,quantile=\"0.99\"} %d\n", name, row.SvcP99.Nanoseconds())
-		fmt.Fprintf(&b, "persephone_service_ns{type=%q,quantile=\"0.999\"} %d\n", name, row.SvcP999.Nanoseconds())
-		fmt.Fprintf(&b, "persephone_service_ns_count{type=%q} %d\n", name, row.Count)
+		name := metrics.SanitizeLabel(row.Name)
+		p.Sample("persephone_service_ns", row.SvcP50.Nanoseconds(), "type", name, "quantile", "0.5")
+		p.Sample("persephone_service_ns", row.SvcP99.Nanoseconds(), "type", name, "quantile", "0.99")
+		p.Sample("persephone_service_ns", row.SvcP999.Nanoseconds(), "type", name, "quantile", "0.999")
+		p.Sample("persephone_service_ns_count", row.Count, "type", name)
 	}
-	_, err := io.WriteString(w, b.String())
+	_, err := p.WriteTo(w)
 	return err
 }
 
@@ -100,42 +81,25 @@ func (s *Server) attachTCP(t *TCPServer) { s.tcpSrv.Store(t) }
 // writeTCPMetrics renders the persephone_tcp_* families, mirroring the
 // UDP transport counter set plus connection lifecycle and the
 // pipeline-depth histogram.
-func writeTCPMetrics(b *strings.Builder, t *TCPServer) {
-	b.WriteString("# HELP persephone_tcp_rx_total Frames accepted into the pipeline over TCP.\n")
-	b.WriteString("# TYPE persephone_tcp_rx_total counter\n")
-	fmt.Fprintf(b, "persephone_tcp_rx_total %d\n", t.Received())
-	b.WriteString("# HELP persephone_tcp_rx_drops_total Malformed frames and ingress-ring overflow drops.\n")
-	b.WriteString("# TYPE persephone_tcp_rx_drops_total counter\n")
-	fmt.Fprintf(b, "persephone_tcp_rx_drops_total %d\n", t.RxDrops())
-	b.WriteString("# HELP persephone_tcp_rx_sheds_total Frames answered StatusDropped under buffer-pool exhaustion.\n")
-	b.WriteString("# TYPE persephone_tcp_rx_sheds_total counter\n")
-	fmt.Fprintf(b, "persephone_tcp_rx_sheds_total %d\n", t.RxSheds())
-	b.WriteString("# HELP persephone_tcp_tx_inline_total Responses written inline because a connection TX ring was full.\n")
-	b.WriteString("# TYPE persephone_tcp_tx_inline_total counter\n")
-	fmt.Fprintf(b, "persephone_tcp_tx_inline_total %d\n", t.TxRingFull())
-	b.WriteString("# HELP persephone_tcp_conns_accepted_total Connections admitted since start.\n")
-	b.WriteString("# TYPE persephone_tcp_conns_accepted_total counter\n")
-	fmt.Fprintf(b, "persephone_tcp_conns_accepted_total %d\n", t.ConnsAccepted())
-	b.WriteString("# HELP persephone_tcp_conns_open Currently open connections.\n")
-	b.WriteString("# TYPE persephone_tcp_conns_open gauge\n")
-	fmt.Fprintf(b, "persephone_tcp_conns_open %d\n", t.ConnsOpen())
-	b.WriteString("# HELP persephone_tcp_conns_evicted_total Connections closed by the server (idle timeout, protocol error).\n")
-	b.WriteString("# TYPE persephone_tcp_conns_evicted_total counter\n")
-	fmt.Fprintf(b, "persephone_tcp_conns_evicted_total %d\n", t.ConnsEvicted())
-	b.WriteString("# HELP persephone_tcp_conns_rejected_total Connections shed at admission by the MaxConns cap.\n")
-	b.WriteString("# TYPE persephone_tcp_conns_rejected_total counter\n")
-	fmt.Fprintf(b, "persephone_tcp_conns_rejected_total %d\n", t.ConnsRejected())
-	b.WriteString("# HELP persephone_tcp_pipeline_depth In-flight responses per connection, sampled as each request is accepted.\n")
-	b.WriteString("# TYPE persephone_tcp_pipeline_depth histogram\n")
+func writeTCPMetrics(p *metrics.Page, t *TCPServer) {
+	p.Counter("persephone_tcp_rx_total", "Frames accepted into the pipeline over TCP.", t.Received())
+	p.Counter("persephone_tcp_rx_drops_total", "Malformed frames and ingress-ring overflow drops.", t.RxDrops())
+	p.Counter("persephone_tcp_rx_sheds_total", "Frames answered StatusDropped under buffer-pool exhaustion.", t.RxSheds())
+	p.Counter("persephone_tcp_tx_inline_total", "Responses written inline because a connection TX ring was full.", t.TxRingFull())
+	p.Counter("persephone_tcp_conns_accepted_total", "Connections admitted since start.", t.ConnsAccepted())
+	p.Gauge("persephone_tcp_conns_open", "Currently open connections.", t.ConnsOpen())
+	p.Counter("persephone_tcp_conns_evicted_total", "Connections closed by the server (idle timeout, protocol error).", t.ConnsEvicted())
+	p.Counter("persephone_tcp_conns_rejected_total", "Connections shed at admission by the MaxConns cap.", t.ConnsRejected())
+	p.Family("persephone_tcp_pipeline_depth", "histogram", "In-flight responses per connection, sampled as each request is accepted.")
 	var cum uint64
 	for i, le := range tcpDepthBuckets {
 		cum += t.depthBuckets[i].Load()
-		fmt.Fprintf(b, "persephone_tcp_pipeline_depth_bucket{le=\"%d\"} %d\n", le, cum)
+		p.Sample("persephone_tcp_pipeline_depth_bucket", cum, "le", strconv.FormatUint(le, 10))
 	}
 	cum += t.depthBuckets[len(tcpDepthBuckets)].Load()
-	fmt.Fprintf(b, "persephone_tcp_pipeline_depth_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(b, "persephone_tcp_pipeline_depth_sum %d\n", t.depthSum.Load())
-	fmt.Fprintf(b, "persephone_tcp_pipeline_depth_count %d\n", t.depthCount.Load())
+	p.Sample("persephone_tcp_pipeline_depth_bucket", cum, "le", "+Inf")
+	p.Sample("persephone_tcp_pipeline_depth_sum", t.depthSum.Load())
+	p.Sample("persephone_tcp_pipeline_depth_count", t.depthCount.Load())
 }
 
 // writeAdmissionMetrics renders the persephone_admission_* families:
@@ -143,115 +107,55 @@ func writeTCPMetrics(b *strings.Builder, t *TCPServer) {
 // completed + shed is exact once drained), the effective budgets, and
 // the overload detector's state. The final slot is the
 // unknown/unclassified type.
-func (s *Server) writeAdmissionMetrics(b *strings.Builder, st *admission.Stats) {
+func (s *Server) writeAdmissionMetrics(p *metrics.Page, st *admission.Stats) {
 	names := append(s.rec.TypeNames(), "unknown")
-	b.WriteString("# HELP persephone_admission_accepted_total Requests entered into the admission ledger, per type.\n")
-	b.WriteString("# TYPE persephone_admission_accepted_total counter\n")
-	for i, slot := range st.Slots {
-		fmt.Fprintf(b, "persephone_admission_accepted_total{type=%q} %d\n", sanitizeLabel(names[i]), slot.Accepted)
+	for i := range names {
+		names[i] = metrics.SanitizeLabel(names[i])
 	}
-	b.WriteString("# HELP persephone_admission_completed_total Admitted requests completed by workers, per type.\n")
-	b.WriteString("# TYPE persephone_admission_completed_total counter\n")
+	p.Family("persephone_admission_accepted_total", "counter", "Requests entered into the admission ledger, per type.")
 	for i, slot := range st.Slots {
-		fmt.Fprintf(b, "persephone_admission_completed_total{type=%q} %d\n", sanitizeLabel(names[i]), slot.Completed)
+		p.Sample("persephone_admission_accepted_total", slot.Accepted, "type", names[i])
 	}
-	b.WriteString("# HELP persephone_admission_shed_total Requests refused by admission control, per type and reason (deadline: own budget exceeded; overload: reverse-reservation trim or full queue; lost: crash/shutdown).\n")
-	b.WriteString("# TYPE persephone_admission_shed_total counter\n")
+	p.Family("persephone_admission_completed_total", "counter", "Admitted requests completed by workers, per type.")
 	for i, slot := range st.Slots {
-		name := sanitizeLabel(names[i])
-		fmt.Fprintf(b, "persephone_admission_shed_total{type=%q,reason=\"deadline\"} %d\n", name, slot.ShedDeadline)
-		fmt.Fprintf(b, "persephone_admission_shed_total{type=%q,reason=\"overload\"} %d\n", name, slot.ShedOverload)
-		fmt.Fprintf(b, "persephone_admission_shed_total{type=%q,reason=\"lost\"} %d\n", name, slot.ShedLost)
+		p.Sample("persephone_admission_completed_total", slot.Completed, "type", names[i])
 	}
-	b.WriteString("# HELP persephone_admission_budget_ns Effective admission budget per type (0 = no budget yet), in nanoseconds.\n")
-	b.WriteString("# TYPE persephone_admission_budget_ns gauge\n")
+	p.Family("persephone_admission_shed_total", "counter", "Requests refused by admission control, per type and reason (deadline: own budget exceeded; overload: reverse-reservation trim or full queue; lost: crash/shutdown).")
+	for i, slot := range st.Slots {
+		p.Sample("persephone_admission_shed_total", slot.ShedDeadline, "type", names[i], "reason", "deadline")
+		p.Sample("persephone_admission_shed_total", slot.ShedOverload, "type", names[i], "reason", "overload")
+		p.Sample("persephone_admission_shed_total", slot.ShedLost, "type", names[i], "reason", "lost")
+	}
+	p.Family("persephone_admission_budget_ns", "gauge", "Effective admission budget per type (0 = no budget yet), in nanoseconds.")
 	for i := range st.Slots {
-		fmt.Fprintf(b, "persephone_admission_budget_ns{type=%q} %d\n", sanitizeLabel(names[i]), s.adm.CachedBudget(i).Nanoseconds())
+		p.Sample("persephone_admission_budget_ns", s.adm.CachedBudget(i).Nanoseconds(), "type", names[i])
 	}
-	b.WriteString("# HELP persephone_admission_queue_delay_ewma_ns Smoothed dispatch queue delay driving the overload detector, in nanoseconds.\n")
-	b.WriteString("# TYPE persephone_admission_queue_delay_ewma_ns gauge\n")
-	fmt.Fprintf(b, "persephone_admission_queue_delay_ewma_ns %d\n", st.QueueDelayEWMA.Nanoseconds())
-	b.WriteString("# HELP persephone_admission_overloaded Whether the dispatcher currently sheds in reverse-reservation order (1 = overloaded).\n")
-	b.WriteString("# TYPE persephone_admission_overloaded gauge\n")
+	p.Gauge("persephone_admission_queue_delay_ewma_ns", "Smoothed dispatch queue delay driving the overload detector, in nanoseconds.", st.QueueDelayEWMA.Nanoseconds())
 	overloaded := 0
 	if st.Overloaded {
 		overloaded = 1
 	}
-	fmt.Fprintf(b, "persephone_admission_overloaded %d\n", overloaded)
+	p.Gauge("persephone_admission_overloaded", "Whether the dispatcher currently sheds in reverse-reservation order (1 = overloaded).", overloaded)
 }
 
 // writeReconfigMetrics renders the live-reconfiguration control
 // plane's families: the pool/policy gauges every scrape should watch
 // and the counters that account for what reconfigurations did.
-func (s *Server) writeReconfigMetrics(b *strings.Builder) {
-	b.WriteString("# HELP persephone_workers_active Live worker-pool size (schedulable workers).\n")
-	b.WriteString("# TYPE persephone_workers_active gauge\n")
-	fmt.Fprintf(b, "persephone_workers_active %d\n", s.activeA.Load())
-	b.WriteString("# HELP persephone_reconfig_generation Configuration generation (bumped once per applied reconfiguration).\n")
-	b.WriteString("# TYPE persephone_reconfig_generation gauge\n")
-	fmt.Fprintf(b, "persephone_reconfig_generation %d\n", s.generation.Load())
-	b.WriteString("# HELP persephone_reconfig_applied_total Reconfigurations applied.\n")
-	b.WriteString("# TYPE persephone_reconfig_applied_total counter\n")
-	fmt.Fprintf(b, "persephone_reconfig_applied_total %d\n", s.rcApplied.Load())
-	b.WriteString("# HELP persephone_reconfig_rejected_total Reconfigurations rejected by validation.\n")
-	b.WriteString("# TYPE persephone_reconfig_rejected_total counter\n")
-	fmt.Fprintf(b, "persephone_reconfig_rejected_total %d\n", s.rcRejected.Load())
-	b.WriteString("# HELP persephone_reconfig_policy_swaps_total Scheduling-policy changes applied.\n")
-	b.WriteString("# TYPE persephone_reconfig_policy_swaps_total counter\n")
-	fmt.Fprintf(b, "persephone_reconfig_policy_swaps_total %d\n", s.rcPolicySwaps.Load())
-	b.WriteString("# HELP persephone_reconfig_resizes_total Worker-pool resizes applied.\n")
-	b.WriteString("# TYPE persephone_reconfig_resizes_total counter\n")
-	fmt.Fprintf(b, "persephone_reconfig_resizes_total %d\n", s.rcResizes.Load())
-	b.WriteString("# HELP persephone_reconfig_migrated_total Queued requests moved between queue families by policy swaps.\n")
-	b.WriteString("# TYPE persephone_reconfig_migrated_total counter\n")
-	fmt.Fprintf(b, "persephone_reconfig_migrated_total %d\n", s.rcMigrated.Load())
-	b.WriteString("# HELP persephone_reconfig_migrated_shed_total Migrating requests the target queue family had no room for (answered, not lost).\n")
-	b.WriteString("# TYPE persephone_reconfig_migrated_shed_total counter\n")
-	fmt.Fprintf(b, "persephone_reconfig_migrated_shed_total %d\n", s.rcMigratedShed.Load())
-	b.WriteString("# HELP persephone_reconfig_last_drain_ns Drain wait of the most recent worker-pool shrink, in nanoseconds.\n")
-	b.WriteString("# TYPE persephone_reconfig_last_drain_ns gauge\n")
-	fmt.Fprintf(b, "persephone_reconfig_last_drain_ns %d\n", s.rcLastDrainNs.Load())
-}
-
-func sanitizeLabel(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
+func (s *Server) writeReconfigMetrics(p *metrics.Page) {
+	p.Gauge("persephone_workers_active", "Live worker-pool size (schedulable workers).", s.activeA.Load())
+	p.Gauge("persephone_reconfig_generation", "Configuration generation (bumped once per applied reconfiguration).", s.generation.Load())
+	p.Counter("persephone_reconfig_applied_total", "Reconfigurations applied.", s.rcApplied.Load())
+	p.Counter("persephone_reconfig_rejected_total", "Reconfigurations rejected by validation.", s.rcRejected.Load())
+	p.Counter("persephone_reconfig_policy_swaps_total", "Scheduling-policy changes applied.", s.rcPolicySwaps.Load())
+	p.Counter("persephone_reconfig_resizes_total", "Worker-pool resizes applied.", s.rcResizes.Load())
+	p.Counter("persephone_reconfig_migrated_total", "Queued requests moved between queue families by policy swaps.", s.rcMigrated.Load())
+	p.Counter("persephone_reconfig_migrated_shed_total", "Migrating requests the target queue family had no room for (answered, not lost).", s.rcMigratedShed.Load())
+	p.Gauge("persephone_reconfig_last_drain_ns", "Drain wait of the most recent worker-pool shrink, in nanoseconds.", s.rcLastDrainNs.Load())
 }
 
 // ServeMetrics exposes /metrics, /healthz and the runtime control
 // plane (GET /admin/config, POST /admin/reconfig) on addr, returning
-// the bound address and a shutdown function. It uses a fresh mux — no
-// global handler registration.
+// the bound address and a shutdown function.
 func (s *Server) ServeMetrics(addr string) (bound string, shutdown func() error, err error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s.WriteMetrics(w) //nolint:errcheck
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if s.stopped.Load() {
-			http.Error(w, "stopped", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	mux.Handle("/admin/", reconfig.AdminHandler(s))
-	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	ln, err := newListener(addr)
-	if err != nil {
-		return "", nil, err
-	}
-	go srv.Serve(ln) //nolint:errcheck
-	return ln.Addr().String(), srv.Close, nil
-}
-
-// newListener binds a TCP listener for the metrics endpoint.
-func newListener(addr string) (net.Listener, error) {
-	return net.Listen("tcp", addr)
+	return metrics.Serve(addr, s.WriteMetrics, s.stopped.Load, reconfig.AdminHandler(s))
 }

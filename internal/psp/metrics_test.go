@@ -101,23 +101,6 @@ func TestHealthzAfterStop(t *testing.T) {
 	}
 }
 
-func TestSanitizeLabel(t *testing.T) {
-	cases := map[string]string{
-		`we"ird la/bel`:   "we_ird_la_bel",
-		"line\nbreak":     "line_break",    // newline would corrupt the exposition format
-		`esc\ape"quote`:   "esc_ape_quote", // backslash and quote need no escaping once mapped
-		"ünïcode":         "_n_code",       // non-ASCII runes collapse to underscores
-		"":                "",              // empty stays empty
-		"ok_name-1":       "ok_name-1",     // allowed characters pass through
-		"tab\theader\r\n": "tab_header__",
-	}
-	for in, want := range cases {
-		if got := sanitizeLabel(in); got != want {
-			t.Errorf("sanitizeLabel(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // TestWriteMetricsGolden pins the full Prometheus exposition — HELP
 // and TYPE lines, metric names, label quoting, value formatting —
 // against a golden file. The server is never started and every counter

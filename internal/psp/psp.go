@@ -55,6 +55,13 @@ const (
 	ModeDARCStatic = sched.DARCStatic
 )
 
+const (
+	// ingressCap bounds the ingress ring and the completion ring.
+	ingressCap = 8192
+	// responseBuf is each worker's response scratch size.
+	responseBuf = 2048
+)
+
 // Response is the completion of one request as seen by the submitter.
 // Responses returned by Submit/Call own their Payload; inside a
 // Request.respond callback the payload aliases the worker's scratch
@@ -154,10 +161,6 @@ type Config struct {
 	DARC darc.Config
 	// QueueCap bounds each typed queue (default 4096).
 	QueueCap int
-	// IngressCap bounds the ingress ring (default 8192).
-	IngressCap int
-	// ResponseBuf is the per-worker response scratch size (default 2048).
-	ResponseBuf int
 	// PinThreads locks the dispatcher and each worker goroutine to an
 	// OS thread (the closest Go gets to the paper's per-core pinned
 	// threads). Only useful when the host has at least Workers+2
@@ -273,8 +276,7 @@ type Server struct {
 	spanCount   uint64
 	queueDelayH []metrics.Histogram // per type, last entry = unknown
 	serviceH    []metrics.Histogram
-	slowdownH   []metrics.Histogram // scaled by metrics.SlowdownScale
-	typeNames   []string            // per type, last entry = "unknown"
+	typeNames   []string // per type, last entry = "unknown"
 }
 
 // completion is a worker's report to the dispatcher. Its instants are
@@ -305,12 +307,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
-	}
-	if cfg.IngressCap <= 0 {
-		cfg.IngressCap = 8192
-	}
-	if cfg.ResponseBuf <= 0 {
-		cfg.ResponseBuf = 2048
 	}
 	dcfg := cfg.DARC
 	if dcfg.Workers == 0 {
@@ -353,8 +349,8 @@ func NewServer(cfg Config) (*Server, error) {
 		ctl:      ctl,
 		adm:      adm,
 		inj:      inj,
-		ingress:  spsc.NewMPSC[*Request](cfg.IngressCap),
-		compRing: spsc.NewMPSC[completion](cfg.IngressCap),
+		ingress:  spsc.NewMPSC[*Request](ingressCap),
+		compRing: spsc.NewMPSC[completion](ingressCap),
 		park:     spsc.NewParker(),
 		rec:      metrics.NewRecorder(numTypes, nil),
 	}
@@ -393,7 +389,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.queueDelayH = make([]metrics.Histogram, numTypes+1)
 		s.serviceH = make([]metrics.Histogram, numTypes+1)
-		s.slowdownH = make([]metrics.Histogram, numTypes+1)
 		s.typeNames = append(s.rec.TypeNames(), "unknown")
 		s.traceSink = cfg.TraceSink
 	}
@@ -829,7 +824,7 @@ func (s *Server) workerLoop(id int, ring *spsc.Ring[*Request], traceRing *spsc.R
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	scratch := make([]byte, s.cfg.ResponseBuf)
+	scratch := make([]byte, responseBuf)
 	for {
 		r := ring.Get()
 		if r == nil {

@@ -3,7 +3,6 @@ package psp
 import (
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/spsc"
 	"repro/internal/trace"
 )
@@ -16,7 +15,7 @@ import (
 // trace.Span into its own fixed-capacity SPSC ring. Nothing on the hot path allocates or locks: the stats
 // path (StatsSnapshot, WriteMetrics, an explicit FlushTrace) drains
 // the rings under traceMu, folds each span into per-type
-// QueueDelay/Service/Slowdown histograms, and forwards it to the
+// QueueDelay/Service histograms, and forwards it to the
 // optional sink (cmd/psp-server's -trace-out CSV dump). When nobody
 // drains, rings overflow by dropping the newest span and counting it
 // in TraceLost — tracing is free when unread.
@@ -88,13 +87,7 @@ func (s *Server) absorbSpan(sp trace.Span) {
 		idx = len(s.queueDelayH) - 1 // unknown bucket
 	}
 	s.queueDelayH[idx].RecordDuration(sp.QueueDelay())
-	svc := sp.Service()
-	s.serviceH[idx].RecordDuration(svc)
-	if svc > 0 {
-		s.slowdownH[idx].Record(int64(float64(sp.Sojourn()) / float64(svc) * metrics.SlowdownScale))
-	} else {
-		s.slowdownH[idx].Record(metrics.SlowdownScale)
-	}
+	s.serviceH[idx].RecordDuration(sp.Service())
 	if s.traceSink != nil {
 		s.traceSink(sp)
 	}
