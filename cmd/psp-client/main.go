@@ -1,7 +1,8 @@
 // Command psp-client is the open-loop Poisson load generator for
-// psp-server: it offers a configured request rate over UDP or TCP,
-// matches responses by request ID, and reports client-observed
-// latency per request type.
+// psp-server and psp-frontend: it offers a configured request rate
+// over UDP or TCP, matches responses by request ID, and reports
+// client-observed latency per request type, queries a frontend
+// answered with a hedge, and how late the generator sent.
 //
 // Usage:
 //
@@ -59,7 +60,6 @@ func main() {
 	retries := flag.Int("retries", 0, "max retransmissions per request (needs -timeout)")
 	backoff := flag.Duration("backoff", time.Millisecond, "base retry backoff, doubled per attempt with jitter")
 	backoffMax := flag.Duration("backoff-max", 0, "retry backoff cap (default 64x -backoff)")
-	frontendMode := flag.Bool("frontend", false, "target is a psp-frontend: decode correlation trailers and report hedged queries")
 	flag.Parse()
 
 	mix, err := persephone.MixByName(*workloadName)
@@ -76,7 +76,6 @@ func main() {
 		MaxRetries:      *retries,
 		RetryBackoff:    *backoff,
 		RetryBackoffMax: *backoffMax,
-		Frontend:        *frontendMode,
 		Conns:           *conns,
 		Pipeline:        *depth,
 		BuildPayload: func(typ int) []byte {
@@ -97,15 +96,8 @@ func main() {
 			os.Exit(2)
 		}
 		rc.Transport = persephone.LoadTransportUDP
-		if *frontendMode {
-			rc.Transport = persephone.LoadTransportFrontend
-		}
 		rc.Addr = target
 	case "tcp":
-		if *frontendMode {
-			fmt.Fprintln(os.Stderr, "-frontend is UDP-only: psp-frontend speaks datagrams to clients")
-			os.Exit(2)
-		}
 		rc.Transport = persephone.LoadTransportTCP
 		rc.Addr = *addr
 	default:
@@ -119,9 +111,9 @@ func main() {
 	}
 	fmt.Printf("sent %d  received %d  dropped %d  timed out %d  retries %d  nacked %d  achieved %.0f rps\n",
 		res.Sent, res.Received, res.Dropped, res.TimedOut, res.Retries, res.Nacked, res.AchievedRate())
-	if *frontendMode {
-		fmt.Printf("hedged queries %d (answered with >= 1 hedge issued)\n", res.Hedged)
-	}
+	fmt.Printf("hedged queries %d (answered with >= 1 hedge issued)\n", res.Hedged)
+	fmt.Printf("generator lateness p50=%v p99=%v max=%v\n",
+		res.Late.QuantileDuration(0.50), res.Late.QuantileDuration(0.99), time.Duration(res.Late.Max()))
 	if un := res.Unaccounted(); un != 0 {
 		fmt.Printf("WARNING: %d requests unaccounted for\n", un)
 	}

@@ -9,8 +9,8 @@
 //	psp-frontend -addr 127.0.0.1:9930 \
 //	  -backends 127.0.0.1:9940,127.0.0.1:9950 -fanout 2 -hedge
 //
-// Point cmd/psp-client at -addr with its -frontend flag to measure
-// query-level tail latency. Stop with Ctrl-C; a stats summary prints
+// Point cmd/psp-client at -addr to measure query-level tail latency
+// and count hedged queries. Stop with Ctrl-C; a stats summary prints
 // on shutdown.
 package main
 

@@ -17,21 +17,18 @@ import (
 
 // newSyntheticReplayResult fabricates a perfectly-conserved replay
 // accounting for a trace: everything sent, everything answered.
-func newSyntheticReplayResult(tr *trace.Trace) *loadgen.ReplayResult {
+func newSyntheticReplayResult(tr *trace.Trace) *loadgen.Result {
 	n := tr.NumTypes()
-	res := &loadgen.ReplayResult{
-		SentByType:     make([]uint64, n),
-		TimedOutByType: make([]uint64, n),
+	res := &loadgen.Result{
+		Sent:           uint64(tr.Len()),
+		Received:       uint64(tr.Len()),
 		DroppedByType:  make([]uint64, n),
+		TimedOutByType: make([]uint64, n),
+		Overall:        &metrics.Histogram{},
+		Late:           &metrics.Histogram{},
 	}
-	res.Sent = uint64(tr.Len())
-	res.Received = uint64(tr.Len())
-	res.Overall = &metrics.Histogram{}
 	for i := 0; i < n; i++ {
 		res.Latency = append(res.Latency, &metrics.Histogram{})
-	}
-	for _, r := range tr.Records {
-		res.SentByType[r.Type]++
 	}
 	return res
 }

@@ -70,7 +70,7 @@ type LiveRun struct {
 	// WarmupSpans counts spans attributed to the warmup phase.
 	WarmupSpans int
 	// Result is the replay client's accounting.
-	Result *loadgen.ReplayResult
+	Result *loadgen.Result
 	// Reservations is the DARC reservation timeline.
 	Reservations []ResUpdate
 	// ReservationAtReplay reports whether a reservation was installed
@@ -261,10 +261,15 @@ func runLive(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64, mu
 	// requests in flight overlaps the sleeps — a sequential warmup at
 	// multi-millisecond services would take longer than the replay — and
 	// exercises the same contended dispatch path the replay measures.
-	wr := rng.New(seed ^ 0xC0FFEE)
+	// Only the source's types are drawn; the warmup is closed-loop, so
+	// the arrival rate is unused.
+	warm, err := workload.NewSource(spec.Mix, 1, rng.New(seed^0xC0FFEE))
+	if err != nil {
+		return nil, err
+	}
 	inflight := make([]<-chan psp.Response, 0, spec.Workers)
 	for i := 0; i < liveWarmupCalls; i++ {
-		typ := pickMixType(spec.Mix, wr)
+		typ := warm.Next().Type
 		rec := trace.Record{Type: typ, Service: spec.Mix.Types[typ].Service.Mean()}
 		ch, err := srv.Submit(loadgen.ReplayPayload(rec))
 		if err != nil {
@@ -329,17 +334,4 @@ func runLive(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64, mu
 	}
 	spanMu.Unlock()
 	return run, nil
-}
-
-// pickMixType samples a type index proportional to the mix ratios.
-func pickMixType(mix workload.Mix, r *rng.RNG) int {
-	u := r.Float64()
-	var acc float64
-	for i, t := range mix.Types {
-		acc += t.Ratio
-		if u < acc {
-			return i
-		}
-	}
-	return len(mix.Types) - 1
 }

@@ -72,7 +72,6 @@ func runLiveFanout(t *testing.T, backends, fanOut int, hedge bool, prof *faults.
 		Duration: duration,
 		Seed:     42,
 		Timeout:  3 * time.Second,
-		Frontend: true,
 	})
 	if err != nil {
 		t.Fatal(err)

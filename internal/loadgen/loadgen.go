@@ -1,21 +1,25 @@
 // Package loadgen is the open-loop load generator for the live
 // runtime: it models the paper's client, issuing requests under a
-// Poisson process at a configured rate regardless of server progress,
-// and records client-observed latency per request type.
+// Poisson process (or a recorded trace) at their due times regardless
+// of server progress, and records client-observed latency per request
+// type.
+//
+// Every path — RunInProcess, RunUDP, RunTCP and ReplayUDP — is a thin
+// adapter over one engine: one pacer (pace) sends each arrival at its
+// due offset, one outcome ledger books every request's single outcome,
+// and the UDP paths share one session (dial per shard, receivers,
+// retransmitter).
 package loadgen
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/psp"
-	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -36,7 +40,8 @@ type Config struct {
 	// classify.Field{Offset: 0}).
 	BuildPayload func(typ int) []byte
 	// Timeout bounds how long to wait for stragglers after the last
-	// send (default 2s).
+	// send (default 2s); requests still unanswered then are recorded
+	// as TimedOut.
 	Timeout time.Duration
 	// RequestTimeout bounds the wait for each individual response.
 	// RunUDP retransmits an unanswered request after this long (up to
@@ -55,11 +60,6 @@ type Config struct {
 	// RetryBackoffMax caps the exponential backoff growth (default
 	// 64x RetryBackoff).
 	RetryBackoffMax time.Duration
-	// Frontend marks the target as a fan-out frontend rather than a
-	// single Perséphone backend: RunUDP then decodes the correlation
-	// trailer on responses and counts queries the frontend answered
-	// with the help of a hedge (Result.Hedged).
-	Frontend bool
 	// Conns is how many TCP connections RunTCP opens (default 1).
 	// Ignored off the TCP path.
 	Conns int
@@ -142,25 +142,33 @@ type Result struct {
 	Dropped  uint64 // responses with a drop status
 	TimedOut uint64 // requests that never received any response
 	Retries  uint64 // retransmissions of already-sent requests
-	Errors   uint64 // submissions rejected (backpressure)
-	Hedged   uint64 // frontend mode: received queries with >= 1 hedge issued
+	Errors   uint64 // requests whose first transmission failed (never sent)
+	// Hedged counts received queries a fan-out frontend answered with
+	// >= 1 hedge issued (read from the response's correlation trailer,
+	// which a plain backend never attaches).
+	Hedged uint64
 	// Nacked counts admission NACKs (StatusOverloaded responses)
 	// observed, informational: each NACKed request's final outcome is
 	// still exactly one of Received (a retry succeeded), Dropped
 	// (retry budget exhausted), or TimedOut, so the conservation
 	// identity is unchanged.
 	Nacked uint64
-	// DroppedByType breaks Dropped down by request type index (same
-	// indexing as Latency), for exact per-type shed conservation
-	// against the server's admission ledger.
-	DroppedByType []uint64
-	Elapsed       time.Duration
+	// DroppedByType and TimedOutByType break Dropped and TimedOut down
+	// by request type index (same indexing as Latency), for exact
+	// per-type conservation against the server's ledgers.
+	DroppedByType  []uint64
+	TimedOutByType []uint64
+	Elapsed        time.Duration
 	// Latency holds client-observed latency per type index, plus an
 	// aggregate in Overall. Latency is measured from the FIRST
 	// transmission of a request, so retries lengthen the recorded
 	// latency instead of resetting it.
 	Latency []*metrics.Histogram
 	Overall *metrics.Histogram
+	// Late holds the generator's lateness per sent request: its first
+	// transmission minus its due time. Late plus Latency is the time
+	// from a request's due time to its response.
+	Late *metrics.Histogram
 }
 
 // AchievedRate reports received responses per second.
@@ -177,161 +185,81 @@ func (r *Result) Unaccounted() int64 {
 	return int64(r.Sent) - int64(r.Received) - int64(r.Dropped) - int64(r.TimedOut)
 }
 
-func newResult(types int) *Result {
-	res := &Result{Overall: &metrics.Histogram{}, DroppedByType: make([]uint64, types)}
-	for i := 0; i < types; i++ {
-		res.Latency = append(res.Latency, &metrics.Histogram{})
-	}
-	return res
-}
-
-// dropCounter is the concurrent per-type drop tally the transports
-// accumulate into before publishing Result.DroppedByType.
-type dropCounter []atomic.Uint64
-
-func newDropCounter(types int) dropCounter { return make(dropCounter, types) }
-
-func (d dropCounter) add(typ int) {
-	if typ >= 0 && typ < len(d) {
-		d[typ].Add(1)
-	}
-}
-
-func (d dropCounter) publish(res *Result) {
-	for i := range d {
-		res.DroppedByType[i] = d[i].Load()
-	}
-}
-
-// RunInProcess generates load against an in-process psp.Server.
-func RunInProcess(srv *psp.Server, cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	r := rng.New(cfg.Seed)
-	jitterRNG := r.Split()
-	res := newResult(len(cfg.Mix.Types))
-	var mu sync.Mutex // guards the histograms and jitterRNG
-	var wg sync.WaitGroup
-	var sent, received, dropped, timedOut, retries, errs, nacked atomic.Uint64
-	dbt := newDropCounter(len(cfg.Mix.Types))
-
-	start := time.Now()
-	next := start
-	for time.Since(start) < cfg.Duration {
-		// Poisson pacing: exponential gaps at the configured rate.
-		gap := time.Duration(r.Exp(1/cfg.Rate) * float64(time.Second))
-		next = next.Add(gap)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		typ := pickType(cfg.Mix, r)
-		payload := cfg.BuildPayload(typ)
-		t0 := time.Now()
-		ch, err := srv.Submit(payload)
-		if err != nil {
-			errs.Add(1)
-			continue
-		}
-		sent.Add(1)
-		wg.Add(1)
-		go func(typ int, t0 time.Time, payload []byte, ch <-chan psp.Response) {
-			defer wg.Done()
-			attempt := 0
-			for {
-				var resp psp.Response
-				if cfg.RequestTimeout > 0 {
-					select {
-					case resp = <-ch:
-					case <-time.After(cfg.RequestTimeout):
-						timedOut.Add(1)
-						return
-					}
-				} else {
-					resp = <-ch
-				}
-				if resp.Status != 0 {
-					// Shed by flow control, admission control, or a
-					// crashed worker: back off and resubmit, up to the
-					// retry budget. Admission NACKs carry a retry-after
-					// hint the backoff honors.
-					if resp.Status == proto.StatusOverloaded {
-						nacked.Add(1)
-					}
-					if attempt >= cfg.MaxRetries {
-						dropped.Add(1)
-						dbt.add(typ)
-						return
-					}
-					attempt++
-					retries.Add(1)
-					mu.Lock()
-					j := jitterRNG.Float64()
-					mu.Unlock()
-					time.Sleep(cfg.retryDelay(attempt, j, resp.RetryAfter))
-					rch, err := srv.Submit(payload)
-					if err != nil {
-						dropped.Add(1)
-						dbt.add(typ)
-						return
-					}
-					ch = rch
-					continue
-				}
-				// Latency runs from the first submission, so retried
-				// requests carry their full cost.
-				lat := time.Since(t0)
-				received.Add(1)
-				mu.Lock()
-				res.Latency[typ].RecordDuration(lat)
-				res.Overall.RecordDuration(lat)
-				mu.Unlock()
-				return
-			}
-		}(typ, t0, payload, ch)
-	}
-	waitTimeout(&wg, cfg.Timeout)
-	res.Sent = sent.Load()
-	res.Received = received.Load()
-	res.Dropped = dropped.Load()
-	res.TimedOut = timedOut.Load()
-	res.Retries = retries.Load()
-	res.Errors = errs.Load()
-	res.Nacked = nacked.Load()
-	dbt.publish(res)
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-func pickType(mix workload.Mix, r *rng.RNG) int {
-	u := r.Float64()
-	var acc float64
-	for i, t := range mix.Types {
-		acc += t.Ratio
-		if u < acc {
-			return i
-		}
-	}
-	return len(mix.Types) - 1
-}
-
-func waitTimeout(wg *sync.WaitGroup, d time.Duration) bool {
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-time.After(d):
-		return false
-	}
-}
-
 // String summarises a result for logs.
 func (r *Result) String() string {
 	return fmt.Sprintf("loadgen{sent=%d recv=%d drop=%d timeout=%d retry=%d nack=%d err=%d rate=%.0f/s p99=%v}",
 		r.Sent, r.Received, r.Dropped, r.TimedOut, r.Retries, r.Nacked, r.Errors, r.AchievedRate(),
 		r.Overall.QuantileDuration(0.99))
+}
+
+// RunInProcess generates load against an in-process psp.Server. A
+// request the server refuses at submission is counted in Errors.
+func RunInProcess(srv *psp.Server, cfg Config) (*Result, error) {
+	next, led, err := poisson(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	start := pace(next, led, func(a arrival) (time.Time, error) {
+		t0 := time.Now()
+		ch, err := srv.Submit(a.payload)
+		if err != nil {
+			return t0, err
+		}
+		go settle(&cfg, led, a.typ, t0, a.payload, func(p []byte) (psp.Response, error) {
+			if ch == nil { // a retry resubmits
+				var err error
+				if ch, err = srv.Submit(p); err != nil {
+					return psp.Response{}, err
+				}
+			}
+			wait := ch
+			ch = nil
+			if cfg.RequestTimeout <= 0 {
+				return <-wait, nil
+			}
+			select {
+			case resp := <-wait:
+				return resp, nil
+			case <-time.After(cfg.RequestTimeout):
+				return psp.Response{}, psp.ErrDeadlineExceeded
+			}
+		})
+		return t0, nil
+	})
+	led.drain(cfg.Timeout)
+	return led.close(start), nil
+}
+
+// settle is the per-request retry loop of the in-process and TCP
+// paths: it issues payload through call until the request has its one
+// outcome. A shed response (a drop status or an admission NACK) is
+// retried after the capped, jittered backoff — raised to a NACK's
+// retry-after hint — up to MaxRetries times, then booked Dropped; a
+// call that ends without a response (the per-request timeout passed,
+// the connection died, the server refused a resubmission) is booked
+// TimedOut. Latency runs from the first transmission at t0, so a
+// retried request carries its full cost.
+func settle(cfg *Config, led *ledger, typ int, t0 time.Time, payload []byte, call func([]byte) (psp.Response, error)) {
+	for attempt := 1; ; attempt++ {
+		resp, err := call(payload)
+		switch {
+		case err == nil && resp.Status == proto.StatusOK:
+			led.received(typ, time.Since(t0), false)
+			return
+		case err != nil && !errors.Is(err, psp.ErrOverloaded):
+			led.timedOut(typ)
+			return
+		}
+		if resp.Status == proto.StatusOverloaded {
+			led.nacked()
+		}
+		if attempt > cfg.MaxRetries {
+			led.dropped(typ)
+			return
+		}
+		if !led.retried() {
+			return
+		}
+		time.Sleep(cfg.retryDelay(attempt, led.jitter(), resp.RetryAfter))
+	}
 }

@@ -119,6 +119,9 @@ func TestRunInProcess(t *testing.T) {
 	if res.Overall.Count() != res.Received {
 		t.Fatalf("histogram count %d vs received %d", res.Overall.Count(), res.Received)
 	}
+	if res.Late.Count() != res.Sent {
+		t.Fatalf("lateness samples %d vs sent %d", res.Late.Count(), res.Sent)
+	}
 	// Rough open-loop pacing: ~600 requests at 2k rps over 300ms.
 	if res.Sent < 300 || res.Sent > 1200 {
 		t.Fatalf("sent %d, want ~600", res.Sent)
@@ -150,19 +153,6 @@ func TestTypeMixRespected(t *testing.T) {
 	frac := float64(short) / float64(short+long)
 	if frac < 0.7 || frac > 0.9 {
 		t.Fatalf("short fraction %g, want ~0.8", frac)
-	}
-}
-
-func TestPickTypeDistribution(t *testing.T) {
-	mix := testMix()
-	r := rng.New(3)
-	counts := make([]int, 2)
-	for i := 0; i < 10000; i++ {
-		counts[pickType(mix, r)]++
-	}
-	frac := float64(counts[0]) / 10000
-	if frac < 0.78 || frac > 0.82 {
-		t.Fatalf("type 0 fraction %g", frac)
 	}
 }
 
@@ -203,6 +193,9 @@ func TestRunUDP(t *testing.T) {
 	}
 	if res.Overall.QuantileDuration(0.5) <= 0 {
 		t.Fatal("no latency recorded")
+	}
+	if res.Late.Count() != res.Sent {
+		t.Fatalf("lateness samples %d vs sent %d", res.Late.Count(), res.Sent)
 	}
 }
 

@@ -3,13 +3,8 @@ package loadgen
 import (
 	"encoding/binary"
 	"errors"
-	"net"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/proto"
 	"repro/internal/trace"
 )
 
@@ -41,157 +36,39 @@ func ReplayService(payload []byte) (time.Duration, bool) {
 	return time.Duration(binary.LittleEndian.Uint64(payload[8:])), true
 }
 
-// ReplayResult extends Result with per-type outcome counts. The
-// conformance comparator needs them: when a rare loopback drop times a
-// request out, it must widen the per-type conservation check by
-// exactly that type's losses instead of failing the whole run.
-type ReplayResult struct {
-	Result
-	SentByType     []uint64
-	TimedOutByType []uint64
-	DroppedByType  []uint64
-}
-
 // ReplayUDP replays a trace against a UDP Perséphone server: every
-// record is sent at its recorded offset (absolute pacing against the
-// replay start instant, so scheduling jitter does not accumulate) with
-// ReplayPayload as the wire payload. Unlike RunUDP there are no
-// retransmissions and no per-request timeouts — a replay must offer
-// the exact recorded arrival sequence, once — so every request's
-// outcome is a response, a drop status, or a final-drain timeout.
+// record is sent at its recorded offset from the replay's start (the
+// pacer's due times are absolute, so scheduling jitter does not
+// accumulate) with ReplayPayload as the wire payload and its trace
+// position as the request ID. It is RunUDP's session with the trace as
+// the schedule and no per-request timeout or retransmission — a replay
+// must offer the exact recorded arrival sequence, once — so every
+// request's outcome is a response, a drop status, or a final-drain
+// timeout.
 //
 // serverAddr accepts the same comma-separated shard list as RunUDP.
-// cfg.Timeout bounds the final drain (default 2s via Config.fill);
-// all other Config knobs are ignored.
-func ReplayUDP(serverAddr string, tr *trace.Trace, cfg Config) (*ReplayResult, error) {
+// cfg.Timeout bounds the final drain (default 2s); all other Config
+// knobs are ignored.
+func ReplayUDP(serverAddr string, tr *trace.Trace, cfg Config) (*Result, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, errors.New("loadgen: empty replay trace")
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	numTypes := tr.NumTypes()
+	cfg = Config{Timeout: cfg.Timeout}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-
-	var conns []*net.UDPConn
-	defer func() {
-		for _, c := range conns {
-			c.Close()
+	i := 0
+	next := func() (arrival, bool) {
+		if i == len(tr.Records) {
+			return arrival{}, false
 		}
-	}()
-	for _, a := range strings.Split(serverAddr, ",") {
-		addr, err := net.ResolveUDPAddr("udp", strings.TrimSpace(a))
-		if err != nil {
-			return nil, err
-		}
-		conn, err := net.DialUDP("udp", nil, addr)
-		if err != nil {
-			return nil, err
-		}
-		conns = append(conns, conn)
+		rec := tr.Records[i]
+		i++
+		return arrival{id: uint64(i), due: rec.Offset, typ: rec.Type, payload: ReplayPayload(rec)}, true
 	}
-
-	res := &ReplayResult{
-		Result:         *newResult(numTypes),
-		SentByType:     make([]uint64, numTypes),
-		TimedOutByType: make([]uint64, numTypes),
-		DroppedByType:  make([]uint64, numTypes),
-	}
-	var mu sync.Mutex
-	inflight := make(map[uint64]*pendingReq)
-	var received, errs atomic.Uint64
-
-	var recvWG sync.WaitGroup
-	for _, conn := range conns {
-		recvWG.Add(1)
-		go func(conn *net.UDPConn) {
-			defer recvWG.Done()
-			buf := make([]byte, 4096)
-			for {
-				n, err := conn.Read(buf)
-				if err != nil {
-					return // deadline or close
-				}
-				h, _, perr := proto.DecodeHeader(buf[:n])
-				if perr != nil || h.Kind != proto.KindResponse {
-					continue
-				}
-				mu.Lock()
-				rec, ok := inflight[h.RequestID]
-				if ok {
-					delete(inflight, h.RequestID)
-				}
-				if !ok {
-					mu.Unlock()
-					continue
-				}
-				if h.Status != proto.StatusOK {
-					res.Dropped++
-					res.DroppedByType[rec.typ]++
-					mu.Unlock()
-					continue
-				}
-				lat := time.Since(rec.firstSent)
-				received.Add(1)
-				res.Latency[rec.typ].RecordDuration(lat)
-				res.Overall.RecordDuration(lat)
-				mu.Unlock()
-			}
-		}(conn)
-	}
-
-	start := time.Now()
-	var sent uint64
-	for i, rec := range tr.Records {
-		if d := time.Until(start.Add(rec.Offset)); d > 0 {
-			time.Sleep(d)
-		}
-		id := uint64(i + 1)
-		shard := int(id % uint64(len(conns)))
-		msg := proto.AppendMessage(nil, proto.Header{
-			Kind:      proto.KindRequest,
-			RequestID: id,
-		}, ReplayPayload(rec))
-		mu.Lock()
-		inflight[id] = &pendingReq{typ: rec.Type, shard: shard, firstSent: time.Now()}
-		mu.Unlock()
-		if _, err := conns[shard].Write(msg); err != nil {
-			mu.Lock()
-			delete(inflight, id)
-			mu.Unlock()
-			errs.Add(1)
-			continue
-		}
-		sent++
-		res.SentByType[rec.Type]++
-	}
-
-	deadline := time.Now().Add(cfg.Timeout)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		pending := len(inflight)
-		mu.Unlock()
-		if pending == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for _, conn := range conns {
-		conn.SetReadDeadline(time.Now()) //nolint:errcheck
-	}
-	recvWG.Wait()
-
-	mu.Lock()
-	for _, rec := range inflight {
-		res.TimedOut++
-		res.TimedOutByType[rec.typ]++
-	}
-	mu.Unlock()
-	res.Sent = sent
-	res.Received = received.Load()
-	res.Errors = errs.Load()
-	res.Elapsed = time.Since(start)
-	return res, nil
+	// A replay never retransmits, so its ledger draws no jitter.
+	return runSession(serverAddr, &cfg, next, newLedger(tr.NumTypes(), nil))
 }

@@ -77,10 +77,18 @@ func TestReplayUDPConservation(t *testing.T) {
 	if res.Received != 200 || res.Dropped != 0 || res.TimedOut != 0 {
 		t.Fatalf("outcomes recv=%d drop=%d timeout=%d, want all 200 received", res.Received, res.Dropped, res.TimedOut)
 	}
+	if res.Late.Count() != res.Sent {
+		t.Fatalf("lateness samples %d vs sent %d", res.Late.Count(), res.Sent)
+	}
+	var dropped, timedOut uint64
+	for typ := range perType {
+		dropped += res.DroppedByType[typ]
+		timedOut += res.TimedOutByType[typ]
+	}
+	if dropped != res.Dropped || timedOut != res.TimedOut {
+		t.Fatalf("per-type drops %d / timeouts %d, totals %d / %d", dropped, timedOut, res.Dropped, res.TimedOut)
+	}
 	for typ, want := range perType {
-		if res.SentByType[typ] != want {
-			t.Fatalf("type %d sent %d, want %d", typ, res.SentByType[typ], want)
-		}
 		if got := res.Latency[typ].Count(); got != want {
 			t.Fatalf("type %d latency samples %d, want %d", typ, got, want)
 		}

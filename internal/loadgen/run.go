@@ -13,7 +13,6 @@ const (
 	TransportInProcess = "inprocess"
 	TransportUDP       = "udp"
 	TransportTCP       = "tcp"
-	TransportFrontend  = "frontend"
 )
 
 // RunConfig is the unified load-generation entry point: one Config plus
@@ -23,13 +22,12 @@ type RunConfig struct {
 	Config
 
 	// Transport selects the datapath: "inprocess" (the default when a
-	// Server is set), "udp", "tcp", or "frontend". Frontend is the UDP
-	// datapath pointed at a fan-out frontend, which makes responses
-	// carry correlation trailers (Result.Hedged).
+	// Server is set), "udp" (a backend or a fan-out frontend), or
+	// "tcp".
 	Transport string
 
 	// Addr is the target address for the network transports. The UDP
-	// transports accept a comma-separated shard list
+	// transport accepts a comma-separated shard list
 	// ("host:9940,host:9941").
 	Addr string
 
@@ -59,16 +57,14 @@ func Run(rc RunConfig) (*Result, error) {
 			return nil, errors.New("loadgen: inprocess transport takes no Addr")
 		}
 		return RunInProcess(rc.Server, rc.Config)
-	case TransportUDP, TransportFrontend:
+	case TransportUDP:
 		if rc.Addr == "" {
-			return nil, fmt.Errorf("loadgen: %s transport needs RunConfig.Addr", transport)
+			return nil, errors.New("loadgen: udp transport needs RunConfig.Addr")
 		}
 		if rc.Server != nil {
-			return nil, fmt.Errorf("loadgen: %s transport takes no Server", transport)
+			return nil, errors.New("loadgen: udp transport takes no Server")
 		}
-		cfg := rc.Config
-		cfg.Frontend = transport == TransportFrontend
-		return RunUDPAddrs(strings.Split(rc.Addr, ","), cfg)
+		return RunUDP(rc.Addr, rc.Config)
 	case TransportTCP:
 		if rc.Addr == "" {
 			return nil, errors.New("loadgen: tcp transport needs RunConfig.Addr")
@@ -78,6 +74,6 @@ func Run(rc RunConfig) (*Result, error) {
 		}
 		return RunTCP(rc.Addr, rc.Config)
 	default:
-		return nil, fmt.Errorf("loadgen: unknown transport %q (want inprocess, udp, tcp, or frontend)", rc.Transport)
+		return nil, fmt.Errorf("loadgen: unknown transport %q (want inprocess, udp, or tcp)", rc.Transport)
 	}
 }

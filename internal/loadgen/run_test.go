@@ -42,7 +42,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{Config: base, Transport: TransportInProcess, Server: srv, Addr: "x"}, // inprocess with addr
 		{Config: base, Transport: TransportUDP},                               // udp without addr
 		{Config: base, Transport: TransportUDP, Addr: "h:1", Server: srv},     // udp with server
-		{Config: base, Transport: TransportFrontend},                          // frontend without addr
 		{Config: base, Transport: TransportTCP},                               // tcp without addr
 		{Config: base, Transport: TransportTCP, Addr: "h:1", Server: srv},     // tcp with server
 	}

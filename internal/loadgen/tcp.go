@@ -1,21 +1,18 @@
 package loadgen
 
 import (
-	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/psp"
-	"repro/internal/rng"
 )
 
 // RunTCP generates load against a TCP Perséphone server through the
 // pipelined client: cfg.Conns connections, each carrying up to
 // cfg.Pipeline concurrent requests matched back by RequestID in
 // whatever order the server completes them. Arrivals follow the same
-// Poisson process as RunUDP; a full pipeline briefly gates the sender
-// (the stream transport's flow control) rather than dropping sends.
+// Poisson process as RunUDP; a full pipeline gates the sender (the
+// stream transport's flow control) rather than dropping sends, and the
+// wait shows up in Result.Late.
 //
 // Outcome accounting matches RunInProcess: a response with a drop
 // status is retried up to MaxRetries times (fresh request IDs — TCP
@@ -23,7 +20,8 @@ import (
 // recorded as Dropped; a per-request timeout sweeps the call and
 // records TimedOut.
 func RunTCP(serverAddr string, cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
+	next, led, err := poisson(&cfg)
+	if err != nil {
 		return nil, err
 	}
 	conns := cfg.Conns
@@ -51,101 +49,21 @@ func RunTCP(serverAddr string, cfg Config) (*Result, error) {
 			c.Close()
 		}
 	}()
-
-	r := rng.New(cfg.Seed)
-	jitterRNG := r.Split()
-	res := newResult(len(cfg.Mix.Types))
-	var mu sync.Mutex // guards the histograms and jitterRNG
-	var wg sync.WaitGroup
-	var sent, received, dropped, timedOut, retries, nacked atomic.Uint64
-	dbt := newDropCounter(len(cfg.Mix.Types))
 	sems := make([]chan struct{}, conns)
 	for i := range sems {
 		sems[i] = make(chan struct{}, pipeline)
 	}
 
-	start := time.Now()
-	next := start
-	var lane uint64
-	for time.Since(start) < cfg.Duration {
-		gap := time.Duration(r.Exp(1/cfg.Rate) * float64(time.Second))
-		next = next.Add(gap)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		typ := pickType(cfg.Mix, r)
-		payload := cfg.BuildPayload(typ)
-		li := int(lane % uint64(conns))
-		lane++
+	start := pace(next, led, func(a arrival) (time.Time, error) {
+		li := int(a.id % uint64(conns))
 		sems[li] <- struct{}{} // pipeline cap: stream flow control
-		sent.Add(1)
-		wg.Add(1)
-		go func(li, typ int, payload []byte, t0 time.Time) {
-			defer wg.Done()
+		t0 := time.Now()
+		go func() {
 			defer func() { <-sems[li] }()
-			attempt := 0
-			for {
-				resp, err := clients[li].Call(payload)
-				switch {
-				case errors.Is(err, psp.ErrDeadlineExceeded):
-					timedOut.Add(1)
-					return
-				case errors.Is(err, psp.ErrOverloaded):
-					// Admission NACK: the stream is healthy, the server
-					// shed this request. Honor its retry-after hint with
-					// jittered backoff, up to the retry budget.
-					nacked.Add(1)
-					if attempt >= cfg.MaxRetries {
-						dropped.Add(1)
-						dbt.add(typ)
-						return
-					}
-					attempt++
-					retries.Add(1)
-					mu.Lock()
-					j := jitterRNG.Float64()
-					mu.Unlock()
-					time.Sleep(cfg.retryDelay(attempt, j, resp.RetryAfter))
-					continue
-				case err != nil:
-					// Connection died with the call in flight: the request
-					// never received a response.
-					timedOut.Add(1)
-					return
-				case resp.Status != 0:
-					// Shed by flow control: back off and reissue, up to
-					// the retry budget.
-					if attempt >= cfg.MaxRetries {
-						dropped.Add(1)
-						dbt.add(typ)
-						return
-					}
-					attempt++
-					retries.Add(1)
-					mu.Lock()
-					j := jitterRNG.Float64()
-					mu.Unlock()
-					time.Sleep(cfg.backoffFor(attempt, j))
-					continue
-				}
-				lat := time.Since(t0)
-				received.Add(1)
-				mu.Lock()
-				res.Latency[typ].RecordDuration(lat)
-				res.Overall.RecordDuration(lat)
-				mu.Unlock()
-				return
-			}
-		}(li, typ, payload, time.Now())
-	}
-	waitTimeout(&wg, cfg.Timeout)
-	res.Sent = sent.Load()
-	res.Received = received.Load()
-	res.Dropped = dropped.Load()
-	res.TimedOut = timedOut.Load()
-	res.Retries = retries.Load()
-	res.Nacked = nacked.Load()
-	dbt.publish(res)
-	res.Elapsed = time.Since(start)
-	return res, nil
+			settle(&cfg, led, a.typ, t0, a.payload, clients[li].Call)
+		}()
+		return t0, nil
+	})
+	led.drain(cfg.Timeout)
+	return led.close(start), nil
 }

@@ -1,21 +1,19 @@
 package loadgen
 
 import (
-	"errors"
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/proto"
-	"repro/internal/rng"
 )
 
-// RunUDP generates load against a UDP Perséphone server, matching
-// responses to requests by RequestID — the shape of the paper's C++
-// open-loop client, extended with per-request timeouts and capped,
-// jittered exponential-backoff retransmission for lossy paths.
+// RunUDP generates load against a UDP Perséphone server, or a fan-out
+// frontend, matching responses to requests by RequestID — the shape of
+// the paper's C++ open-loop client, extended with per-request timeouts
+// and capped, jittered exponential-backoff retransmission for lossy
+// paths.
 //
 // serverAddr may name several ingress shards as a comma-separated
 // list ("host:9940,host:9941"); requests are spread round-robin over
@@ -28,24 +26,49 @@ import (
 // timeout (no response within RequestTimeout across 1+MaxRetries
 // transmissions, or still unanswered when the final drain gives up).
 func RunUDP(serverAddr string, cfg Config) (*Result, error) {
-	return RunUDPAddrs(strings.Split(serverAddr, ","), cfg)
-}
-
-// RunUDPAddrs is RunUDP with the shard list passed explicitly.
-func RunUDPAddrs(addrs []string, cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
+	next, led, err := poisson(&cfg)
+	if err != nil {
 		return nil, err
 	}
-	if len(addrs) == 0 {
-		return nil, errors.New("loadgen: no server address")
-	}
-	conns := make([]*net.UDPConn, 0, len(addrs))
+	return runSession(serverAddr, &cfg, next, led)
+}
+
+// session is one UDP client run: a connected socket per server shard,
+// a receiver per socket, a retransmitter when requests time out, and
+// the table of unanswered requests they share.
+type session struct {
+	cfg      *Config
+	led      *ledger
+	conns    []*net.UDPConn
+	mu       sync.Mutex
+	inflight map[uint64]*pendingReq
+	stop     chan struct{}
+	wg       sync.WaitGroup
+}
+
+// pendingReq tracks one unanswered request: the shard socket it was
+// sent on, first-send time for retry-aware latency, and retransmission
+// state (msg is the retransmitter's own copy of the datagram).
+type pendingReq struct {
+	typ       int
+	shard     int
+	firstSent time.Time
+	attempts  int
+	deadline  time.Time
+	msg       []byte
+}
+
+// runSession dials every shard in serverAddr, paces next through the
+// session, drains the stragglers for cfg.Timeout, and returns the
+// ledger's closed Result.
+func runSession(serverAddr string, cfg *Config, next schedule, led *ledger) (*Result, error) {
+	s := &session{cfg: cfg, led: led, inflight: make(map[uint64]*pendingReq), stop: make(chan struct{})}
 	defer func() {
-		for _, c := range conns {
+		for _, c := range s.conns {
 			c.Close()
 		}
 	}()
-	for _, a := range addrs {
+	for _, a := range strings.Split(serverAddr, ",") {
 		addr, err := net.ResolveUDPAddr("udp", strings.TrimSpace(a))
 		if err != nil {
 			return nil, err
@@ -54,218 +77,137 @@ func RunUDPAddrs(addrs []string, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		conns = append(conns, conn)
+		s.conns = append(s.conns, conn)
 	}
-
-	r := rng.New(cfg.Seed)
-	jitterRNG := r.Split()
-	res := newResult(len(cfg.Mix.Types))
-	var mu sync.Mutex
-	inflight := make(map[uint64]*pendingReq)
-	var received, dropped, timedOut, retries, hedged, nacked atomic.Uint64
-	dbt := newDropCounter(len(cfg.Mix.Types))
-
-	// Receivers, one per shard socket: match responses to sends.
-	// Responses to requests already expired (or duplicate responses)
-	// find no record and are ignored, so nothing is double counted.
-	var recvWG sync.WaitGroup
-	for _, conn := range conns {
-		recvWG.Add(1)
-		go func(conn *net.UDPConn) {
-			defer recvWG.Done()
-			buf := make([]byte, 4096)
-			for {
-				n, err := conn.Read(buf)
-				if err != nil {
-					return // deadline or close
-				}
-				h, _, perr := proto.DecodeHeader(buf[:n])
-				if perr != nil || h.Kind != proto.KindResponse {
-					continue
-				}
-				mu.Lock()
-				rec, ok := inflight[h.RequestID]
-				if ok {
-					delete(inflight, h.RequestID)
-				}
-				mu.Unlock()
-				if !ok {
-					continue
-				}
-				if h.Status == proto.StatusOverloaded && cfg.RequestTimeout > 0 && rec.attempts < cfg.MaxRetries {
-					// Admission NACK with retry budget left: re-arm the
-					// record so the retransmitter re-sends it once the
-					// server's retry-after hint (jittered) elapses.
-					// Latency keeps running from the first send.
-					nacked.Add(1)
-					ra, _ := proto.DecodeRetryAfter(buf[:n], h)
-					mu.Lock()
-					rec.deadline = time.Now().Add(cfg.retryDelay(rec.attempts+1, jitterRNG.Float64(), ra))
-					inflight[h.RequestID] = rec
-					mu.Unlock()
-					continue
-				}
-				if h.Status != proto.StatusOK {
-					if h.Status == proto.StatusOverloaded {
-						nacked.Add(1)
-					}
-					dropped.Add(1)
-					dbt.add(rec.typ)
-					continue
-				}
-				if cfg.Frontend {
-					// Frontend responses carry a correlation trailer
-					// whose Attempt field is the query's hedge count.
-					if corr, ok := proto.DecodeCorrelation(buf[:n], h); ok && corr.Attempt > 0 {
-						hedged.Add(1)
-					}
-				}
-				lat := time.Since(rec.firstSent)
-				received.Add(1)
-				mu.Lock()
-				res.Latency[rec.typ].RecordDuration(lat)
-				res.Overall.RecordDuration(lat)
-				mu.Unlock()
-			}
-		}(conn)
+	for _, conn := range s.conns {
+		s.wg.Add(1)
+		go s.receive(conn)
 	}
-
-	// Retransmitter: expire or re-send requests whose deadline passed.
-	// Retransmissions go out on the request's original shard socket.
-	// Only runs when per-request timeouts are configured.
-	retryStop := make(chan struct{})
-	retryDone := make(chan struct{})
 	if cfg.RequestTimeout > 0 {
-		go func() {
-			defer close(retryDone)
-			tick := cfg.RequestTimeout / 4
-			if tick > 5*time.Millisecond {
-				tick = 5 * time.Millisecond
-			}
-			if tick < 200*time.Microsecond {
-				tick = 200 * time.Microsecond
-			}
-			ticker := time.NewTicker(tick)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-retryStop:
-					return
-				case <-ticker.C:
-				}
-				now := time.Now()
-				var resend []*pendingReq
-				mu.Lock()
-				for id, rec := range inflight {
-					if now.Before(rec.deadline) {
-						continue
-					}
-					if rec.attempts >= cfg.MaxRetries {
-						delete(inflight, id)
-						timedOut.Add(1)
-						continue
-					}
-					rec.attempts++
-					// The request header's status byte carries the
-					// attempt number so the server can count retries.
-					rec.msg[3] = byte(rec.attempts)
-					backoff := cfg.backoffFor(rec.attempts, jitterRNG.Float64())
-					rec.deadline = now.Add(cfg.RequestTimeout + backoff)
-					resend = append(resend, rec)
-				}
-				mu.Unlock()
-				for _, rec := range resend {
-					conns[rec.shard].Write(rec.msg) //nolint:errcheck // fire-and-forget UDP
-					retries.Add(1)
-				}
-			}
-		}()
-	} else {
-		close(retryDone)
+		s.wg.Add(1)
+		go s.retransmit()
 	}
 
-	start := time.Now()
-	next := start
-	var id uint64
-	var sent uint64
-	for time.Since(start) < cfg.Duration {
-		gap := time.Duration(r.Exp(1/cfg.Rate) * float64(time.Second))
-		next = next.Add(gap)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		typ := pickType(cfg.Mix, r)
-		id++
-		shard := int(id % uint64(len(conns)))
-		msg := proto.AppendMessage(nil, proto.Header{
-			Kind:      proto.KindRequest,
-			RequestID: id,
-		}, cfg.BuildPayload(typ))
-		now := time.Now()
-		rec := &pendingReq{typ: typ, shard: shard, firstSent: now}
-		if cfg.RequestTimeout > 0 {
-			rec.deadline = now.Add(cfg.RequestTimeout)
-			// The retransmitter stamps the attempt into its own copy: a
-			// NACK can re-arm the record, and the retransmitter pick it
-			// up, while the first Write below is still reading msg.
-			rec.msg = append([]byte(nil), msg...)
-		}
-		mu.Lock()
-		inflight[id] = rec
-		mu.Unlock()
-		if _, err := conns[shard].Write(msg); err != nil {
-			mu.Lock()
-			delete(inflight, id)
-			mu.Unlock()
-			continue
-		}
-		sent++
+	start := pace(next, led, s.send)
+	led.drain(cfg.Timeout)
+	close(s.stop)
+	for _, conn := range s.conns {
+		conn.SetReadDeadline(time.Now()) //nolint:errcheck // unblocks the receivers
 	}
-
-	// Grace period for stragglers (retransmission keeps running), then
-	// unblock the receivers.
-	deadline := time.Now().Add(cfg.Timeout)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		pending := len(inflight)
-		mu.Unlock()
-		if pending == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(retryStop)
-	<-retryDone
-	for _, conn := range conns {
-		conn.SetReadDeadline(time.Now()) //nolint:errcheck
-	}
-	recvWG.Wait()
-
-	// Whatever is still unanswered is a loss, recorded explicitly so it
-	// cannot silently skew achieved-rate or quantile statistics.
-	mu.Lock()
-	lost := len(inflight)
-	mu.Unlock()
-	res.Sent = sent
-	res.Received = received.Load()
-	res.Dropped = dropped.Load()
-	res.TimedOut = timedOut.Load() + uint64(lost)
-	res.Retries = retries.Load()
-	res.Hedged = hedged.Load()
-	res.Nacked = nacked.Load()
-	dbt.publish(res)
-	res.Elapsed = time.Since(start)
-	return res, nil
+	s.wg.Wait()
+	return led.close(start), nil
 }
 
-// pendingReq tracks one unanswered request: its encoded message, the
-// shard socket it was sent on, first-send time for retry-aware
-// latency, and retransmission state.
-type pendingReq struct {
-	typ       int
-	shard     int
-	firstSent time.Time
-	attempts  int
-	deadline  time.Time
-	msg       []byte
+// send transmits a's first datagram on its shard's socket.
+func (s *session) send(a arrival) (time.Time, error) {
+	shard := int(a.id % uint64(len(s.conns)))
+	msg := proto.AppendMessage(nil, proto.Header{Kind: proto.KindRequest, RequestID: a.id}, a.payload)
+	now := time.Now()
+	rec := &pendingReq{typ: a.typ, shard: shard, firstSent: now}
+	if s.cfg.RequestTimeout > 0 {
+		rec.deadline = now.Add(s.cfg.RequestTimeout)
+		// The retransmitter stamps the attempt into its own copy: a
+		// NACK can re-arm the record, and the retransmitter pick it
+		// up, while the first Write below is still reading msg.
+		rec.msg = append([]byte(nil), msg...)
+	}
+	s.mu.Lock()
+	s.inflight[a.id] = rec
+	s.mu.Unlock()
+	if _, err := s.conns[shard].Write(msg); err != nil {
+		s.mu.Lock()
+		delete(s.inflight, a.id)
+		s.mu.Unlock()
+		return now, err
+	}
+	return now, nil
+}
+
+// receive matches one shard socket's responses to their requests.
+// Responses to requests already expired (or duplicate responses) find
+// no record and are ignored, so nothing is double counted.
+func (s *session) receive(conn *net.UDPConn) {
+	defer s.wg.Done()
+	buf := make([]byte, 4096)
+	for {
+		n, err := conn.Read(buf)
+		if err != nil {
+			return // deadline or close
+		}
+		msg := buf[:n]
+		h, _, err := proto.DecodeHeader(msg)
+		if err != nil || h.Kind != proto.KindResponse {
+			continue
+		}
+		s.mu.Lock()
+		rec, ok := s.inflight[h.RequestID]
+		delete(s.inflight, h.RequestID)
+		if ok && h.Status == proto.StatusOverloaded && s.cfg.RequestTimeout > 0 && rec.attempts < s.cfg.MaxRetries {
+			// Admission NACK with retry budget left: re-arm the record
+			// so the retransmitter re-sends it once the server's
+			// retry-after hint (jittered) elapses. Latency keeps
+			// running from the first send.
+			ra, _ := proto.DecodeRetryAfter(msg, h)
+			rec.deadline = time.Now().Add(s.cfg.retryDelay(rec.attempts+1, s.led.jitter(), ra))
+			s.inflight[h.RequestID] = rec
+			s.mu.Unlock()
+			s.led.nacked()
+			continue
+		}
+		s.mu.Unlock()
+		if !ok {
+			continue
+		}
+		if h.Status != proto.StatusOK {
+			if h.Status == proto.StatusOverloaded {
+				s.led.nacked()
+			}
+			s.led.dropped(rec.typ)
+			continue
+		}
+		// A fan-out frontend's correlation trailer carries the query's
+		// hedge count; a backend's response has none.
+		corr, hasCorr := proto.DecodeCorrelation(msg, h)
+		s.led.received(rec.typ, time.Since(rec.firstSent), hasCorr && corr.Attempt > 0)
+	}
+}
+
+// retransmit expires or re-sends requests whose deadline passed, on
+// the request's original shard socket, until the session stops.
+func (s *session) retransmit() {
+	defer s.wg.Done()
+	tick := min(max(s.cfg.RequestTimeout/4, 200*time.Microsecond), 5*time.Millisecond)
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-ticker.C:
+		}
+		now := time.Now()
+		var resend []*pendingReq
+		s.mu.Lock()
+		for id, rec := range s.inflight {
+			if now.Before(rec.deadline) {
+				continue
+			}
+			if rec.attempts >= s.cfg.MaxRetries {
+				delete(s.inflight, id)
+				s.led.timedOut(rec.typ)
+				continue
+			}
+			rec.attempts++
+			// The request header's status byte carries the attempt
+			// number so the server can count retries.
+			rec.msg[3] = byte(rec.attempts)
+			rec.deadline = now.Add(s.cfg.RequestTimeout + s.cfg.backoffFor(rec.attempts, s.led.jitter()))
+			resend = append(resend, rec)
+		}
+		s.mu.Unlock()
+		for _, rec := range resend {
+			s.conns[rec.shard].Write(rec.msg) //nolint:errcheck // fire-and-forget UDP
+			s.led.retried()
+		}
+	}
 }

@@ -8,6 +8,7 @@ package psp_test
 import (
 	"net"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func TestUDPMultiShardConservation(t *testing.T) {
 	if testing.Short() {
 		duration = 150 * time.Millisecond
 	}
-	res, err := loadgen.RunUDPAddrs(addrs, loadgen.Config{
+	res, err := loadgen.RunUDP(strings.Join(addrs, ","), loadgen.Config{
 		Mix:            workload.TwoType("short", 10*time.Microsecond, 0.9, "long", 100*time.Microsecond),
 		Rate:           2000,
 		Duration:       duration,

@@ -397,8 +397,8 @@ func DialTCP(addr string) (*psp.TCPClient, error) { return psp.DialTCP(addr) }
 type LoadConfig = loadgen.Config
 
 // LoadRunConfig is the unified load-generation entry point: a
-// LoadConfig plus the transport selection ("inprocess", "udp", "tcp",
-// or "frontend") and its target (Server or Addr).
+// LoadConfig plus the transport selection ("inprocess", "udp" or
+// "tcp") and its target (Server or Addr).
 type LoadRunConfig = loadgen.RunConfig
 
 // Transport names for LoadRunConfig.Transport.
@@ -406,7 +406,6 @@ const (
 	LoadTransportInProcess = loadgen.TransportInProcess
 	LoadTransportUDP       = loadgen.TransportUDP
 	LoadTransportTCP       = loadgen.TransportTCP
-	LoadTransportFrontend  = loadgen.TransportFrontend
 )
 
 // LoadResult summarises a load generation run.
