@@ -216,7 +216,7 @@ const CorrelationSize = 12
 // Correlation is the fan-out frontend's query-correlation trailer. On
 // frontend→backend sub-requests it names the query, the shard slot
 // within the query, and the transmission attempt (0 = primary, 1 =
-// hedge); the backend's UDP responder echoes it verbatim on the reply
+// hedge); the backend's response encoder echoes it verbatim on the reply
 // so the frontend can correlate even when its pending entry is gone.
 // On frontend→client responses the same trailer summarises the query:
 // Shard carries the fan-out degree and Attempt the number of hedged

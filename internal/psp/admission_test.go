@@ -127,6 +127,12 @@ func TestAdmissionShedConservation(t *testing.T) {
 	}
 }
 
+// egressFunc adapts a function into an egress, for tests that plant
+// requests directly.
+type egressFunc func(Response)
+
+func (f egressFunc) send(_ *Request, resp Response) { f(resp) }
+
 // TestAdmissionShedOrderReverseReservation drives shedOverloaded
 // directly on an unstarted server (the dispatcher state is free to
 // poke single-threaded) and asserts the trim order: the unknown
@@ -155,12 +161,12 @@ func TestAdmissionShedOrderReverseReservation(t *testing.T) {
 	var order []int
 	plant := func(q *sched.FIFO[*Request], typ, n int) {
 		for i := 0; i < n; i++ {
-			r := &Request{typ: typ, respond: func(resp Response) {
+			r := &Request{typ: typ, out: egressFunc(func(resp Response) {
 				if resp.Status != proto.StatusOverloaded {
 					t.Errorf("shed response status %v", resp.Status)
 				}
 				order = append(order, typ)
-			}}
+			})}
 			if !q.Push(r) {
 				t.Fatalf("plant type %d", typ)
 			}

@@ -83,8 +83,8 @@ func (s *Server) attachTCP(t *TCPServer) { s.tcpSrv.Store(t) }
 // pipeline-depth histogram.
 func writeTCPMetrics(p *metrics.Page, t *TCPServer) {
 	p.Counter("persephone_tcp_rx_total", "Frames accepted into the pipeline over TCP.", t.Received())
-	p.Counter("persephone_tcp_rx_drops_total", "Malformed frames and ingress-ring overflow drops.", t.RxDrops())
-	p.Counter("persephone_tcp_rx_sheds_total", "Frames answered StatusDropped under buffer-pool exhaustion.", t.RxSheds())
+	p.Counter("persephone_tcp_rx_drops_total", "Malformed frames dropped at ingress.", t.RxDrops())
+	p.Counter("persephone_tcp_rx_sheds_total", "Frames answered StatusDropped without entering the pipeline: buffer pool exhausted or ingress ring full.", t.RxSheds())
 	p.Counter("persephone_tcp_tx_inline_total", "Responses written inline because a connection TX ring was full.", t.TxRingFull())
 	p.Counter("persephone_tcp_conns_accepted_total", "Connections admitted since start.", t.ConnsAccepted())
 	p.Gauge("persephone_tcp_conns_open", "Currently open connections.", t.ConnsOpen())

@@ -17,6 +17,7 @@ package psp
 import (
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -63,9 +64,9 @@ const (
 )
 
 // Response is the completion of one request as seen by the submitter.
-// Responses returned by Submit/Call own their Payload; inside a
-// Request.respond callback the payload aliases the worker's scratch
-// buffer and must be serialized or copied before the callback returns.
+// Responses returned by Submit/Call own their Payload; inside an
+// egress's send the payload aliases the worker's scratch buffer and
+// must be serialized or copied before send returns.
 type Response struct {
 	RequestID uint64
 	Type      int
@@ -79,7 +80,7 @@ type Response struct {
 	// Service is the measured handler execution time (0 for drops).
 	Service time.Duration
 	// RetryAfter is the admission controller's backoff hint, set only
-	// on StatusOverloaded NACKs. The network responders serialize it
+	// on StatusOverloaded NACKs. The response encoder serializes it
 	// as a retry-after trailer; clients back off at least this long
 	// before retrying.
 	RetryAfter time.Duration
@@ -87,20 +88,22 @@ type Response struct {
 
 // Request is the unit flowing through the pipeline.
 //
-// respond is invoked exactly once, synchronously, from the goroutine
-// that settles the request (a worker, or the dispatcher on the drop
-// path). Response.Payload aliases the worker's scratch buffer and is
-// only valid for the duration of the call. A respond implementation
-// may take ownership of buf — the zero-copy egress path reuses the
-// ingress buffer for the outgoing frame — by nilling the field; the
-// settling goroutine releases buf afterwards only if it is still set.
+// out is sent the response exactly once, synchronously, from the
+// goroutine that settles the request (a worker, or the dispatcher on
+// the shed and drop paths); see reply.
 type Request struct {
 	id      uint64
 	typ     int
 	payload []byte
 	arrival time.Duration // since server start
-	respond func(Response)
+	out     egress
 	buf     *spsc.Buffer // network mode: owning ingress buffer
+
+	// Network mode: what the response echoes and where it goes.
+	wireID  uint64            // the client's RequestID
+	corr    proto.Correlation // echoed when hasCorr
+	hasCorr bool
+	peer    *net.UDPAddr // datagram reply address; nil on a stream
 
 	// Lifecycle stamps (offsets since server start), filled as the
 	// request crosses each stage; the worker completes the record and
@@ -459,13 +462,7 @@ func (s *Server) Submit(payload []byte) (<-chan Response, error) {
 		id:      s.nextID.Add(1),
 		payload: payload,
 		arrival: s.now(),
-		respond: func(resp Response) {
-			// The payload aliases the worker's scratch buffer and is
-			// only valid for the duration of the respond call; copy it
-			// before handing the response to the waiting goroutine.
-			resp.Payload = append([]byte(nil), resp.Payload...)
-			ch <- resp
-		},
+		out:     replyChan(ch),
 	}
 	if !s.ingress.TryPut(r) {
 		return nil, fmt.Errorf("psp: ingress ring full: %w", ErrPoolExhausted)
@@ -673,17 +670,12 @@ func (s *Server) steerNext(n int) int {
 // outcome with their own persephone_admission_* metrics.
 func (s *Server) shed(r *Request, reason admission.ShedReason) {
 	s.adm.NoteShed(r.typ, reason)
-	if r.respond != nil {
-		r.respond(Response{
-			RequestID:  r.id,
-			Type:       r.typ,
-			Status:     proto.StatusOverloaded,
-			RetryAfter: s.adm.RetryAfter(),
-		})
-	}
-	if r.buf != nil {
-		r.buf.Release()
-	}
+	r.reply(Response{
+		RequestID:  r.id,
+		Type:       r.typ,
+		Status:     proto.StatusOverloaded,
+		RetryAfter: s.adm.RetryAfter(),
+	})
 }
 
 // shedOverloaded is the reverse-reservation overload trim: drain the
@@ -744,8 +736,17 @@ func (s *Server) drop(r *Request) {
 	s.dropped++
 	s.rec.Drop(r.typ, r.arrival)
 	s.mu.Unlock()
-	if r.respond != nil {
-		r.respond(Response{RequestID: r.id, Type: r.typ, Status: proto.StatusDropped})
+	r.reply(Response{RequestID: r.id, Type: r.typ, Status: proto.StatusDropped})
+}
+
+// reply settles r: it sends the response, if anyone waits for it, and
+// then releases r's ingress buffer unless the egress took it (the
+// zero-copy path reuses the buffer for the outgoing frame and nils the
+// field). resp.Payload may alias a worker's scratch buffer; the egress
+// serializes or copies it before returning.
+func (r *Request) reply(resp Response) {
+	if r.out != nil {
+		r.out.send(r, resp)
 	}
 	if r.buf != nil {
 		r.buf.Release()
@@ -862,24 +863,19 @@ func (s *Server) workerLoop(id int, ring *spsc.Ring[*Request], traceRing *spsc.R
 		if n > len(scratch) {
 			n = len(scratch)
 		}
-		if r.respond != nil {
-			// Payload aliases the worker's scratch buffer: respond
-			// implementations either serialize it onto the wire before
-			// returning (the network paths) or copy it (Submit). This
-			// keeps the transmit path allocation-free.
-			r.respond(Response{
-				RequestID:  r.id,
-				Type:       r.typ,
-				Status:     status,
-				Payload:    scratch[:n],
-				Sojourn:    finished - r.arrival,
-				QueueDelay: started - r.arrival,
-				Service:    service,
-			})
-		}
-		if r.buf != nil {
-			r.buf.Release()
-		}
+		// Payload aliases the worker's scratch buffer: the egress
+		// either serializes it onto the wire before returning (the
+		// network lanes) or copies it (Submit). This keeps the transmit
+		// path allocation-free.
+		r.reply(Response{
+			RequestID:  r.id,
+			Type:       r.typ,
+			Status:     status,
+			Payload:    scratch[:n],
+			Sojourn:    finished - r.arrival,
+			QueueDelay: started - r.arrival,
+			Service:    service,
+		})
 		replied := s.now()
 		s.traceSpan(traceRing, id, r, started, finished, replied)
 		s.putCompletion(completion{

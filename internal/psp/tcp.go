@@ -147,10 +147,8 @@ type tcpShard struct {
 	// a shard may host several connection readers.
 	poolMu sync.Mutex
 
-	rx      atomic.Uint64
-	rxDrops atomic.Uint64 // malformed frames + ingress-ring overflow
-	rxSheds atomic.Uint64 // frames shed because the pool was exhausted
-	txFull  atomic.Uint64 // responses written inline because a TX ring was full
+	ingressLedger
+	txFull atomic.Uint64 // responses written inline because a TX ring was full
 }
 
 func (sh *tcpShard) getBuf() *spsc.Buffer {
@@ -161,8 +159,9 @@ func (sh *tcpShard) getBuf() *spsc.Buffer {
 }
 
 // tcpTxFrame is one encoded response waiting on a connection's egress
-// ring: a pooled buffer (reused ingress buffer, the zero-copy path) or
-// an allocated message.
+// ring. buf is the pooled buffer msg lives in (the reused ingress
+// buffer, the zero-copy path), released once msg is on the wire; nil
+// for an allocated message.
 type tcpTxFrame struct {
 	buf *spsc.Buffer
 	msg []byte
@@ -281,34 +280,16 @@ func (t *TCPServer) Shards() int { return len(t.shards) }
 
 // Received reports frames accepted into the pipeline across all
 // shards.
-func (t *TCPServer) Received() uint64 {
-	var n uint64
-	for _, sh := range t.shards {
-		n += sh.rx.Load()
-	}
-	return n
-}
+func (t *TCPServer) Received() uint64 { return ingressTotals(t.shards).rx }
 
-// RxDrops reports frames rejected at ingress: malformed, or shed
-// because the ingress ring was full. Pool-exhaustion sheds (which do
-// answer the client) are counted separately in RxSheds.
-func (t *TCPServer) RxDrops() uint64 {
-	var n uint64
-	for _, sh := range t.shards {
-		n += sh.rxDrops.Load()
-	}
-	return n
-}
+// RxDrops reports malformed frames dropped at ingress. Refused frames,
+// which the stream answers, are counted in RxSheds.
+func (t *TCPServer) RxDrops() uint64 { return ingressTotals(t.shards).drops }
 
 // RxSheds reports frames answered StatusDropped without entering the
-// pipeline because the shard's buffer pool was exhausted.
-func (t *TCPServer) RxSheds() uint64 {
-	var n uint64
-	for _, sh := range t.shards {
-		n += sh.rxSheds.Load()
-	}
-	return n
-}
+// pipeline: the shard's buffer pool was exhausted, or the ingress ring
+// was full.
+func (t *TCPServer) RxSheds() uint64 { return ingressTotals(t.shards).sheds }
 
 // TxRingFull reports responses that bypassed a TX ring (written inline
 // by the completing worker) because the ring was full.
@@ -446,9 +427,9 @@ func (c *tcpConn) finish(evicted bool) {
 	}
 }
 
-// readLoop is this connection's net worker: it decodes pipelined
-// frames — bursts of them when the stream runs ahead — and hands each
-// burst to the dispatcher in one ring synchronization.
+// readLoop is this connection's net worker: it reads pipelined frames
+// (bursts of them when the stream runs ahead), runs each through the
+// request path's ingest step, and delivers each burst.
 func (c *tcpConn) readLoop() {
 	defer c.t.readWG.Done()
 	t := c.t
@@ -483,7 +464,7 @@ func (c *tcpConn) readLoop() {
 		batch = batch[:0]
 		frameLen := binary.LittleEndian.Uint32(lenBuf[:])
 		if !c.readFrame(rd, frameLen, &batch) {
-			c.injectBatch(batch)
+			c.deliver(batch)
 			c.finish(true) // invalid frame or broken stream
 			return
 		}
@@ -496,7 +477,7 @@ func (c *tcpConn) readLoop() {
 			p, _ := rd.Peek(tcpLenPrefixSize)
 			next := binary.LittleEndian.Uint32(p)
 			if next < proto.HeaderSize || next > maxTCPFrame {
-				c.injectBatch(batch)
+				c.deliver(batch)
 				c.sh.rxDrops.Add(1)
 				c.finish(true)
 				return
@@ -506,19 +487,19 @@ func (c *tcpConn) readLoop() {
 			}
 			rd.Discard(tcpLenPrefixSize) //nolint:errcheck // fully buffered
 			if !c.readFrame(rd, next, &batch) {
-				c.injectBatch(batch)
+				c.deliver(batch)
 				c.finish(true)
 				return
 			}
 		}
-		c.injectBatch(batch)
+		c.deliver(batch)
 	}
 }
 
-// readFrame consumes one frame body of frameLen bytes and appends the
-// decoded request (if any) to batch. It reports false when the
+// readFrame consumes one frame body of frameLen bytes and runs it
+// through ingest, appending to batch. It reports false when the
 // connection must go away (invalid length or broken stream);
-// individually malformed but correctly framed messages are skipped
+// individually malformed but correctly framed messages are dropped
 // without killing the connection.
 func (c *tcpConn) readFrame(rd *bufio.Reader, frameLen uint32, batch *[]*Request) bool {
 	sh := c.sh
@@ -527,7 +508,7 @@ func (c *tcpConn) readFrame(rd *bufio.Reader, frameLen uint32, batch *[]*Request
 		return false
 	}
 	// Reading at the prefix offset keeps the buffer layout identical
-	// to the egress frame the responder later builds in place.
+	// to the egress frame the encoder later builds in place.
 	pooled := tcpLenPrefixSize+int(frameLen) <= tcpBufSize
 	var frame []byte
 	var buf *spsc.Buffer
@@ -550,77 +531,25 @@ func (c *tcpConn) readFrame(rd *bufio.Reader, frameLen uint32, batch *[]*Request
 		}
 		return false
 	}
-	hdr, payload, perr := proto.DecodeHeader(frame)
-	if perr != nil || hdr.Kind != proto.KindRequest {
-		if buf != nil {
-			buf.Release()
-		}
-		sh.rxDrops.Add(1)
-		return true // framing is intact: skip the message, keep the stream
-	}
+	start := len(*batch)
+	*batch = c.t.Server.ingest(*batch, frame, buf, c, nil)
 	if buf == nil && pooled {
-		// Pool exhaustion (not oversize): shed with an immediate
-		// StatusDropped so the pipelined client learns now instead of
-		// timing out — the TCP analogue of UDP's shed-read.
-		sh.rxSheds.Add(1)
-		c.shedReply(hdr)
-		return true
-	}
-	// Requests stamp their retry attempt in the header status byte
-	// (see proto); attempt > 0 is a client retransmission.
-	if hdr.Status != 0 {
-		c.t.Server.noteRetry()
-	}
-	// Chaos layer: the frame may vanish here, as if lost before the
-	// net worker ever saw it.
-	if c.t.Server.inj.IngressDrop() {
-		if buf != nil {
-			buf.Release()
+		// Pool exhaustion (not oversize): shed now, so the pipelined
+		// client learns at once instead of timing out.
+		for _, r := range (*batch)[start:] {
+			c.shed(r)
 		}
-		return true
-	}
-	// A fan-out frontend tags sub-requests with a correlation trailer;
-	// capture it by value so the responder can echo it after the
-	// ingress buffer is overwritten by the response.
-	corr, hasCorr := proto.DecodeCorrelation(frame, hdr)
-	req := &Request{payload: payload, buf: buf}
-	if buf == nil {
-		// Oversized frame read via scratch: the payload must survive
-		// past this read-loop iteration.
-		req.payload = append([]byte(nil), payload...)
-	}
-	req.respond = c.responder(req, hdr.RequestID, corr, hasCorr)
-	*batch = append(*batch, req)
-	// Chaos layer: duplicated delivery of the same frame. The copy owns
-	// its payload and has no ingress buffer, so its response takes the
-	// allocating fallback and cannot race the original for the buffer.
-	if c.t.Server.inj.IngressDup() {
-		dup := &Request{payload: append([]byte(nil), payload...)}
-		dup.respond = c.responder(dup, hdr.RequestID, corr, hasCorr)
-		*batch = append(*batch, dup)
+		*batch = (*batch)[:start]
 	}
 	return true
 }
 
-// injectBatch hands a burst of decoded requests to the dispatcher in
-// one ring synchronization and settles the accounting: accepted
-// requests owe a response (pending), the rejected tail is shed.
-func (c *tcpConn) injectBatch(batch []*Request) {
-	if len(batch) == 0 {
-		return
-	}
-	accepted := c.t.Server.injectBatch(batch)
-	c.sh.rx.Add(uint64(accepted))
-	if accepted > 0 {
-		depth := uint64(c.pending.Add(int64(accepted)))
-		c.t.recordDepth(depth, accepted)
-	}
-	for _, r := range batch[accepted:] {
-		// Ingress ring full: shed the tail of the burst.
-		if r.buf != nil {
-			r.buf.Release()
-		}
-		c.sh.rxDrops.Add(1)
+// deliver runs a burst through the request path's burst step; every
+// accepted request owes a response (pending).
+func (c *tcpConn) deliver(batch []*Request) {
+	if n := c.t.Server.burst(batch, c); n > 0 {
+		depth := uint64(c.pending.Add(int64(n)))
+		c.t.recordDepth(depth, n)
 	}
 }
 
@@ -637,87 +566,42 @@ func (t *TCPServer) recordDepth(depth uint64, n int) {
 	t.depthCount.Add(uint64(n))
 }
 
-// shedReply answers a request that never entered the pipeline with
-// StatusDropped, through the normal TX path.
-func (c *tcpConn) shedReply(hdr proto.Header) {
-	msg := proto.AppendResponse(make([]byte, tcpLenPrefixSize, tcpLenPrefixSize+proto.ResponseOverhead), proto.Header{
-		Status:    proto.StatusDropped,
-		TypeID:    hdr.TypeID,
-		RequestID: hdr.RequestID,
-	}, nil, proto.Timing{})
-	binary.LittleEndian.PutUint32(msg[:tcpLenPrefixSize], uint32(len(msg)-tcpLenPrefixSize))
-	c.pending.Add(1)
-	if c.tx.TryPut(tcpTxFrame{msg: msg}) {
+// send is the stream egress: encode the length-prefixed response (in
+// the request's own ingress buffer when it fits) and push it onto the
+// connection's TX ring.
+func (c *tcpConn) send(r *Request, resp Response) {
+	msg, inBuf := r.encode(resp, tcpLenPrefixSize)
+	binary.LittleEndian.PutUint32(msg, uint32(len(msg)-tcpLenPrefixSize))
+	frame := tcpTxFrame{msg: msg}
+	if inBuf {
+		// Take ownership of the ingress buffer: the settling goroutine
+		// skips its release, and whoever writes the frame returns the
+		// buffer to the pool once it is on the wire.
+		frame.buf, r.buf = r.buf, nil
+	}
+	if c.tx.TryPut(frame) {
 		c.txPark.Wake()
 		return
 	}
+	// TX ring full: transmit inline rather than block a worker.
 	c.sh.txFull.Add(1)
-	c.writeInline(msg)
-}
-
-// responder builds the respond callback for one request: encode the
-// length-prefixed response into the request's own ingress buffer
-// (zero-copy) and push it onto the connection's TX ring. Requests
-// without a reusable buffer (chaos duplicates, oversized frames or
-// responses) fall back to a one-off allocation. Requests that arrived
-// with a correlation trailer (fan-out sub-requests) get it echoed
-// after the timing trailer, exactly like the UDP responder.
-func (c *tcpConn) responder(req *Request, reqID uint64, corr proto.Correlation, hasCorr bool) func(Response) {
-	return func(resp Response) {
-		hdr := proto.Header{
-			Status:    resp.Status,
-			TypeID:    uint16(resp.Type & 0xFFFF),
-			RequestID: reqID,
-		}
-		tm := proto.Timing{Queue: resp.QueueDelay, Service: resp.Service}
-		need := tcpLenPrefixSize + proto.ResponseOverhead + len(resp.Payload)
-		if resp.RetryAfter > 0 {
-			need += proto.RetryAfterSize
-		}
-		if hasCorr {
-			need += proto.CorrelationSize
-		}
-		var frame tcpTxFrame
-		if b := req.buf; b != nil && cap(b.Data) >= need {
-			// Take ownership of the ingress buffer: the settling
-			// goroutine skips its release, and the TX loop returns the
-			// buffer to the pool once the frame is on the wire.
-			req.buf = nil
-			msg := proto.AppendResponse(b.Data[:tcpLenPrefixSize], hdr, resp.Payload, tm)
-			if resp.RetryAfter > 0 {
-				msg = proto.AppendRetryAfter(msg, resp.RetryAfter)
-			}
-			if hasCorr {
-				msg = proto.AppendCorrelation(msg, corr)
-			}
-			binary.LittleEndian.PutUint32(msg[:tcpLenPrefixSize], uint32(len(msg)-tcpLenPrefixSize))
-			b.Len = len(msg)
-			frame = tcpTxFrame{buf: b}
-		} else {
-			msg := proto.AppendResponse(make([]byte, tcpLenPrefixSize, need), hdr, resp.Payload, tm)
-			if resp.RetryAfter > 0 {
-				msg = proto.AppendRetryAfter(msg, resp.RetryAfter)
-			}
-			if hasCorr {
-				msg = proto.AppendCorrelation(msg, corr)
-			}
-			binary.LittleEndian.PutUint32(msg[:tcpLenPrefixSize], uint32(len(msg)-tcpLenPrefixSize))
-			frame = tcpTxFrame{msg: msg}
-		}
-		if c.tx.TryPut(frame) {
-			c.txPark.Wake()
-			return
-		}
-		// TX ring full: transmit inline rather than block a worker.
-		c.sh.txFull.Add(1)
-		if frame.buf != nil {
-			c.writeInline(frame.buf.Bytes())
-			frame.buf.Release()
-		} else {
-			c.writeInline(frame.msg)
-		}
+	c.writeInline(frame.msg)
+	if frame.buf != nil {
+		frame.buf.Release()
 	}
 }
+
+// shed is the stream rule for a request the pipeline refused: answer
+// StatusDropped at once, through the normal TX path, counted in
+// RxSheds. A pipelined client on a reliable stream would otherwise
+// learn of the refusal only by timing out.
+func (c *tcpConn) shed(r *Request) {
+	c.sh.rxSheds.Add(1)
+	c.pending.Add(1)
+	r.reply(Response{Type: r.typ, Status: proto.StatusDropped})
+}
+
+func (c *tcpConn) ledger() *ingressLedger { return c.sh.ledger() }
 
 // writeInline transmits one owed frame under the connection's write
 // lock (the fallback path when the TX ring is full) and settles it;
@@ -778,11 +662,7 @@ func (c *tcpConn) txLoop() {
 func (c *tcpConn) writeFrames(frames []tcpTxFrame, vecs net.Buffers) net.Buffers {
 	vecs = vecs[:0]
 	for i := range frames {
-		if frames[i].buf != nil {
-			vecs = append(vecs, frames[i].buf.Bytes())
-		} else {
-			vecs = append(vecs, frames[i].msg)
-		}
+		vecs = append(vecs, frames[i].msg)
 	}
 	w := vecs
 	c.writeMu.Lock()

@@ -153,16 +153,17 @@ func BenchmarkTCPLoopback(b *testing.B) {
 }
 
 // TestTCPHotPathAllocBudget pins the steady-state allocation budget of
-// the pipelined datapath: at most 3 allocations per request end to end
-// (request object + response routing), matching the UDP path's budget.
-// The pooled ingress buffer, the zero-copy egress frame, and the
-// batched ring handoffs must all stay allocation-free.
+// the pipelined datapath: at most 1 allocation per request end to end,
+// the request object. Its response routing lives in the request (no
+// per-request closure), and the pooled ingress buffer, the zero-copy
+// egress frame, and the batched ring handoffs must all stay
+// allocation-free.
 func TestTCPHotPathAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-driven")
 	}
 	res := testing.Benchmark(func(b *testing.B) { benchTCPLoopback(b, 1, 16) })
-	if a := res.AllocsPerOp(); a > 3 {
-		t.Fatalf("TCP hot path allocates %d/op, budget is 3 (UDP parity)", a)
+	if a := res.AllocsPerOp(); a > 1 {
+		t.Fatalf("TCP hot path allocates %d/op, budget is 1 (the request)", a)
 	}
 }

@@ -147,8 +147,9 @@ func (c *TCPClient) Call(payload []byte) (Response, error) {
 	_, err := c.conn.Write(msg)
 	c.wmu.Unlock()
 	if err != nil {
+		// A failed write is a broken stream: the connection is gone.
 		c.sweep(id)
-		return Response{}, fmt.Errorf("psp: tcp call write: %w", err)
+		return Response{}, fmt.Errorf("psp: tcp call write: %w: %w", ErrClientClosed, err)
 	}
 
 	var timeout <-chan time.Time

@@ -83,9 +83,7 @@ type udpShard struct {
 	lastPort int
 	lastAddr *net.UDPAddr
 
-	rx      atomic.Uint64
-	rxDrops atomic.Uint64 // malformed datagrams + ingress-ring overflow
-	rxSheds atomic.Uint64 // datagrams shed because the pool was exhausted
+	ingressLedger
 }
 
 // ListenUDP binds addr (e.g. "127.0.0.1:9940") with a single shard and
@@ -167,23 +165,11 @@ func (u *UDPServer) Shards() int { return len(u.shards) }
 // RxDrops reports datagrams dropped at ingress because they were
 // malformed or the ingress ring was full. Pool-exhaustion sheds are
 // counted separately in RxSheds.
-func (u *UDPServer) RxDrops() uint64 {
-	var n uint64
-	for _, sh := range u.shards {
-		n += sh.rxDrops.Load()
-	}
-	return n
-}
+func (u *UDPServer) RxDrops() uint64 { return ingressTotals(u.shards).drops }
 
 // RxSheds reports datagrams shed at ingress because the shard's
 // buffer pool was exhausted (sustained overload backpressure).
-func (u *UDPServer) RxSheds() uint64 {
-	var n uint64
-	for _, sh := range u.shards {
-		n += sh.rxSheds.Load()
-	}
-	return n
-}
+func (u *UDPServer) RxSheds() uint64 { return ingressTotals(u.shards).sheds }
 
 // TxRingFull always reports 0: every UDP response is transmitted by
 // the completing worker, so there is no TX ring to overflow. The method
@@ -192,13 +178,7 @@ func (u *UDPServer) TxRingFull() uint64 { return 0 }
 
 // Received reports datagrams accepted into the pipeline across all
 // shards.
-func (u *UDPServer) Received() uint64 {
-	var n uint64
-	for _, sh := range u.shards {
-		n += sh.rx.Load()
-	}
-	return n
-}
+func (u *UDPServer) Received() uint64 { return ingressTotals(u.shards).rx }
 
 // ShardReceived reports datagrams accepted by one shard.
 func (u *UDPServer) ShardReceived(i int) uint64 { return u.shards[i].rx.Load() }
@@ -223,60 +203,28 @@ func (u *UDPServer) Close() error {
 }
 
 // netWorker is the paper's net-worker analogue for one shard: drain a
-// burst of datagrams, frame them, hand the burst to the dispatcher in
-// one ring synchronization.
+// burst of datagrams and run each through the request path's ingest
+// and burst steps, which hand the burst to the dispatcher in one ring
+// synchronization.
 func (u *UDPServer) netWorker(sh *udpShard) {
 	defer u.rxWG.Done()
-	batch := make([]*Request, 0, len(sh.bufs))
+	// Room for a chaos duplicate of every datagram.
+	batch := make([]*Request, 0, 2*len(sh.bufs))
 	for {
 		n, err := sh.readBurst()
 		batch = batch[:0]
 		for i := 0; i < n; i++ {
 			buf, from := sh.bufs[i], sh.addrs[i]
 			sh.bufs[i] = nil
-			hdr, payload, perr := proto.DecodeHeader(buf.Bytes())
-			if perr != nil || hdr.Kind != proto.KindRequest || from == nil {
+			if from == nil {
+				// A source recvfrom could not name: nowhere to answer.
 				buf.Release()
 				sh.rxDrops.Add(1)
 				continue
 			}
-			// Requests stamp their retry attempt in the header status
-			// byte (see proto); attempt > 0 is a client retransmission.
-			if hdr.Status != 0 {
-				u.Server.noteRetry()
-			}
-			// Chaos layer: the datagram may vanish here, as if lost on
-			// the wire before the net worker ever saw it.
-			if u.Server.inj.IngressDrop() {
-				buf.Release()
-				continue
-			}
-			// A fan-out frontend tags sub-requests with a correlation
-			// trailer; capture it by value so the responder can echo it
-			// after the ingress buffer is overwritten by the response.
-			corr, hasCorr := proto.DecodeCorrelation(buf.Bytes(), hdr)
-			req := &Request{payload: payload, buf: buf}
-			req.respond = sh.responder(req, hdr.RequestID, from, corr, hasCorr)
-			batch = append(batch, req)
-			// Chaos layer: duplicated delivery, as a retransmitting
-			// network would produce. The copy owns its payload and has
-			// no ingress buffer, so its response takes the allocating
-			// fallback and cannot race the original for the buffer.
-			if u.Server.inj.IngressDup() {
-				dup := &Request{payload: append([]byte(nil), payload...)}
-				dup.respond = sh.responder(dup, hdr.RequestID, from, corr, hasCorr)
-				batch = append(batch, dup)
-			}
+			batch = u.Server.ingest(batch, buf.Bytes(), buf, sh, from)
 		}
-		accepted := u.Server.injectBatch(batch)
-		sh.rx.Add(uint64(accepted))
-		for _, r := range batch[accepted:] {
-			// Ingress ring full: shed the tail of the burst.
-			if r.buf != nil {
-				r.buf.Release()
-			}
-			sh.rxDrops.Add(1)
-		}
+		u.Server.burst(batch, sh)
 		if err != nil {
 			return // socket closed
 		}
@@ -289,41 +237,20 @@ func (u *UDPServer) netWorker(sh *udpShard) {
 	}
 }
 
-// responder builds the respond callback for one request: encode the
-// response into the request's own ingress buffer (zero-copy) and send
-// it from the settling goroutine, which releases the buffer afterwards
-// as it does for every request. Requests without a reusable buffer
-// (chaos duplicates, oversized responses) fall back to a one-off
-// allocation. Requests that arrived with a correlation trailer (fan-out
-// sub-requests) get it echoed after the timing trailer.
-func (sh *udpShard) responder(req *Request, reqID uint64, addr *net.UDPAddr, corr proto.Correlation, hasCorr bool) func(Response) {
-	return func(resp Response) {
-		hdr := proto.Header{
-			Status:    resp.Status,
-			TypeID:    uint16(resp.Type & 0xFFFF),
-			RequestID: reqID,
-		}
-		tm := proto.Timing{Queue: resp.QueueDelay, Service: resp.Service}
-		need := proto.ResponseOverhead + len(resp.Payload)
-		if resp.RetryAfter > 0 {
-			need += proto.RetryAfterSize
-		}
-		if hasCorr {
-			need += proto.CorrelationSize
-		}
-		var msg []byte
-		if b := req.buf; b != nil && cap(b.Data) >= need {
-			msg = b.Data[:0]
-		} else {
-			msg = make([]byte, 0, need)
-		}
-		msg = proto.AppendResponse(msg, hdr, resp.Payload, tm)
-		if resp.RetryAfter > 0 {
-			msg = proto.AppendRetryAfter(msg, resp.RetryAfter)
-		}
-		if hasCorr {
-			msg = proto.AppendCorrelation(msg, corr)
-		}
-		sh.conn.WriteToUDP(msg, addr) //nolint:errcheck // fire-and-forget UDP
+// send is the datagram egress: encode the response (in the request's
+// own ingress buffer when it fits) and send it from the settling
+// goroutine, which releases the buffer afterwards.
+func (sh *udpShard) send(r *Request, resp Response) {
+	msg, _ := r.encode(resp, 0)
+	sh.conn.WriteToUDP(msg, r.peer) //nolint:errcheck // fire-and-forget UDP
+}
+
+// shed is the datagram rule for a request the pipeline refused: drop
+// it, counted in RxDrops. The client's timeout covers it, as it covers
+// loss on the wire.
+func (sh *udpShard) shed(r *Request) {
+	if r.buf != nil { // a chaos duplicate has none
+		r.buf.Release()
 	}
+	sh.rxDrops.Add(1)
 }

@@ -352,7 +352,8 @@ func (l *LiveListener) Received() uint64 {
 	return l.tcp.Received()
 }
 
-// RxDrops reports malformed or ring-overflow ingress drops.
+// RxDrops reports ingress frames dropped unanswered: malformed ones,
+// and over UDP those refused by a full ingress ring.
 func (l *LiveListener) RxDrops() uint64 {
 	if l.udp != nil {
 		return l.udp.RxDrops()
@@ -360,9 +361,9 @@ func (l *LiveListener) RxDrops() uint64 {
 	return l.tcp.RxDrops()
 }
 
-// RxSheds reports ingress frames shed under buffer-pool exhaustion —
-// on both transports the client gets an immediate StatusDropped
-// instead of a timeout.
+// RxSheds reports ingress frames refused under buffer-pool exhaustion,
+// and over TCP also those refused by a full ingress ring. TCP answers
+// each with an immediate StatusDropped; UDP drops the datagram.
 func (l *LiveListener) RxSheds() uint64 {
 	if l.udp != nil {
 		return l.udp.RxSheds()
