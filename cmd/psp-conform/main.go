@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/conformance"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -54,7 +55,7 @@ func run(args []string, w io.Writer) int {
 			}
 			rep, err := runCaseRetrying(w, spec, pol, s)
 			if err != nil {
-				fmt.Fprintf(w, "psp-conform: %s/%s: %v\n", spec.Name, pol, err)
+				fmt.Fprintf(w, "psp-conform: %s/%s: %v\n", spec.Name, pol.Kind, err)
 				failures++
 				continue
 			}
@@ -80,14 +81,14 @@ func run(args []string, w io.Writer) int {
 // transient freeze starves the live server and inflates its queue
 // delays wholesale while every structural invariant holds (see
 // Report.StatisticalOnly). Structural divergences are never retried.
-func runCaseRetrying(w io.Writer, spec conformance.TraceSpec, pol string, seed uint64) (*conformance.Report, error) {
+func runCaseRetrying(w io.Writer, spec conformance.TraceSpec, pol sched.Spec, seed uint64) (*conformance.Report, error) {
 	rep, err := conformance.RunCase(spec, pol, seed)
 	if err != nil {
 		return nil, err
 	}
 	if rep.StatisticalOnly() {
 		fmt.Fprintf(w, "RETRY   trace=%s policy=%s seed=%d statistical-only divergence (host stall?)\n",
-			spec.Name, pol, seed)
+			spec.Name, pol.Kind, seed)
 		return conformance.RunCase(spec, pol, seed)
 	}
 	return rep, nil
@@ -104,7 +105,7 @@ func runMutations(w io.Writer, specs []conformance.TraceSpec, seeds int, md bool
 	for _, spec := range specs {
 		for s := 0; s < seeds; s++ {
 			seed := spec.Seed + uint64(10+s)
-			declared := map[string]bool{}
+			declared := map[sched.Spec]bool{}
 			for _, mut := range conformance.Mutations() {
 				declared[mut.Policy] = true
 				rep, err := conformance.RunMutationCase(spec, mut, seed)
@@ -129,15 +130,15 @@ func runMutations(w io.Writer, specs []conformance.TraceSpec, seeds int, md bool
 			for pol := range declared {
 				rep, err := runCaseRetrying(w, spec, pol, seed)
 				if err != nil {
-					fmt.Fprintf(w, "psp-conform: clean %s/%s seed=%d: %v\n", spec.Name, pol, seed, err)
+					fmt.Fprintf(w, "psp-conform: clean %s/%s seed=%d: %v\n", spec.Name, pol.Kind, seed, err)
 					failures++
 					continue
 				}
 				if !rep.Agree() {
-					fmt.Fprintf(w, "FALSE-POSITIVE trace=%s policy=%s seed=%d:\n%s", spec.Name, pol, seed, rep.String())
+					fmt.Fprintf(w, "FALSE-POSITIVE trace=%s policy=%s seed=%d:\n%s", spec.Name, pol.Kind, seed, rep.String())
 					failures++
 				} else {
-					fmt.Fprintf(w, "CLEAN   trace=%s policy=%s seed=%d\n", spec.Name, pol, seed)
+					fmt.Fprintf(w, "CLEAN   trace=%s policy=%s seed=%d\n", spec.Name, pol.Kind, seed)
 				}
 			}
 		}
@@ -165,21 +166,22 @@ func pickSpecs(arg string) ([]conformance.TraceSpec, error) {
 	return out, nil
 }
 
-func pickPolicies(arg string) ([]string, error) {
+// pickPolicies parses a comma-separated policy list; each must have a
+// live form (darc-static reserves its trace's StaticReserved workers).
+func pickPolicies(arg string) ([]sched.Spec, error) {
 	if arg == "all" || arg == "" {
 		return conformance.Policies(), nil
 	}
-	known := map[string]bool{}
-	for _, p := range conformance.Policies() {
-		known[p] = true
-	}
-	var out []string
+	var out []sched.Spec
 	for _, name := range strings.Split(arg, ",") {
-		name = strings.TrimSpace(name)
-		if !known[name] {
-			return nil, fmt.Errorf("unknown policy %q (have %s)", name, strings.Join(conformance.Policies(), ", "))
+		p, err := sched.ParseSpec(name)
+		if err == nil {
+			_, err = p.Mode()
 		}
-		out = append(out, name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -104,7 +104,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("psp-server: %s app on %s/%s (%d shard(s), burst %d), %d workers, policy %s\n",
-		*app, *transport, ln.AddrStrings(), *shards, *burst, *workers, policyName(*cfcfs))
+		*app, *transport, ln.AddrStrings(), *shards, *burst, *workers, ln.Server().ConfigSnapshot().Policy)
 	if cfg.Faults != nil {
 		fmt.Printf("chaos profile active: %s\n", cfg.Faults)
 	}
@@ -261,13 +261,6 @@ func parseAdmission(spec string, trim time.Duration) (*persephone.AdmissionPolic
 	return &persephone.AdmissionPolicy{Budgets: budgets, OverloadDelay: trim}, nil
 }
 
-func policyName(cfcfs bool) string {
-	if cfcfs {
-		return "c-FCFS"
-	}
-	return "DARC"
-}
-
 func buildApp(app, workloadName string, workers int, cfcfs bool) (persephone.LiveConfig, error) {
 	base := persephone.LiveConfig{Workers: workers, UseCFCFS: cfcfs}
 	switch strings.ToLower(app) {
@@ -276,10 +269,7 @@ func buildApp(app, workloadName string, workers int, cfcfs bool) (persephone.Liv
 		if err != nil {
 			return base, err
 		}
-		services := make([]time.Duration, len(mix.Types))
-		for i, t := range mix.Types {
-			services[i] = t.Service.Mean()
-		}
+		services := mix.Means()
 		spin.Calibrate(100 * time.Millisecond)
 		base.Classifier = persephone.FieldClassifier(0, len(mix.Types))
 		base.Handler = persephone.HandlerFunc(func(typ int, payload, resp []byte) (int, proto.Status) {

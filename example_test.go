@@ -32,14 +32,8 @@ func ExampleSimulate() {
 
 // ExampleParsePolicySpec shows the scheduler name grammar.
 func ExampleParsePolicySpec() {
-	mix := persephone.HighBimodal()
 	for _, name := range []string{"darc", "darc-static:2", "ts-ideal:1us", "bogus"} {
-		var err error
-		if spec, perr := persephone.ParsePolicySpec(name); perr != nil {
-			err = perr
-		} else {
-			_, err = spec.Constructor(14, mix, 1)
-		}
+		_, err := persephone.ParsePolicySpec(name)
 		fmt.Println(name, "ok:", err == nil)
 	}
 	// Output:

@@ -23,10 +23,9 @@ import (
 func main() {
 	db := tpcc.New(tpcc.Default(), 1)
 	srv, err := persephone.NewLiveServer(persephone.LiveConfig{
-		Workers:          4,
-		Classifier:       persephone.FieldClassifier(0, tpcc.NumTransactions()),
-		Handler:          handler(db),
-		MinWindowSamples: 512,
+		Workers:    4,
+		Classifier: persephone.FieldClassifier(0, tpcc.NumTransactions()),
+		Handler:    handler(db),
 	})
 	if err != nil {
 		log.Fatal(err)

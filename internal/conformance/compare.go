@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/darc"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -62,7 +63,7 @@ type CompareOptions struct {
 
 // DefaultOptions returns the comparator configuration for a declared
 // policy and trace length.
-func DefaultOptions(policyName string, records int) CompareOptions {
+func DefaultOptions(p sched.Spec, records int) CompareOptions {
 	// The Abs floors absorb the live side's wall-clock noise (the
 	// timer tick puts 0–2ms of jitter on every sleep and arrival);
 	// Rel covers finite-sample quantile dispersion at ρ≈0.55. The p50
@@ -76,7 +77,7 @@ func DefaultOptions(policyName string, records int) CompareOptions {
 		{Q: 0.90, Band: Band{Rel: 0.50, Abs: 5 * time.Millisecond}, MinSamples: 80},
 		{Q: 0.99, Band: Band{Rel: 0.60, Abs: 10 * time.Millisecond}, MinSamples: 250},
 	}
-	if policyName == "dfcfs" {
+	if p.Kind == sched.KindDFCFS {
 		// d-FCFS steering draws from different RNG streams on the two
 		// sides; only distribution shape is comparable, and its tail
 		// is dominated by unlucky steering behind a long request.
@@ -172,7 +173,7 @@ func (r *Report) diverge(kind, format string, args ...interface{}) {
 func Compare(spec TraceSpec, tr *trace.Trace, sim *SimRun, live *LiveRun, opt CompareOptions) *Report {
 	rep := &Report{
 		Trace:       spec.Name,
-		Policy:      live.Policy,
+		Policy:      live.Policy.Kind.String(),
 		SimArrived:  sim.Arrived,
 		SimComplete: sim.Complete,
 		LiveSent:    live.Result.Sent,
@@ -235,7 +236,7 @@ func Compare(spec TraceSpec, tr *trace.Trace, sim *SimRun, live *LiveRun, opt Co
 		// was lost, not the request), so the span window is
 		// [trace - timeouts - drops, trace].
 		slack := live.Result.TimedOutByType[t] + live.Result.DroppedByType[t]
-		lo := traceCounts[t] - minU64(traceCounts[t], slack)
+		lo := traceCounts[t] - min(traceCounts[t], slack)
 		if spanCounts[t] < lo || spanCounts[t] > traceCounts[t] {
 			rep.diverge("type-counts", "type %d served %d times live, trace has %d (timeout slack %d)",
 				t, spanCounts[t], traceCounts[t], slack)
@@ -272,8 +273,8 @@ func Compare(spec TraceSpec, tr *trace.Trace, sim *SimRun, live *LiveRun, opt Co
 	}
 
 	// --- structural: policy invariants ---
-	switch live.Policy {
-	case "darc":
+	switch live.Policy.Kind {
+	case sched.KindDARC:
 		if !live.ReservationAtReplay {
 			rep.diverge("reservation", "declared DARC but no reservation installed before the replay")
 		}
@@ -294,11 +295,11 @@ func Compare(spec TraceSpec, tr *trace.Trace, sim *SimRun, live *LiveRun, opt Co
 			rep.diverge("reservation", "%d spans dispatched outside their reservation (first: id=%d type=%d worker=%d at %v)",
 				violations, first.ID, first.Type, first.Worker, first.Dispatched)
 		}
-	case "darc-static":
+	case sched.KindDARCStatic:
 		violations := 0
 		var first trace.Span
 		for _, sp := range live.Spans {
-			if sp.Type != live.ShortType && sp.Worker < live.StaticReserved {
+			if sp.Type != live.ShortType && sp.Worker < live.Policy.StaticReserved {
 				if violations == 0 {
 					first = sp
 				}
@@ -309,7 +310,7 @@ func Compare(spec TraceSpec, tr *trace.Trace, sim *SimRun, live *LiveRun, opt Co
 			rep.diverge("reservation", "%d non-short spans ran on statically reserved workers (first: id=%d type=%d worker=%d)",
 				violations, first.ID, first.Type, first.Worker)
 		}
-	case "cfcfs":
+	case sched.KindCFCFS:
 		rep.Inversions = dispatchInversions(live.Spans, opt.InversionGap)
 		if rep.Inversions > opt.InversionAllowance {
 			rep.diverge("fcfs-order", "%d dispatch-order inversions beyond %v under declared c-FCFS (allowance %d)",
@@ -477,13 +478,6 @@ func quantileDur(samples []time.Duration, q float64) time.Duration {
 		idx = len(s) - 1
 	}
 	return s[idx]
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // String renders the report for logs and the psp-conform binary.

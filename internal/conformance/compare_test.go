@@ -12,6 +12,7 @@ import (
 	"repro/internal/darc"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -190,7 +191,7 @@ func TestCompareSyntheticCatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions("darc", tr.Len())
+	opt := DefaultOptions(sched.Spec{Kind: sched.KindDARC}, tr.Len())
 
 	kinds := func(rep *Report) map[string]bool {
 		out := map[string]bool{}
@@ -204,9 +205,8 @@ func TestCompareSyntheticCatches(t *testing.T) {
 	// installed, every dispatch legal (worker chosen per type).
 	mkLive := func() *LiveRun {
 		run := &LiveRun{
-			Policy:              "darc",
+			Policy:              sched.Spec{Kind: sched.KindDARC, StaticReserved: spec.StaticReserved},
 			NumTypes:            2,
-			StaticReserved:      spec.StaticReserved,
 			ShortType:           0,
 			ReservationAtReplay: true,
 			Reservations:        []ResUpdate{{At: 0, Res: testReservation()}},
@@ -228,7 +228,6 @@ func TestCompareSyntheticCatches(t *testing.T) {
 	}
 	mkSim := func() *SimRun {
 		run := &SimRun{
-			Policy:      "darc",
 			Arrived:     uint64(tr.Len()),
 			Complete:    uint64(tr.Len()),
 			PerType:     make([]uint64, 2),
@@ -300,9 +299,9 @@ func TestCompareSyntheticCatches(t *testing.T) {
 	}
 
 	// FCFS inversion detection under a declared cfcfs policy.
-	optC := DefaultOptions("cfcfs", tr.Len())
+	optC := DefaultOptions(sched.Spec{Kind: sched.KindCFCFS}, tr.Len())
 	live = mkLive()
-	live.Policy = "cfcfs"
+	live.Policy = sched.Spec{Kind: sched.KindCFCFS}
 	live.Reservations = nil
 	n := len(live.Spans)
 	for i := 0; i < n; i += 4 {
@@ -310,7 +309,6 @@ func TestCompareSyntheticCatches(t *testing.T) {
 		live.Spans[i].Dispatched = live.Spans[i].Ingress + 80*time.Millisecond
 	}
 	simC := mkSim()
-	simC.Policy = "cfcfs"
 	rep = Compare(spec, tr, simC, live, optC)
 	if !kinds(rep)["fcfs-order"] {
 		t.Errorf("FCFS inversions not caught:\n%s", rep)

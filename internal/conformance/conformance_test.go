@@ -17,20 +17,22 @@ package conformance
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // shortMatrix is the -short subset: the cheapest trace under the two
 // policies with the most distinct mechanisms (DARC's reservations,
 // c-FCFS's global order).
-func shortMatrix(specName, policy string) bool {
-	return specName == "bimodal" && (policy == "darc" || policy == "cfcfs")
+func shortMatrix(specName string, policy sched.Spec) bool {
+	return specName == "bimodal" && (policy.Kind == sched.KindDARC || policy.Kind == sched.KindCFCFS)
 }
 
 // runCaseRetrying runs one clean case, retrying exactly once when the
 // only divergences are quantile-band misses — the signature of a
 // transient host stall starving the live server (see
 // Report.StatisticalOnly). Structural divergences fail immediately.
-func runCaseRetrying(t *testing.T, spec TraceSpec, policy string, seed uint64) *Report {
+func runCaseRetrying(t *testing.T, spec TraceSpec, policy sched.Spec, seed uint64) *Report {
 	t.Helper()
 	rep, err := RunCase(spec, policy, seed)
 	if err != nil {
@@ -49,14 +51,14 @@ func TestConformanceCanonicalMatrix(t *testing.T) {
 	for _, spec := range CanonicalSpecs() {
 		for _, policy := range Policies() {
 			spec, policy := spec, policy
-			t.Run(spec.Name+"/"+policy, func(t *testing.T) {
+			t.Run(spec.Name+"/"+policy.Kind.String(), func(t *testing.T) {
 				if testing.Short() && !shortMatrix(spec.Name, policy) {
 					t.Skipf("full matrix runs in the conformance CI job")
 				}
 				rep := runCaseRetrying(t, spec, policy, spec.Seed)
 				t.Logf("\n%s", rep)
 				if !rep.Agree() {
-					t.Errorf("sim and live diverged under %s/%s", spec.Name, policy)
+					t.Errorf("sim and live diverged under %s/%s", spec.Name, policy.Kind)
 				}
 				// The report must carry the agreement table rows the
 				// experiment docs quote: one block per type at p50.
@@ -83,7 +85,7 @@ func TestConformanceSeedStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []uint64{spec.Seed + 1, spec.Seed + 2} {
-		rep := runCaseRetrying(t, spec, "darc", seed)
+		rep := runCaseRetrying(t, spec, sched.Spec{Kind: sched.KindDARC}, seed)
 		if !rep.Agree() {
 			t.Errorf("seed %d diverged:\n%s", seed, rep)
 		}

@@ -3,24 +3,19 @@ package conformance
 import (
 	"fmt"
 
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
 // RunCase runs one clean differential comparison: the trace is
 // generated from the spec (seeded), fed to both implementations under
-// the named policy, and compared.
-func RunCase(spec TraceSpec, policyName string, seed uint64) (*Report, error) {
+// the declared policy, and compared.
+func RunCase(spec TraceSpec, p sched.Spec, seed uint64) (*Report, error) {
 	tr, err := spec.GenerateSeeded(seed)
 	if err != nil {
 		return nil, err
 	}
-	return runOn(spec, tr, policyName, seed, nil)
-}
-
-// RunCanonical is RunCase with the spec's own pinned seed — the
-// configuration the committed testdata traces correspond to.
-func RunCanonical(spec TraceSpec, policyName string) (*Report, error) {
-	return RunCase(spec, policyName, spec.Seed)
+	return runOn(spec, tr, p, seed, nil)
 }
 
 // RunMutationCase runs one detection trial: the sim models the
@@ -39,14 +34,14 @@ func RunMutationCase(spec TraceSpec, mut Mutation, seed uint64) (*Report, error)
 	return rep, nil
 }
 
-func runOn(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64, mut *Mutation) (*Report, error) {
-	simRun, err := RunSim(spec, tr, policyName, seed)
+func runOn(spec TraceSpec, tr *trace.Trace, p sched.Spec, seed uint64, mut *Mutation) (*Report, error) {
+	simRun, err := RunSim(spec, tr, p, seed)
 	if err != nil {
-		return nil, fmt.Errorf("conformance: sim %s/%s: %w", spec.Name, policyName, err)
+		return nil, fmt.Errorf("conformance: sim %s/%s: %w", spec.Name, p.Kind, err)
 	}
-	liveRun, err := RunLive(spec, tr, policyName, seed, mut)
+	liveRun, err := RunLive(spec, tr, p, seed, mut)
 	if err != nil {
-		return nil, fmt.Errorf("conformance: live %s/%s: %w", spec.Name, policyName, err)
+		return nil, fmt.Errorf("conformance: live %s/%s: %w", spec.Name, p.Kind, err)
 	}
-	return Compare(spec, tr, simRun, liveRun, DefaultOptions(policyName, tr.Len())), nil
+	return Compare(spec, tr, simRun, liveRun, DefaultOptions(p, tr.Len())), nil
 }

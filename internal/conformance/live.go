@@ -12,6 +12,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/psp"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -64,7 +65,9 @@ type ResUpdate struct {
 
 // LiveRun is the live-server half of one differential comparison.
 type LiveRun struct {
-	Policy string
+	// Policy is the declared policy, bound to the case (its
+	// StaticReserved is the reservation the comparator checks).
+	Policy sched.Spec
 	// Spans are the replay's lifecycle spans (warmup excluded).
 	Spans []trace.Span
 	// WarmupSpans counts spans attributed to the warmup phase.
@@ -82,11 +85,10 @@ type LiveRun struct {
 	// TraceLost counts spans dropped by full trace rings (must be 0
 	// for exact conservation).
 	TraceLost uint64
-	// NumTypes, StaticReserved and ShortType echo the run parameters
-	// the comparator needs.
-	NumTypes       int
-	StaticReserved int
-	ShortType      int
+	// NumTypes and ShortType echo the run parameters the comparator
+	// needs.
+	NumTypes  int
+	ShortType int
 	// AdmissionBudget echoes the case's *declared* uniform admission
 	// budget (zero when the case declares no admission control) — set
 	// even when a mutation quietly disabled the controller, since the
@@ -97,9 +99,9 @@ type LiveRun struct {
 	AdmissionShed uint64
 }
 
-// liveConfig builds the psp.Config for a declared policy, then lets
-// the mutation perturb it.
-func liveConfig(spec TraceSpec, numTypes int, policyName string, seed uint64, mut *Mutation) (psp.Config, error) {
+// liveConfig builds the psp.Config for a bound policy, then lets the
+// mutation perturb it.
+func liveConfig(spec TraceSpec, numTypes int, p sched.Spec, mut *Mutation) psp.Config {
 	var cl classify.Classifier = classify.Field{Offset: 0, Types: numTypes}
 	if mut != nil && mut.flipClassifier {
 		field := classify.Field{Offset: 0, Types: numTypes}
@@ -119,6 +121,8 @@ func liveConfig(spec TraceSpec, numTypes int, policyName string, seed uint64, mu
 			},
 		}
 	}
+	dcfg := darc.DefaultConfig(spec.Workers)
+	dcfg.MinWindowSamples = liveMinWindow
 	cfg := psp.Config{
 		Workers:    spec.Workers,
 		Classifier: cl,
@@ -132,25 +136,10 @@ func liveConfig(spec TraceSpec, numTypes int, policyName string, seed uint64, mu
 			}
 			return copy(r, p[:min(len(p), len(r))]), proto.StatusOK
 		}),
-		TraceCap: liveTraceCap,
-	}
-	switch policyName {
-	case "darc":
-		cfg.Mode = psp.ModeDARC
-		dcfg := darc.DefaultConfig(spec.Workers)
-		dcfg.MinWindowSamples = liveMinWindow
-		cfg.DARC = dcfg
-	case "darc-static":
-		cfg.Mode = psp.ModeDARCStatic
-		cfg.StaticMeans = spec.means()
-		cfg.StaticReserved = spec.StaticReserved
-	case "cfcfs":
-		cfg.Mode = psp.ModeCFCFS
-	case "dfcfs":
-		cfg.Mode = psp.ModeDFCFS
-		cfg.SteerSeed = seed | 1
-	default:
-		return psp.Config{}, fmt.Errorf("conformance: unknown policy %q", policyName)
+		Policy:      p,
+		StaticMeans: spec.Mix.Means(),
+		DARC:        dcfg,
+		TraceCap:    liveTraceCap,
 	}
 	if mut != nil {
 		if mut.admissionBudget > 0 && !mut.disableAdmission {
@@ -160,17 +149,14 @@ func liveConfig(spec TraceSpec, numTypes int, policyName string, seed uint64, mu
 			}
 			cfg.Admission = &admission.Config{Budgets: budgets, UnknownBudget: mut.admissionBudget}
 		}
-		if mut.mode != nil {
-			cfg.Mode = *mut.mode
-		}
-		if mut.staticReserved != nil {
-			cfg.StaticReserved = *mut.staticReserved
+		if mut.live != nil {
+			cfg.Policy = *mut.live
 		}
 		if mut.faults != nil {
 			cfg.Faults = mut.faults
 		}
 	}
-	return cfg, nil
+	return cfg
 }
 
 // shortLongTypes reports the type indices with the smallest and
@@ -191,8 +177,8 @@ func shortLongTypes(spec TraceSpec) (short, long int) {
 // the declared policy (optionally perturbed by mut) and captures the
 // comparator's live-side inputs: replay spans, client accounting and
 // the reservation timeline.
-func RunLive(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64, mut *Mutation) (*LiveRun, error) {
-	return runLive(spec, tr, policyName, seed, mut, nil)
+func RunLive(spec TraceSpec, tr *trace.Trace, p sched.Spec, seed uint64, mut *Mutation) (*LiveRun, error) {
+	return runLive(spec, tr, p, seed, mut, nil)
 }
 
 // RunLiveDuring is RunLive plus a concurrent mid-replay hook: when the
@@ -201,19 +187,17 @@ func RunLive(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64, mu
 // snapshotting. The reconfig-mid-trace conformance test uses it to
 // issue benign live reconfigurations while the trace replays — the
 // comparator must not be able to tell.
-func RunLiveDuring(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64, during func(*psp.Server)) (*LiveRun, error) {
-	return runLive(spec, tr, policyName, seed, nil, during)
+func RunLiveDuring(spec TraceSpec, tr *trace.Trace, p sched.Spec, seed uint64, during func(*psp.Server)) (*LiveRun, error) {
+	return runLive(spec, tr, p, seed, nil, during)
 }
 
-func runLive(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64, mut *Mutation, during func(*psp.Server)) (*LiveRun, error) {
+func runLive(spec TraceSpec, tr *trace.Trace, p sched.Spec, seed uint64, mut *Mutation, during func(*psp.Server)) (*LiveRun, error) {
+	p = spec.bind(p, seed)
 	numTypes := tr.NumTypes()
 	if numTypes < len(spec.Mix.Types) {
 		numTypes = len(spec.Mix.Types)
 	}
-	cfg, err := liveConfig(spec, numTypes, policyName, seed, mut)
-	if err != nil {
-		return nil, err
-	}
+	cfg := liveConfig(spec, numTypes, p, mut)
 
 	var spanMu sync.Mutex
 	var spans []trace.Span
@@ -228,10 +212,9 @@ func runLive(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64, mu
 	}
 
 	run := &LiveRun{
-		Policy:         policyName,
-		NumTypes:       numTypes,
-		StaticReserved: spec.StaticReserved,
-		ShortType:      spec.shortestType(),
+		Policy:    p,
+		NumTypes:  numTypes,
+		ShortType: spec.shortestType(),
 	}
 	if mut != nil {
 		run.AdmissionBudget = mut.admissionBudget
@@ -284,7 +267,7 @@ func runLive(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64, mu
 	for _, ch := range inflight {
 		<-ch
 	}
-	if policyName == "darc" {
+	if p.Kind == sched.KindDARC {
 		// Give a (possibly delayed) controller one more beat, then
 		// record whether the reservation actually made it in; the
 		// comparator turns a miss into a divergence.

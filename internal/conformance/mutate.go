@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/psp"
+	"repro/internal/sched"
 )
 
 // Mutation is one deliberate live-scheduler perturbation. The sim
@@ -17,13 +17,13 @@ type Mutation struct {
 	// Name identifies the mutation in reports.
 	Name string
 	// Policy is the declared policy the mutation hides under.
-	Policy string
+	Policy sched.Spec
 	// Detail says what is perturbed, for the report.
 	Detail string
 
-	// Live-side perturbations (nil/false = leave alone).
-	mode           *psp.Mode
-	staticReserved *int
+	// Live-side perturbations (nil/false = leave alone). live replaces
+	// the policy the live server runs.
+	live           *sched.Spec
 	faults         *faults.Profile
 	flipClassifier bool
 
@@ -35,46 +35,43 @@ type Mutation struct {
 	disableAdmission bool
 }
 
-func modePtr(m psp.Mode) *psp.Mode { return &m }
-func intPtr(i int) *int            { return &i }
-
 // Mutations is the detection catalogue: every entry must be flagged by
 // Compare on every canonical trace and seed (zero false negatives).
 func Mutations() []Mutation {
 	return []Mutation{
 		{
 			Name:   "policy-swap-cfcfs",
-			Policy: "darc",
+			Policy: sched.Spec{Kind: sched.KindDARC},
 			Detail: "live server silently runs c-FCFS instead of DARC",
-			mode:   modePtr(psp.ModeCFCFS),
+			live:   &sched.Spec{Kind: sched.KindCFCFS},
 		},
 		{
 			Name:   "delayed-update",
-			Policy: "darc",
+			Policy: sched.Spec{Kind: sched.KindDARC},
 			Detail: "faults.ReservationDelay holds every DARC update past the run",
 			faults: &faults.Profile{Seed: 1, StallWorker: -1, SlowWorker: -1, ReservationDelay: 30 * time.Minute},
 		},
 		{
-			Name:           "reservation-shrink",
-			Policy:         "darc-static",
-			Detail:         "static reservation shrunk to zero cores",
-			staticReserved: intPtr(0),
+			Name:   "reservation-shrink",
+			Policy: sched.Spec{Kind: sched.KindDARCStatic},
+			Detail: "static reservation shrunk to zero cores",
+			live:   &sched.Spec{Kind: sched.KindDARCStatic},
 		},
 		{
 			Name:   "policy-swap-dfcfs",
-			Policy: "cfcfs",
+			Policy: sched.Spec{Kind: sched.KindCFCFS},
 			Detail: "live server steers per-worker queues (d-FCFS) instead of c-FCFS",
-			mode:   modePtr(psp.ModeDFCFS),
+			live:   &sched.Spec{Kind: sched.KindDFCFS},
 		},
 		{
 			Name:           "misclassify",
-			Policy:         "cfcfs",
+			Policy:         sched.Spec{Kind: sched.KindCFCFS},
 			Detail:         "classifier swaps the two most extreme types",
 			flipClassifier: true,
 		},
 		{
 			Name:             "admission-disabled",
-			Policy:           "darc",
+			Policy:           sched.Spec{Kind: sched.KindDARC},
 			Detail:           "declared admission control silently disabled under overload",
 			admissionBudget:  2 * time.Millisecond,
 			disableAdmission: true,

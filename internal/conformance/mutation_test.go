@@ -8,7 +8,11 @@ package conformance
 // must still agree (zero false positives), so detection cannot be an
 // artifact of the seed.
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sched"
+)
 
 // expectedSignal maps each mutation to the divergence kind its
 // perturbation must trip. Detecting a mutation only through loose
@@ -76,7 +80,7 @@ func TestMutationCleanCounterpartsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
+	seen := map[sched.Spec]bool{}
 	for _, mut := range Mutations() {
 		if seen[mut.Policy] {
 			continue
@@ -93,7 +97,7 @@ func TestMutationCleanCounterpartsAgree(t *testing.T) {
 // entry names a known policy, has a detail string, and the catalogue
 // covers all three structural detector families.
 func TestMutationCatalogueShape(t *testing.T) {
-	policies := map[string]bool{}
+	policies := map[sched.Spec]bool{}
 	for _, p := range Policies() {
 		policies[p] = true
 	}
@@ -103,7 +107,7 @@ func TestMutationCatalogueShape(t *testing.T) {
 			t.Errorf("mutation %+v missing name or detail", mut)
 		}
 		if !policies[mut.Policy] {
-			t.Errorf("mutation %q declares unknown policy %q", mut.Name, mut.Policy)
+			t.Errorf("mutation %q declares unknown policy %s", mut.Name, mut.Policy)
 		}
 		sig, ok := expectedSignal[mut.Name]
 		if !ok {

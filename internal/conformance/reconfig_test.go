@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/psp"
 	"repro/internal/reconfig"
+	"repro/internal/sched"
 )
 
 func TestConformanceReconfigMidTrace(t *testing.T) {
@@ -25,7 +26,7 @@ func TestConformanceReconfigMidTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const policy = "cfcfs"
+	policy := sched.Spec{Kind: sched.KindCFCFS}
 
 	runOnce := func() *Report {
 		tr, err := spec.GenerateSeeded(spec.Seed)

@@ -1,13 +1,11 @@
 package conformance
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/darc"
 	"repro/internal/policy"
-	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -20,7 +18,6 @@ const simDrainSlack = 800 * time.Millisecond
 
 // SimRun is the simulator half of one differential comparison.
 type SimRun struct {
-	Policy   string
 	Arrived  uint64
 	Complete uint64
 	Dropped  uint64
@@ -28,28 +25,6 @@ type SimRun struct {
 	PerType []uint64
 	// QueueDelays holds post-warmup queueing delays per type.
 	QueueDelays [][]time.Duration
-}
-
-// simPolicy builds the simulator policy for a conformance case. The
-// DARC window is scaled to the trace so the controller leaves its
-// c-FCFS startup mode well inside the warmup fraction.
-func simPolicy(spec TraceSpec, tr *trace.Trace, name string, seed uint64) (func() cluster.Policy, error) {
-	switch name {
-	case "darc":
-		dcfg := darc.DefaultConfig(spec.Workers)
-		dcfg.MinWindowSamples = simWindow(tr.Len())
-		n := tr.NumTypes()
-		return func() cluster.Policy { return policy.NewDARC(dcfg, n, 0) }, nil
-	case "darc-static":
-		means := spec.means()
-		reserved := spec.StaticReserved
-		return func() cluster.Policy { return policy.NewDARCStatic(means, reserved, 0) }, nil
-	case "cfcfs":
-		return func() cluster.Policy { return policy.NewCFCFS(0) }, nil
-	case "dfcfs":
-		return func() cluster.Policy { return policy.NewDFCFS(rng.New(seed|1), 0) }, nil
-	}
-	return nil, fmt.Errorf("conformance: unknown policy %q", name)
 }
 
 // simWindow clamps the DARC profiling window to ~1/6 of the trace:
@@ -69,15 +44,17 @@ func simWindow(records int) uint64 {
 }
 
 // RunSim replays the trace through the discrete-event simulator under
-// the named policy and collects the comparator's inputs.
-func RunSim(spec TraceSpec, tr *trace.Trace, policyName string, seed uint64) (*SimRun, error) {
-	newPolicy, err := simPolicy(spec, tr, policyName, seed)
+// the declared policy and collects the comparator's inputs. The DARC
+// window is scaled to the trace so the controller leaves its c-FCFS
+// startup mode well inside the warmup fraction.
+func RunSim(spec TraceSpec, tr *trace.Trace, p sched.Spec, seed uint64) (*SimRun, error) {
+	p = spec.bind(p, seed)
+	numTypes := tr.NumTypes()
+	newPolicy, err := policy.Constructor(p, spec.Workers, numTypes, spec.Mix.Means(), seed, simWindow(tr.Len()))
 	if err != nil {
 		return nil, err
 	}
-	numTypes := tr.NumTypes()
 	run := &SimRun{
-		Policy:      policyName,
 		PerType:     make([]uint64, numTypes),
 		QueueDelays: make([][]time.Duration, numTypes),
 	}

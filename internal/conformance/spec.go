@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -196,17 +197,17 @@ func (ts TraceSpec) shortestType() int {
 	return best
 }
 
-// means extracts the per-type mean service times (darc-static input).
-func (ts TraceSpec) means() []time.Duration {
-	out := make([]time.Duration, len(ts.Mix.Types))
-	for i, t := range ts.Mix.Types {
-		out[i] = t.Service.Mean()
-	}
-	return out
-}
-
 // Policies lists the policy cases every canonical trace must conform
-// under.
-func Policies() []string {
-	return []string{"darc", "darc-static", "cfcfs", "dfcfs"}
+// under: every policy with a live form, so a policy the core gains is
+// conformance-tested with no further edit.
+func Policies() []sched.Spec { return sched.LiveSpecs() }
+
+// bind fills in the arguments a declared policy takes from the case,
+// so the sim and the live server run the same Spec: the spec's
+// darc-static reservation, and a d-FCFS steering seed drawn from the
+// run's seed. Each kind reads only its own argument.
+func (ts TraceSpec) bind(p sched.Spec, seed uint64) sched.Spec {
+	p.StaticReserved = ts.StaticReserved
+	p.SteerSeed = seed | 1
+	return p
 }

@@ -72,6 +72,14 @@ func DefaultConfig(workers int) Config {
 	}
 }
 
+// AutoWindow sizes the profiling window for a simulated run of
+// horizon at rate requests per second: half the arrivals of the
+// run's first 10%, its warm-up discard, so the c-FCFS startup phase
+// ends before measurement starts. The result is clamped to [lo, hi].
+func AutoWindow(rate float64, horizon time.Duration, lo, hi uint64) uint64 {
+	return min(hi, max(lo, uint64(rate*horizon.Seconds()*0.1*0.5)))
+}
+
 func (c *Config) fill() error {
 	if c.Workers <= 0 {
 		return fmt.Errorf("darc: config needs a positive worker count, got %d", c.Workers)

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/darc"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -61,7 +62,7 @@ func (o Options) fill() Options {
 		o.Parallel = runtime.NumCPU()
 	}
 	if o.MinWindowSamples == 0 {
-		o.MinWindowSamples = 5000
+		o.MinWindowSamples = sweepWindowCap
 	}
 	return o
 }
@@ -169,22 +170,21 @@ type RunCtx struct {
 	WindowCap uint64
 }
 
-// DARCWindow returns the profiling-window size for this run: half the
-// arrivals expected during the 10% warm-up, clamped to [200,
-// WindowCap].
+// The sweeps' clamp on DARC's auto-sized profiling window; DESIGN.md
+// §2 gives the reason for each bound.
+const (
+	sweepWindowMin = 200
+	sweepWindowCap = 5000
+)
+
+// DARCWindow returns the profiling-window size for this run:
+// darc.AutoWindow clamped to [sweepWindowMin, WindowCap].
 func (c RunCtx) DARCWindow() uint64 {
-	auto := uint64(c.Rate * c.Duration.Seconds() * 0.1 * 0.5)
-	if auto < 200 {
-		auto = 200
+	hi := c.WindowCap
+	if hi == 0 {
+		hi = sweepWindowCap
 	}
-	cap := c.WindowCap
-	if cap == 0 {
-		cap = 5000
-	}
-	if auto > cap {
-		auto = cap
-	}
-	return auto
+	return darc.AutoWindow(c.Rate, c.Duration, sweepWindowMin, hi)
 }
 
 // PolicySpec names a policy constructor for sweeps.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/psp"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -66,9 +67,19 @@ func overloadCapacity() float64 {
 	return float64(overloadWorkers) / mean
 }
 
-// overloadSystems names the schedulers under comparison.
-func overloadSystems() []string {
-	return []string{"darc+admission", "darc", "cfcfs"}
+// overloadSystem is one scheduler under comparison: a live policy,
+// with or without admission control.
+type overloadSystem struct {
+	name      string
+	policy    sched.Spec
+	admission bool
+}
+
+// overloadSystems lists the schedulers under comparison.
+var overloadSystems = []overloadSystem{
+	{name: "darc+admission", admission: true},
+	{name: "darc"},
+	{name: "cfcfs", policy: sched.Spec{Kind: sched.KindCFCFS}},
 }
 
 // overloadPoint is one (system, load multiple) measurement.
@@ -88,13 +99,19 @@ func (p *overloadPoint) shortP99() time.Duration { return p.Res.Latency[0].Quant
 func (p *overloadPoint) longP99() time.Duration  { return p.Res.Latency[1].QuantileDuration(0.99) }
 
 // runOverloadPoint offers mult x the derated capacity to a fresh live
-// server running the named system for dur, then drains and snapshots
-// the admission ledger at quiescence.
-func runOverloadPoint(system string, mult float64, dur time.Duration, seed uint64) (*overloadPoint, error) {
+// server running sys for dur, then drains and snapshots the admission
+// ledger at quiescence.
+func runOverloadPoint(sys overloadSystem, mult float64, dur time.Duration, seed uint64) (*overloadPoint, error) {
 	mix := overloadMix()
 	svcs := []time.Duration{overloadShortSvc, overloadLongSvc}
+	// The DARC systems profile over 96 completions, so the reservation
+	// installs early in each point; c-FCFS ignores the window.
+	dcfg := darc.DefaultConfig(overloadWorkers)
+	dcfg.MinWindowSamples = 96
 	cfg := psp.Config{
 		Workers:    overloadWorkers,
+		Policy:     sys.policy,
+		DARC:       dcfg,
 		Classifier: classify.Field{Offset: 0, Types: len(svcs)},
 		// Sleep (don't spin) the service demand so oversubscribed hosts
 		// aren't starved; shave the expected timer-tick overshoot off
@@ -111,18 +128,7 @@ func runOverloadPoint(system string, mult float64, dur time.Duration, seed uint6
 			return copy(r, p[:min(len(p), len(r))]), proto.StatusOK
 		}),
 	}
-	switch system {
-	case "darc+admission", "darc":
-		cfg.Mode = psp.ModeDARC
-		dcfg := darc.DefaultConfig(overloadWorkers)
-		dcfg.MinWindowSamples = 96
-		cfg.DARC = dcfg
-	case "cfcfs":
-		cfg.Mode = psp.ModeCFCFS
-	default:
-		return nil, fmt.Errorf("experiments: unknown overload system %q", system)
-	}
-	if system == "darc+admission" {
+	if sys.admission {
 		cfg.Admission = &admission.Config{
 			Budgets:       []time.Duration{overloadShortBudget, overloadLongBudget},
 			OverloadDelay: overloadTrimDelay,
@@ -154,7 +160,7 @@ func runOverloadPoint(system string, mult float64, dur time.Duration, seed uint6
 	if err != nil {
 		return nil, err
 	}
-	pt := &overloadPoint{System: system, Multiple: mult, Offered: offered, Res: res}
+	pt := &overloadPoint{System: sys.name, Multiple: mult, Offered: offered, Res: res}
 	// Run returns once every request settled from the client's view,
 	// but the dispatcher notes a completion asynchronously after the
 	// worker posts the response — give the ledger a moment to balance
@@ -186,9 +192,9 @@ func ExtOverload(opt Options) ([]*Table, error) {
 		Header: []string{"system", "load_x", "offered_rps", "sent", "answered", "shed",
 			"shed_deadline", "shed_overload", "short_p99", "long_p99"},
 	}
-	for _, system := range overloadSystems() {
+	for _, sys := range overloadSystems {
 		for _, mult := range multiples {
-			pt, err := runOverloadPoint(system, mult, opt.Duration, opt.Seed)
+			pt, err := runOverloadPoint(sys, mult, opt.Duration, opt.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -198,7 +204,7 @@ func ExtOverload(opt Options) ([]*Table, error) {
 				shedDeadline, shedOverload = tot.ShedDeadline, tot.ShedOverload
 			}
 			t.Rows = append(t.Rows, []string{
-				system,
+				sys.name,
 				fmt.Sprintf("%.1f", mult),
 				fmt.Sprintf("%.0f", pt.Offered),
 				fmt.Sprintf("%d", pt.Res.Sent),

@@ -60,18 +60,19 @@ func TestOverloadExperiment(t *testing.T) {
 		dur = 700 * time.Millisecond
 	}
 	const seed = 7
+	darcAdmission, cfcfs := overloadSystems[0], overloadSystems[2]
 
-	baseline, err := runOverloadPoint("darc+admission", 0.8, dur, seed)
+	baseline, err := runOverloadPoint(darcAdmission, 0.8, dur, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireConservation(t, baseline)
-	protected, err := runOverloadPoint("darc+admission", 2.0, dur, seed)
+	protected, err := runOverloadPoint(darcAdmission, 2.0, dur, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireConservation(t, protected)
-	unprotected, err := runOverloadPoint("cfcfs", 2.0, dur, seed)
+	unprotected, err := runOverloadPoint(cfcfs, 2.0, dur, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,10 +198,7 @@ func specDARC(opt Options, workers, numTypes int) PolicySpec {
 }
 
 func specDARCStatic(mix workload.Mix, reserved int) PolicySpec {
-	means := make([]time.Duration, len(mix.Types))
-	for i, t := range mix.Types {
-		means[i] = t.Service.Mean()
-	}
+	means := mix.Means()
 	return PolicySpec{
 		Name: fmt.Sprintf("DARC-static(%d)", reserved),
 		New: func(RunCtx) cluster.Policy {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/proto"
 	"repro/internal/psp"
+	"repro/internal/sched"
 )
 
 // newBackendTCP starts an in-process Perséphone backend listening on
@@ -17,7 +18,7 @@ func newBackendTCP(t *testing.T, workers int, h psp.Handler) (*psp.Server, *psp.
 		Workers:    workers,
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler:    h,
-		Mode:       psp.ModeCFCFS,
+		Policy:     sched.Spec{Kind: sched.KindCFCFS},
 	})
 	if err != nil {
 		t.Fatal(err)

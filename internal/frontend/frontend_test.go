@@ -12,6 +12,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/proto"
 	"repro/internal/psp"
+	"repro/internal/sched"
 )
 
 // sleepHandler echoes the payload after a per-type sleep (sleep, not
@@ -42,7 +43,7 @@ func newBackend(t *testing.T, workers int, h psp.Handler, prof *faults.Profile) 
 		Workers:    workers,
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler:    h,
-		Mode:       psp.ModeCFCFS,
+		Policy:     sched.Spec{Kind: sched.KindCFCFS},
 		Faults:     prof,
 	})
 	if err != nil {
@@ -315,7 +316,7 @@ func TestFrontendNackImmediateHedge(t *testing.T) {
 		Workers:    1,
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler:    h,
-		Mode:       psp.ModeCFCFS,
+		Policy:     sched.Spec{Kind: sched.KindCFCFS},
 		Admission: &admission.Config{
 			Budgets: []time.Duration{time.Nanosecond, time.Nanosecond},
 		},
@@ -439,7 +440,7 @@ func BenchmarkFrontendLoopback(b *testing.B) {
 		Workers:    2,
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler:    h,
-		Mode:       psp.ModeCFCFS,
+		Policy:     sched.Spec{Kind: sched.KindCFCFS},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/proto"
 	"repro/internal/psp"
+	"repro/internal/sched"
 )
 
 // TestLedgerSendErrors: a request whose first transmission fails moves
@@ -91,7 +92,7 @@ func TestDrainBooksStragglers(t *testing.T) {
 				time.Sleep(50 * time.Millisecond)
 				return copy(r, p), proto.StatusOK
 			}),
-			Mode: psp.ModeCFCFS,
+			Policy: sched.Spec{Kind: sched.KindCFCFS},
 		})
 		if err != nil {
 			t.Fatal(err)

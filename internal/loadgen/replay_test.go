@@ -8,6 +8,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/proto"
 	"repro/internal/psp"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -37,7 +38,7 @@ func TestReplayUDPConservation(t *testing.T) {
 			}
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode: psp.ModeCFCFS,
+		Policy: sched.Spec{Kind: sched.KindCFCFS},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/darc"
 	"repro/internal/proto"
 	"repro/internal/psp"
+	"repro/internal/sched"
 )
 
 func tcpEcho(t *testing.T) *psp.TCPServer {
@@ -78,7 +79,7 @@ func TestRunTCPTimeoutAccounting(t *testing.T) {
 			time.Sleep(500 * time.Millisecond)
 			return 0, proto.StatusOK
 		}),
-		Mode: psp.ModeCFCFS,
+		Policy: sched.Spec{Kind: sched.KindCFCFS},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestRunTCPPipelineLateness(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode: psp.ModeCFCFS,
+		Policy: sched.Spec{Kind: sched.KindCFCFS},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -362,7 +362,7 @@ func TestSentinelErrors(t *testing.T) {
 	if !errors.Is(ErrCallTimeout, ErrDeadlineExceeded) {
 		t.Fatal("ErrCallTimeout must alias ErrDeadlineExceeded")
 	}
-	srv := newEchoServer(t, 1, ModeCFCFS)
+	srv := newEchoServer(t, 1, sched.KindCFCFS)
 	srv.Stop()
 	if _, err := srv.Submit(typedPayload(0, "late")); !errors.Is(err, ErrServerStopped) {
 		t.Fatalf("submit after stop: %v", err)

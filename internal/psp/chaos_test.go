@@ -20,6 +20,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/psp"
+	"repro/internal/sched"
 	"repro/internal/spin"
 	"repro/internal/workload"
 )
@@ -41,7 +42,7 @@ func chaosProfile() *faults.Profile {
 // overlap there, so the DARC-vs-FCFS comparison measures scheduling
 // rather than host-core contention. A watchdog converts a hang into a
 // test failure instead of a suite timeout.
-func runChaos(t *testing.T, mode psp.Mode) (*loadgen.Result, psp.Stats) {
+func runChaos(t *testing.T, mode sched.Kind) (*loadgen.Result, psp.Stats) {
 	t.Helper()
 
 	const shortSvc, longSvc = 500 * time.Microsecond, 20 * time.Millisecond
@@ -58,7 +59,7 @@ func runChaos(t *testing.T, mode psp.Mode) (*loadgen.Result, psp.Stats) {
 			}
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode:   mode,
+		Policy: sched.Spec{Kind: mode},
 		DARC:   dcfg,
 		Faults: chaosProfile(),
 	})
@@ -83,7 +84,7 @@ func runChaos(t *testing.T, mode psp.Mode) (*loadgen.Result, psp.Stats) {
 			t.Fatalf("warmup call %d: %v", i, err)
 		}
 	}
-	if mode == psp.ModeDARC && srv.Controller().Reservation() == nil {
+	if mode == sched.KindDARC && srv.Controller().Reservation() == nil {
 		t.Fatal("no reservation after warmup")
 	}
 
@@ -136,8 +137,9 @@ func runChaos(t *testing.T, mode psp.Mode) (*loadgen.Result, psp.Stats) {
 }
 
 func TestChaosNoLostCompletions(t *testing.T) {
-	for _, mode := range []psp.Mode{psp.ModeDARC, psp.ModeCFCFS} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, mode := range []sched.Kind{sched.KindDARC, sched.KindCFCFS} {
+		m, _ := sched.Spec{Kind: mode}.Mode()
+		t.Run(m.String(), func(t *testing.T) {
 			res, st := runChaos(t, mode)
 			t.Logf("%v: %v", mode, res)
 			if res.Sent == 0 {
@@ -194,8 +196,8 @@ func TestChaosDARCBeatsCFCFSShortTail(t *testing.T) {
 	const attempts = 3
 	var darcQ, fcfsQ time.Duration
 	for a := 1; a <= attempts; a++ {
-		_, darcStats := runChaos(t, psp.ModeDARC)
-		_, fcfsStats := runChaos(t, psp.ModeCFCFS)
+		_, darcStats := runChaos(t, sched.KindDARC)
+		_, fcfsStats := runChaos(t, sched.KindCFCFS)
 		if darcStats.Summaries[0].Completed == 0 || fcfsStats.Summaries[0].Completed == 0 {
 			t.Fatal("no short completions recorded")
 		}

@@ -5,6 +5,9 @@ import (
 	"time"
 )
 
+// IngressCap is the ingress ring's capacity.
+const IngressCap = ingressCap
+
 // WaitSpansSettled blocks until every dispatched request's lifecycle
 // span has been drained (or counted lost). A worker publishes its span
 // after it replies, so a test that reads spans, summaries or span

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/proto"
+	"repro/internal/sched"
 )
 
 // The allocation budget for the dispatcher's classify→enqueue→
@@ -22,7 +23,7 @@ import (
 // and DARC-static; under DARC started, fed typed traffic until a
 // reservation is installed (before that DARC dispatches as c-FCFS and
 // Algorithm 1's pass never runs), and stopped again.
-func newHotPathServer(tb testing.TB, mode Mode) *Server {
+func newHotPathServer(tb testing.TB, mode sched.Kind) *Server {
 	tb.Helper()
 	srv, err := NewServer(Config{
 		Workers:    1,
@@ -30,13 +31,13 @@ func newHotPathServer(tb testing.TB, mode Mode) *Server {
 		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode:        mode,
+		Policy:      sched.Spec{Kind: mode},
 		StaticMeans: []time.Duration{time.Millisecond, 10 * time.Millisecond},
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if mode == ModeDARC {
+	if mode == sched.KindDARC {
 		srv.Start()
 		driveReservation(tb, srv)
 		srv.Stop()
@@ -78,8 +79,10 @@ func driveHotPath(srv *Server, r *Request) {
 }
 
 func TestDispatchHotPathZeroAlloc(t *testing.T) {
-	for _, mode := range []Mode{ModeCFCFS, ModeDARC, ModeDFCFS, ModeDARCStatic} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, p := range sched.LiveSpecs() {
+		mode := p.Kind
+		m, _ := p.Mode()
+		t.Run(m.String(), func(t *testing.T) {
 			srv := newHotPathServer(t, mode)
 			payload := typedPayload(0, "hot")
 			r := &Request{payload: payload}
@@ -100,7 +103,7 @@ func TestDispatchHotPathZeroAlloc(t *testing.T) {
 			if idle := testing.AllocsPerRun(1000, func() { srv.core.Dispatch() }); idle != 0 {
 				t.Fatalf("idle dispatch pass allocates %.2f objects, want 0", idle)
 			}
-			if mode != ModeDARC {
+			if mode != sched.KindDARC {
 				return
 			}
 			// The first pass after a reservation swap rebuilds the core's
@@ -125,7 +128,7 @@ func TestDispatchHotPathZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkDispatchHotPath(b *testing.B) {
-	srv := newHotPathServer(b, ModeCFCFS)
+	srv := newHotPathServer(b, sched.KindCFCFS)
 	payload := typedPayload(0, "hot")
 	r := &Request{payload: payload}
 	for i := 0; i < 64; i++ {
@@ -149,7 +152,7 @@ func BenchmarkDispatchHotPathUntraced(b *testing.B) {
 		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode:     ModeCFCFS,
+		Policy:   sched.Spec{Kind: sched.KindCFCFS},
 		TraceCap: -1,
 	})
 	if err != nil {
@@ -185,7 +188,7 @@ func drainOne(srv *Server) bool {
 // batched ingress path: stamping and ring-reserving a whole burst,
 // then dispatching it, must not touch the heap either.
 func TestInjectBatchZeroAlloc(t *testing.T) {
-	srv := newHotPathServer(t, ModeCFCFS)
+	srv := newHotPathServer(t, sched.KindCFCFS)
 	payload := typedPayload(0, "hot")
 	batch := make([]*Request, 32)
 	for i := range batch {
@@ -212,7 +215,7 @@ func TestInjectBatchZeroAlloc(t *testing.T) {
 // usual per-request pipeline. The ns/req metric is comparable to
 // BenchmarkDispatchHotPath's ns/op.
 func BenchmarkDispatchHotPathBatch(b *testing.B) {
-	srv := newHotPathServer(b, ModeCFCFS)
+	srv := newHotPathServer(b, sched.KindCFCFS)
 	payload := typedPayload(0, "hot")
 	batch := make([]*Request, 32)
 	for i := range batch {

@@ -16,13 +16,14 @@ import (
 	"repro/internal/darc"
 	"repro/internal/faults"
 	"repro/internal/proto"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
 func TestWriteMetrics(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	for i := 0; i < 50; i++ {
 		if _, err := srv.Call(typedPayload(i%2, "m")); err != nil {
 			t.Fatal(err)
@@ -49,7 +50,7 @@ func TestWriteMetrics(t *testing.T) {
 }
 
 func TestServeMetricsHTTP(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	for i := 0; i < 20; i++ {
 		srv.Call(typedPayload(0, "x")) //nolint:errcheck
 	}
@@ -84,7 +85,7 @@ func TestServeMetricsHTTP(t *testing.T) {
 }
 
 func TestHealthzAfterStop(t *testing.T) {
-	srv := newEchoServer(t, 1, ModeCFCFS)
+	srv := newEchoServer(t, 1, sched.KindCFCFS)
 	addr, shutdown, err := srv.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

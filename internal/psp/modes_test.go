@@ -14,6 +14,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/proto"
 	"repro/internal/psp"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -62,11 +63,11 @@ func sleepHandler(d0, d1 time.Duration) psp.Handler {
 }
 
 func TestModeStrings(t *testing.T) {
-	for mode, want := range map[psp.Mode]string{
-		psp.ModeDARC:       "DARC",
-		psp.ModeCFCFS:      "c-FCFS",
-		psp.ModeDFCFS:      "d-FCFS",
-		psp.ModeDARCStatic: "DARC-static",
+	for mode, want := range map[sched.Mode]string{
+		sched.DARC:       "DARC",
+		sched.CFCFS:      "c-FCFS",
+		sched.DFCFS:      "d-FCFS",
+		sched.DARCStatic: "DARC-static",
 	} {
 		if got := mode.String(); got != want {
 			t.Errorf("mode %d String() = %q, want %q", mode, got, want)
@@ -77,12 +78,11 @@ func TestModeStrings(t *testing.T) {
 func TestDARCStaticConfigValidation(t *testing.T) {
 	base := func() psp.Config {
 		return psp.Config{
-			Workers:        2,
-			Classifier:     classify.Field{Offset: 0, Types: 2},
-			Handler:        sleepHandler(0, 0),
-			Mode:           psp.ModeDARCStatic,
-			StaticMeans:    []time.Duration{time.Microsecond, time.Millisecond},
-			StaticReserved: 1,
+			Workers:     2,
+			Classifier:  classify.Field{Offset: 0, Types: 2},
+			Handler:     sleepHandler(0, 0),
+			Policy:      sched.Spec{Kind: sched.KindDARCStatic, StaticReserved: 1},
+			StaticMeans: []time.Duration{time.Microsecond, time.Millisecond},
 		}
 	}
 	cfg := base()
@@ -91,12 +91,12 @@ func TestDARCStaticConfigValidation(t *testing.T) {
 		t.Error("StaticMeans shorter than type count accepted")
 	}
 	cfg = base()
-	cfg.StaticReserved = 3
+	cfg.Policy.StaticReserved = 3
 	if _, err := psp.NewServer(cfg); err == nil {
 		t.Error("StaticReserved > Workers accepted")
 	}
 	cfg = base()
-	cfg.StaticReserved = -1
+	cfg.Policy.StaticReserved = -1
 	if _, err := psp.NewServer(cfg); err == nil {
 		t.Error("negative StaticReserved accepted")
 	}
@@ -114,12 +114,11 @@ func TestDARCStaticConfigValidation(t *testing.T) {
 func TestDARCStaticWorkerEligibility(t *testing.T) {
 	const reserved = 1
 	srv, collect := newModeServer(t, psp.Config{
-		Workers:        3,
-		Classifier:     classify.Field{Offset: 0, Types: 2},
-		Handler:        sleepHandler(400*time.Microsecond, 50*time.Microsecond),
-		Mode:           psp.ModeDARCStatic,
-		StaticMeans:    []time.Duration{400 * time.Microsecond, 50 * time.Microsecond},
-		StaticReserved: reserved,
+		Workers:     3,
+		Classifier:  classify.Field{Offset: 0, Types: 2},
+		Handler:     sleepHandler(400*time.Microsecond, 50*time.Microsecond),
+		Policy:      sched.Spec{Kind: sched.KindDARCStatic, StaticReserved: reserved},
+		StaticMeans: []time.Duration{400 * time.Microsecond, 50 * time.Microsecond},
 	})
 
 	var chans []<-chan psp.Response
@@ -171,8 +170,7 @@ func TestDFCFSDeterministicSteering(t *testing.T) {
 			Workers:    3,
 			Classifier: classify.Field{Offset: 0, Types: 2},
 			Handler:    sleepHandler(0, 0),
-			Mode:       psp.ModeDFCFS,
-			SteerSeed:  seed,
+			Policy:     sched.Spec{Kind: sched.KindDFCFS, SteerSeed: seed},
 		})
 		for i := 0; i < 64; i++ {
 			if _, err := srv.Call(typedPayload(i % 2)); err != nil {
@@ -218,8 +216,7 @@ func TestDFCFSPerWorkerFIFO(t *testing.T) {
 		Workers:    2,
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler:    sleepHandler(80*time.Microsecond, 80*time.Microsecond),
-		Mode:       psp.ModeDFCFS,
-		SteerSeed:  7,
+		Policy:     sched.Spec{Kind: sched.KindDFCFS, SteerSeed: 7},
 	})
 	var chans []<-chan psp.Response
 	for i := 0; i < 200; i++ {

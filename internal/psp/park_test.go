@@ -16,6 +16,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/proto"
 	"repro/internal/reconfig"
+	"repro/internal/sched"
 )
 
 func allStacks() string {
@@ -129,7 +130,7 @@ func TestReconfigureWhileParked(t *testing.T) {
 		spec   reconfig.Spec
 		parked int // once the change has settled
 	}{
-		{"policy swap", reconfig.Spec{Policy: &reconfig.PolicyChange{Mode: "cfcfs"}}, 9},
+		{"policy swap", reconfig.Spec{Policy: &reconfig.PolicyChange{Spec: sched.Spec{Kind: sched.KindCFCFS}}}, 9},
 		{"shrink", reconfig.Spec{Workers: &two}, 3},
 		{"grow", reconfig.Spec{Workers: &eight}, 9},
 	} {

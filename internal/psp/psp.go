@@ -34,28 +34,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Mode selects the dispatcher's scheduling policy; the scheduling core
-// makes every decision under it.
-type Mode = sched.Mode
-
-const (
-	// ModeDARC runs the paper's policy (with its c-FCFS startup
-	// window).
-	ModeDARC = sched.DARC
-	// ModeCFCFS runs plain centralized FCFS, the paper's main
-	// non-preemptive baseline.
-	ModeCFCFS = sched.CFCFS
-	// ModeDFCFS runs decentralized FCFS: each worker owns a queue and
-	// arrivals are steered uniformly at random (modelling NIC RSS, as
-	// in the simulator's d-FCFS policy). Workers never share work.
-	ModeDFCFS = sched.DFCFS
-	// ModeDARCStatic runs the paper's §5.3 manual ablation: the first
-	// Config.StaticReserved workers are dedicated to the statically
-	// shortest type (per Config.StaticMeans); short requests may run
-	// anywhere, longer types only on the non-reserved workers.
-	ModeDARCStatic = sched.DARCStatic
-)
-
 const (
 	// ingressCap bounds the ingress ring and the completion ring.
 	ingressCap = 8192
@@ -142,22 +120,17 @@ type Config struct {
 	Classifier classify.Classifier
 	// Handler executes requests (required).
 	Handler Handler
-	// Mode selects the scheduling policy: DARC (default), c-FCFS,
-	// d-FCFS, or DARC-static.
-	Mode Mode
-	// StaticMeans gives ModeDARCStatic its per-type service times
-	// (index = type ID); the type with the smallest mean is the
-	// "short" type the reservation protects. Required in that mode,
-	// ignored otherwise.
+	// Policy selects the scheduling policy (zero value: DARC); only the
+	// kinds with a live form run (DARC, c-FCFS, d-FCFS, DARC-static).
+	// DARC-static reserves Policy.StaticReserved workers for the
+	// shortest type; d-FCFS steers arrivals from Policy.SteerSeed (0
+	// uses a fixed default) so runs are reproducible.
+	Policy sched.Spec
+	// StaticMeans gives DARC-static its per-type service times (index =
+	// type ID); the type with the smallest mean is the "short" type the
+	// reservation protects. Required under DARC-static, ignored
+	// otherwise.
 	StaticMeans []time.Duration
-	// StaticReserved is how many workers ModeDARCStatic dedicates to
-	// the shortest type (0 degenerates to fixed priority). Ignored
-	// outside that mode.
-	StaticReserved int
-	// SteerSeed seeds ModeDFCFS's per-arrival worker steering so runs
-	// are reproducible (0 uses a fixed default). Ignored outside that
-	// mode.
-	SteerSeed uint64
 	// DARC tunes the controller; zero value uses defaults with
 	// MinWindowSamples lowered to 512 (live runs are shorter than the
 	// paper's 50k-sample windows).
@@ -324,12 +297,16 @@ func NewServer(cfg Config) (*Server, error) {
 	if numTypes <= 0 {
 		return nil, fmt.Errorf("psp: classifier %q declares %d types", cfg.Classifier.Name(), numTypes)
 	}
-	if cfg.Mode == ModeDARCStatic {
+	mode, err := cfg.Policy.Mode()
+	if err != nil {
+		return nil, err
+	}
+	if mode == sched.DARCStatic {
 		if len(cfg.StaticMeans) != numTypes {
 			return nil, fmt.Errorf("psp: DARC-static needs %d StaticMeans, got %d", numTypes, len(cfg.StaticMeans))
 		}
-		if cfg.StaticReserved < 0 || cfg.StaticReserved > cfg.Workers {
-			return nil, fmt.Errorf("psp: DARC-static reserved %d out of range for %d workers", cfg.StaticReserved, cfg.Workers)
+		if r := cfg.Policy.StaticReserved; r < 0 || r > cfg.Workers {
+			return nil, fmt.Errorf("psp: DARC-static reserved %d out of range for %d workers", r, cfg.Workers)
 		}
 	}
 	ctl, err := darc.NewController(dcfg, numTypes)
@@ -358,25 +335,25 @@ func NewServer(cfg Config) (*Server, error) {
 		rec:      metrics.NewRecorder(numTypes, nil),
 	}
 	s.core = sched.New(sched.Config[*Request]{
-		Mode:           cfg.Mode,
+		Mode:           mode,
 		NumTypes:       numTypes,
 		Workers:        cfg.Workers,
 		QueueCap:       cfg.QueueCap,
 		Controller:     ctl,
 		StaticMeans:    cfg.StaticMeans,
-		StaticReserved: cfg.StaticReserved,
+		StaticReserved: cfg.Policy.StaticReserved,
 		Arrival:        func(r *Request) time.Duration { return r.arrival },
 		Type:           func(r *Request) int { return r.typ },
 		Take:           s.take,
 		Steer:          s.steerNext,
 	})
-	s.modeA.Store(int64(cfg.Mode))
+	s.modeA.Store(int64(mode))
 	s.activeA.Store(int64(cfg.Workers))
 	s.retiring = make([]bool, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		s.rings = append(s.rings, spsc.NewRing[*Request](8))
 	}
-	s.steer = cfg.SteerSeed
+	s.steer = cfg.Policy.SteerSeed
 	if s.steer == 0 {
 		s.steer = 0x9E3779B97F4A7C15
 	}
@@ -536,7 +513,7 @@ func (s *Server) dispatcherLoop() {
 				if s.adm != nil {
 					s.adm.NoteCompleted(c.typ)
 				}
-				if s.core.Mode() == ModeDARC {
+				if s.core.Mode() == sched.DARC {
 					s.maybeUpdateReservation()
 				}
 				s.booked = append(s.booked, c)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/darc"
 	"repro/internal/proto"
+	"repro/internal/sched"
 	"repro/internal/spin"
 )
 
@@ -35,7 +36,7 @@ func typedPayload(typ int, body string) []byte {
 	return p
 }
 
-func newEchoServer(t *testing.T, workers int, mode Mode) *Server {
+func newEchoServer(t *testing.T, workers int, mode sched.Kind) *Server {
 	t.Helper()
 	spin.Calibrate(10 * time.Millisecond)
 	cfg := darc.DefaultConfig(workers)
@@ -47,7 +48,7 @@ func newEchoServer(t *testing.T, workers int, mode Mode) *Server {
 		Workers:    workers,
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler:    &echoHandler{serviceByType: []time.Duration{5 * time.Microsecond, 200 * time.Microsecond}},
-		Mode:       mode,
+		Policy:     sched.Spec{Kind: mode},
 		DARC:       cfg,
 	})
 	if err != nil {
@@ -75,7 +76,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestCallRoundTrip(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	resp, err := srv.Call(typedPayload(0, "hello"))
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestCallRoundTrip(t *testing.T) {
 }
 
 func TestManyConcurrentCalls(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	const n = 500
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -126,7 +127,7 @@ func TestManyConcurrentCalls(t *testing.T) {
 }
 
 func TestUnknownTypeStillServed(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	// Type 9 is beyond the classifier's 2 types -> Unknown queue.
 	resp, err := srv.Call(typedPayload(9, "mystery"))
 	if err != nil {
@@ -141,7 +142,7 @@ func TestUnknownTypeStillServed(t *testing.T) {
 }
 
 func TestShortPayloadIsUnknown(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	resp, err := srv.Call([]byte{0x01}) // too short for the field classifier
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +153,7 @@ func TestShortPayloadIsUnknown(t *testing.T) {
 }
 
 func TestDARCInstallsReservationUnderLoad(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	var wg sync.WaitGroup
 	for i := 0; i < 300; i++ {
 		wg.Add(1)
@@ -175,7 +176,7 @@ func TestDARCInstallsReservationUnderLoad(t *testing.T) {
 }
 
 func TestCFCFSMode(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeCFCFS)
+	srv := newEchoServer(t, 2, sched.KindCFCFS)
 	for i := 0; i < 100; i++ {
 		resp, err := srv.Call(typedPayload(i%2, "y"))
 		if err != nil {
@@ -273,7 +274,7 @@ func TestHandlerStatusPropagates(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	for i := 0; i < 50; i++ {
 		srv.Call(typedPayload(0, "s")) //nolint:errcheck
 	}

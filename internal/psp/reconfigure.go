@@ -3,11 +3,11 @@ package psp
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/admission"
 	"repro/internal/reconfig"
+	"repro/internal/sched"
 	"repro/internal/spsc"
 	"repro/internal/trace"
 )
@@ -56,23 +56,6 @@ type reconfigOp struct {
 	deadline   time.Duration
 }
 
-// ParsePolicyName maps a policy name to its Mode. Accepted spellings
-// mirror Mode.String, case- and hyphen-insensitively: "darc",
-// "c-fcfs"/"cfcfs", "d-fcfs"/"dfcfs", "darc-static"/"darcstatic".
-func ParsePolicyName(name string) (Mode, error) {
-	switch strings.ReplaceAll(strings.ToLower(strings.TrimSpace(name)), "-", "") {
-	case "darc":
-		return ModeDARC, nil
-	case "cfcfs":
-		return ModeCFCFS, nil
-	case "dfcfs":
-		return ModeDFCFS, nil
-	case "darcstatic":
-		return ModeDARCStatic, nil
-	}
-	return 0, fmt.Errorf("psp: unknown policy %q (want darc, c-fcfs, d-fcfs or darc-static)", name)
-}
-
 // Reconfigure applies spec to the running server and blocks until the
 // change is fully in effect — including the graceful drain of retiring
 // workers on a shrink. Concurrent calls serialize in arrival order;
@@ -92,7 +75,11 @@ func (s *Server) Reconfigure(spec reconfig.Spec) (reconfig.Result, error) {
 	// checks (type counts, admission availability) run on the
 	// dispatcher in validateOp.
 	if spec.Policy != nil {
-		if _, err := ParsePolicyName(spec.Policy.Mode); err != nil {
+		err := spec.Policy.Err
+		if err == nil {
+			_, err = spec.Policy.Mode()
+		}
+		if err != nil {
 			s.rcRejected.Add(1)
 			return reconfig.Result{}, err
 		}
@@ -122,7 +109,7 @@ func (s *Server) Reconfigure(spec reconfig.Spec) (reconfig.Result, error) {
 // safe from any goroutine (it reads only atomic mirrors).
 func (s *Server) ConfigSnapshot() reconfig.Snapshot {
 	snap := reconfig.Snapshot{
-		Policy:     Mode(s.modeA.Load()).String(),
+		Policy:     sched.Mode(s.modeA.Load()).String(),
 		Workers:    int(s.activeA.Load()),
 		Generation: s.generation.Load(),
 	}
@@ -190,24 +177,18 @@ func (s *Server) validateOp(op *reconfigOp) error {
 	if spec.Workers != nil {
 		target = *spec.Workers
 	}
-	if spec.Policy != nil {
-		mode, err := ParsePolicyName(spec.Policy.Mode)
-		if err != nil {
-			return err
+	if spec.Policy != nil && spec.Policy.Kind == sched.KindDARCStatic {
+		numTypes := s.cfg.Classifier.NumTypes()
+		means := spec.Policy.StaticMeans
+		if len(means) == 0 {
+			means = s.cfg.StaticMeans
 		}
-		if mode == ModeDARCStatic {
-			numTypes := s.cfg.Classifier.NumTypes()
-			means := spec.Policy.StaticMeans
-			if len(means) == 0 {
-				means = s.cfg.StaticMeans
-			}
-			if len(means) != numTypes {
-				return fmt.Errorf("psp: darc-static needs %d static means, got %d", numTypes, len(means))
-			}
-			if spec.Policy.StaticReserved < 0 || spec.Policy.StaticReserved > target {
-				return fmt.Errorf("psp: darc-static reserved %d out of range for %d workers",
-					spec.Policy.StaticReserved, target)
-			}
+		if len(means) != numTypes {
+			return fmt.Errorf("psp: darc-static needs %d static means, got %d", numTypes, len(means))
+		}
+		if spec.Policy.StaticReserved < 0 || spec.Policy.StaticReserved > target {
+			return fmt.Errorf("psp: darc-static reserved %d out of range for %d workers",
+				spec.Policy.StaticReserved, target)
 		}
 	}
 	if spec.Admission != nil && s.adm == nil {
@@ -245,12 +226,12 @@ func (s *Server) applyAdmission(op *reconfigOp) {
 // Dispatcher-only; validated beforehand.
 func (s *Server) applyPolicy(op *reconfigOp) {
 	pc := op.spec.Policy
-	target, _ := ParsePolicyName(pc.Mode) // validated in validateOp
+	target, _ := pc.Mode() // validated in Reconfigure
 	cur := s.core.Mode()
 	if pc.SteerSeed != 0 {
 		s.steer = pc.SteerSeed
 	}
-	if target == ModeDARCStatic {
+	if target == sched.DARCStatic {
 		if len(pc.StaticMeans) > 0 {
 			s.cfg.StaticMeans = append([]time.Duration(nil), pc.StaticMeans...)
 		}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/proto"
 	"repro/internal/reconfig"
+	"repro/internal/sched"
 	"repro/internal/spin"
 )
 
@@ -30,39 +31,63 @@ func mustReconfigure(t *testing.T, srv *Server, sp reconfig.Spec) reconfig.Resul
 	return res
 }
 
+// policyChange parses a policy= value the way the admin endpoint does.
+func policyChange(t *testing.T, text string) *reconfig.PolicyChange {
+	t.Helper()
+	sp, err := reconfig.ParseSpec(map[string]string{"policy": text})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp.Policy
+}
+
+// TestParsePolicyName checks the policy= spellings the live server
+// runs: each resolves, through the same parse and Mode step Reconfigure
+// applies, to its dispatch mode; unknown, empty and sim-only names
+// resolve to none.
 func TestParsePolicyName(t *testing.T) {
-	good := map[string]Mode{
-		"darc": ModeDARC, "DARC": ModeDARC,
-		"c-fcfs": ModeCFCFS, "cfcfs": ModeCFCFS, "C-FCFS": ModeCFCFS,
-		"d-fcfs": ModeDFCFS, "dfcfs": ModeDFCFS,
-		"darc-static": ModeDARCStatic, "DARCStatic": ModeDARCStatic,
+	mode := func(name string) (sched.Mode, error) {
+		sp, err := reconfig.ParseSpec(map[string]string{"policy": name})
+		if err != nil {
+			return 0, err
+		}
+		if sp.Policy.Err != nil {
+			return 0, sp.Policy.Err
+		}
+		return sp.Policy.Mode()
+	}
+	good := map[string]sched.Mode{
+		"darc": sched.DARC, "DARC": sched.DARC,
+		"c-fcfs": sched.CFCFS, "cfcfs": sched.CFCFS, "C-FCFS": sched.CFCFS,
+		"d-fcfs": sched.DFCFS, "dfcfs": sched.DFCFS,
+		"darc-static": sched.DARCStatic, "DARCStatic": sched.DARCStatic,
 	}
 	for name, want := range good {
-		if got, err := ParsePolicyName(name); err != nil || got != want {
-			t.Errorf("ParsePolicyName(%q) = %v, %v; want %v", name, got, err, want)
+		if got, err := mode(name); err != nil || got != want {
+			t.Errorf("policy=%q: %v, %v; want %v", name, got, err, want)
 		}
 	}
-	for _, name := range []string{"", "fcfs", "warp-speed"} {
-		if _, err := ParsePolicyName(name); err == nil {
-			t.Errorf("ParsePolicyName(%q) accepted", name)
+	for _, name := range []string{"", "fcfs", "warp-speed", "shenango"} {
+		if got, err := mode(name); err == nil {
+			t.Errorf("policy=%q accepted as %v", name, got)
 		}
 	}
 }
 
 func TestReconfigureRejects(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	cases := []struct {
 		name string
 		spec reconfig.Spec
 	}{
 		{"empty", reconfig.Spec{}},
-		{"bad policy", reconfig.Spec{Policy: &reconfig.PolicyChange{Mode: "warp"}}},
+		{"bad policy", reconfig.Spec{Policy: policyChange(t, "warp")}},
+		{"sim-only policy", reconfig.Spec{Policy: policyChange(t, "shenango")}},
 		{"zero workers", reconfig.Spec{Workers: intp(0)}},
-		{"darc-static without means", reconfig.Spec{Policy: &reconfig.PolicyChange{Mode: "darc-static"}}},
+		{"darc-static without means", reconfig.Spec{Policy: policyChange(t, "darc-static")}},
 		{"darc-static reserved too large", reconfig.Spec{Policy: &reconfig.PolicyChange{
-			Mode:           "darc-static",
-			StaticMeans:    []time.Duration{5 * time.Microsecond, 200 * time.Microsecond},
-			StaticReserved: 3,
+			Spec:        sched.Spec{Kind: sched.KindDARCStatic, StaticReserved: 3},
+			StaticMeans: []time.Duration{5 * time.Microsecond, 200 * time.Microsecond},
 		}}},
 		{"admission on admissionless server", reconfig.Spec{Admission: &reconfig.AdmissionChange{}}},
 	}
@@ -106,7 +131,7 @@ func TestReconfigureBeforeStartAndAfterStop(t *testing.T) {
 // single request answered successfully — no drops, no sheds, no
 // migration losses. Run under -race in CI.
 func TestReconfigPolicySwapNoDrops(t *testing.T) {
-	srv := newEchoServer(t, 4, ModeDARC)
+	srv := newEchoServer(t, 4, sched.KindDARC)
 	var (
 		wg        sync.WaitGroup
 		submitted atomic.Uint64
@@ -139,7 +164,7 @@ func TestReconfigPolicySwapNoDrops(t *testing.T) {
 	var migrated int
 	for round := 0; round < 4; round++ {
 		for _, p := range policies {
-			res := mustReconfigure(t, srv, reconfig.Spec{Policy: &reconfig.PolicyChange{Mode: p}})
+			res := mustReconfigure(t, srv, reconfig.Spec{Policy: policyChange(t, p)})
 			migrated += res.Migrated
 			if res.MigratedShed != 0 {
 				t.Fatalf("policy swap to %s shed %d migrating requests", p, res.MigratedShed)
@@ -169,7 +194,7 @@ func TestReconfigPolicySwapNoDrops(t *testing.T) {
 // in flight: every request is answered, the drain is accounted, and
 // retired slots are reusable.
 func TestReconfigResizeUnderLoad(t *testing.T) {
-	srv := newEchoServer(t, 4, ModeCFCFS)
+	srv := newEchoServer(t, 4, sched.KindCFCFS)
 	var (
 		wg        sync.WaitGroup
 		submitted atomic.Uint64
@@ -384,11 +409,10 @@ func TestReconfigAdmissionLive(t *testing.T) {
 // and out again, exercising the static-order recompute and the
 // reserved-prefix clamp on shrink.
 func TestReconfigDARCStaticSwap(t *testing.T) {
-	srv := newEchoServer(t, 3, ModeCFCFS)
+	srv := newEchoServer(t, 3, sched.KindCFCFS)
 	res := mustReconfigure(t, srv, reconfig.Spec{Policy: &reconfig.PolicyChange{
-		Mode:           "darc-static",
-		StaticReserved: 2,
-		StaticMeans:    []time.Duration{5 * time.Microsecond, 200 * time.Microsecond},
+		Spec:        sched.Spec{Kind: sched.KindDARCStatic, StaticReserved: 2},
+		StaticMeans: []time.Duration{5 * time.Microsecond, 200 * time.Microsecond},
 	}})
 	if res.Generation == 0 {
 		t.Fatalf("result: %+v", res)
@@ -413,7 +437,7 @@ func TestReconfigDARCStaticSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustReconfigure(t, srv, reconfig.Spec{Policy: &reconfig.PolicyChange{Mode: "darc"}})
+	mustReconfigure(t, srv, reconfig.Spec{Policy: policyChange(t, "darc")})
 	if got := srv.ConfigSnapshot().Policy; got != "DARC" {
 		t.Fatalf("policy %s, want DARC", got)
 	}
@@ -428,7 +452,7 @@ func TestReconfigDARCStaticSwap(t *testing.T) {
 // admin endpoints ServeMetrics mounts apply a real spec to a live
 // server and the metrics exposition reflects it.
 func TestReconfigAdminEndpointLive(t *testing.T) {
-	srv := newEchoServer(t, 2, ModeDARC)
+	srv := newEchoServer(t, 2, sched.KindDARC)
 	addr, shutdown, err := srv.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -507,7 +531,7 @@ func TestReconfigMigrationOverflow(t *testing.T) {
 	srv, err := NewServer(Config{
 		Workers:    1,
 		QueueCap:   2,
-		Mode:       ModeCFCFS,
+		Policy:     sched.Spec{Kind: sched.KindCFCFS},
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
 			served <- struct{}{}
@@ -556,7 +580,7 @@ func TestReconfigMigrationOverflow(t *testing.T) {
 	}
 
 	res := mustReconfigure(t, srv, reconfig.Spec{
-		Policy: &reconfig.PolicyChange{Mode: "dfcfs"},
+		Policy: policyChange(t, "dfcfs"),
 	})
 	if res.Migrated != 2 || res.MigratedShed != 2 {
 		t.Fatalf("migrated=%d shed=%d, want 2/2: %+v", res.Migrated, res.MigratedShed, res)
@@ -631,7 +655,7 @@ func TestReconfigShrinkResteersDFCFSBacklog(t *testing.T) {
 	served := make(chan struct{}, 16) // buffered: fires again for every post-release request
 	srv, err := NewServer(Config{
 		Workers:    2,
-		Mode:       ModeDFCFS,
+		Policy:     sched.Spec{Kind: sched.KindDFCFS},
 		Classifier: classify.Field{Offset: 0, Types: 1},
 		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
 			served <- struct{}{}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/darc"
 	"repro/internal/proto"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -45,7 +46,7 @@ func TestUnknownServedOnSpillwayWorker(t *testing.T) {
 		Workers:    4,
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler:    &echoHandler{serviceByType: []time.Duration{time.Microsecond, time.Microsecond}},
-		Mode:       ModeDARC,
+		Policy:     sched.Spec{Kind: sched.KindDARC},
 		DARC:       cfg,
 		TraceSink: func(sp trace.Span) {
 			mu.Lock()
@@ -113,7 +114,7 @@ func TestUnknownServedWithoutSpillwayCores(t *testing.T) {
 	// Workers=1 forces Spillway=0. Once a reservation installs, the
 	// unknown queue has no designated cores; it must fall back to any
 	// free worker instead of starving.
-	srv := newEchoServer(t, 1, ModeDARC)
+	srv := newEchoServer(t, 1, sched.KindDARC)
 	driveReservation(t, srv)
 	if res := srv.Controller().Reservation(); len(res.SpillwayWorkers) != 0 {
 		t.Fatalf("single-worker reservation has spillway workers: %+v", res)

@@ -620,7 +620,8 @@ func (c *tcpConn) writeInline(msg []byte) {
 // ring runs dry it parks, so an idle connection costs no CPU and a
 // completing worker hands its frame over with one goroutine wakeup.
 // Once finish has marked the connection and nothing is owed any more,
-// it closes the socket and unregisters.
+// it unregisters and then closes the socket, so a client that sees the
+// close already sees the connection counted out (evicted included).
 func (c *tcpConn) txLoop() {
 	defer c.t.txWG.Done()
 	frames := make([]tcpTxFrame, 0, tcpTxBatch)
@@ -636,8 +637,8 @@ func (c *tcpConn) txLoop() {
 		}
 		if len(frames) == 0 {
 			if state := c.closing.Load(); state != connOpen && c.pending.Load() == 0 {
-				c.conn.Close()
 				c.unregister(state == connEvicted)
+				c.conn.Close()
 				return
 			}
 			c.txPark.Idle()

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/proto"
+	"repro/internal/sched"
 )
 
 func benchTCPLoopback(b *testing.B, conns, depth int) {
@@ -33,7 +34,7 @@ func benchTCPLoopback(b *testing.B, conns, depth int) {
 		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode:     ModeCFCFS,
+		Policy:   sched.Spec{Kind: sched.KindCFCFS},
 		TraceCap: -1,
 	})
 	if err != nil {

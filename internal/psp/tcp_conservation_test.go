@@ -18,6 +18,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 // connTally is what one connection's reader observed.
@@ -137,7 +138,7 @@ func TestTCPPipelinedConservation(t *testing.T) {
 				Handler: HandlerFunc(func(typ int, p, rr []byte) (int, proto.Status) {
 					return copy(rr, p), proto.StatusOK
 				}),
-				Mode:     ModeCFCFS,
+				Policy:   sched.Spec{Kind: sched.KindCFCFS},
 				TraceCap: -1,
 				Faults:   &faults.Profile{Seed: seed, DropRate: 0.05, DupRate: 0.05},
 			})

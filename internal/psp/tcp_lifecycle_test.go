@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/proto"
+	"repro/internal/sched"
 )
 
 func newTCPServerOpts(t *testing.T, opts TCPOptions, handler Handler) *TCPServer {
@@ -30,7 +31,7 @@ func newTCPServerOpts(t *testing.T, opts TCPOptions, handler Handler) *TCPServer
 		Workers:    2,
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler:    handler,
-		Mode:       ModeCFCFS,
+		Policy:     sched.Spec{Kind: sched.KindCFCFS},
 		TraceCap:   -1,
 	})
 	if err != nil {

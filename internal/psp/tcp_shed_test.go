@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/proto"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -54,7 +55,7 @@ func TestTCPPoolExhaustionSheds(t *testing.T) {
 					}
 					return copy(r, p), proto.StatusOK
 				}),
-				Mode:     ModeCFCFS,
+				Policy:   sched.Spec{Kind: sched.KindCFCFS},
 				TraceCap: -1,
 			}
 			if tc.stall == "classifier" {

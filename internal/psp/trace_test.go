@@ -12,6 +12,7 @@ import (
 	"repro/internal/darc"
 	"repro/internal/policy"
 	"repro/internal/proto"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -30,7 +31,7 @@ func newTracedServer(t *testing.T, workers, traceCap int, sink func(trace.Span))
 		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode:      ModeCFCFS,
+		Policy:    sched.Spec{Kind: sched.KindCFCFS},
 		DARC:      cfg,
 		TraceCap:  traceCap,
 		TraceSink: sink,
@@ -362,7 +363,7 @@ func TestTCPTimingTrailer(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode: ModeCFCFS,
+		Policy: sched.Spec{Kind: sched.KindCFCFS},
 	})
 	if err != nil {
 		t.Fatal(err)

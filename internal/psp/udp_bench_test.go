@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/proto"
+	"repro/internal/sched"
 )
 
 func benchUDPLoopback(b *testing.B, opts UDPOptions) {
@@ -31,7 +32,7 @@ func benchUDPLoopback(b *testing.B, opts UDPOptions) {
 		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
 			return copy(r, p), proto.StatusOK
 		}),
-		Mode:     ModeCFCFS,
+		Policy:   sched.Spec{Kind: sched.KindCFCFS},
 		TraceCap: -1,
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/proto"
 	"repro/internal/psp"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -28,7 +30,7 @@ func newShardedServer(t *testing.T, opts psp.UDPOptions, handler psp.Handler) *p
 		Workers:    2,
 		Classifier: classify.Field{Offset: 0, Types: 2},
 		Handler:    handler,
-		Mode:       psp.ModeCFCFS,
+		Policy:     sched.Spec{Kind: sched.KindCFCFS},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +114,7 @@ func TestUDPShardConsecutivePorts(t *testing.T) {
 			Workers:    1,
 			Classifier: classify.Field{Offset: 0, Types: 2},
 			Handler:    psp.HandlerFunc(echoHandler),
-			Mode:       psp.ModeCFCFS,
+			Policy:     sched.Spec{Kind: sched.KindCFCFS},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -143,46 +145,121 @@ func TestUDPShardConsecutivePorts(t *testing.T) {
 	t.Skip("no free consecutive port pair after 5 attempts")
 }
 
-// TestUDPPoolExhaustionSheds starves the ingress buffer pool (two
-// buffers, slow workers holding both) and checks the shed path: excess
-// datagrams are shed and counted in RxSheds — not RxDrops — while the
-// net worker keeps draining the socket and the server stays live.
+// TestUDPPoolExhaustionSheds floods one shard until it must refuse
+// datagrams, once for each reason a shard refuses one. When the buffer
+// pool is exhausted (two buffers, slow workers holding both) the
+// excess is shed and counted in RxSheds — not RxDrops — while the net
+// worker keeps draining the socket and the server stays live. When
+// the ingress ring is full (a blocked classifier stalls the
+// dispatcher; the pool is larger than the ring, so it never runs dry)
+// the refused tail is dropped and counted in RxDrops, and no reply is
+// ever sent for it: once the stall lifts, exactly the admitted
+// datagrams are answered.
 func TestUDPPoolExhaustionSheds(t *testing.T) {
-	block := make(chan struct{})
-	u := newShardedServer(t, psp.UDPOptions{Shards: 1, Burst: 4, PoolSize: 2},
-		psp.HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
-			<-block
-			return copy(r, p), proto.StatusOK
-		}))
-	conn, err := net.DialUDP("udp", nil, u.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	const n = 64
-	for i := 0; i < n; i++ {
-		msg := proto.AppendMessage(nil, proto.Header{
-			Kind:      proto.KindRequest,
-			RequestID: uint64(i + 1),
-		}, typedPayloadX(0, "flood"))
-		conn.Write(msg) //nolint:errcheck
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for u.RxSheds() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no sheds after %d datagrams against a 2-buffer pool (rx %d, drops %d)",
-				n, u.Received(), u.RxDrops())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if u.RxDrops() != 0 {
-		t.Fatalf("well-formed shed datagrams counted as drops: %d", u.RxDrops())
-	}
-	// Unblock the workers; the admitted requests must still complete.
-	close(block)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	if _, err := conn.Read(make([]byte, 2048)); err != nil {
-		t.Fatalf("no response after sheds: %v", err)
+	for _, tc := range []struct {
+		name  string
+		opts  psp.UDPOptions
+		n     int
+		stall string // "handler" or "classifier"
+	}{
+		{"pool-exhausted", psp.UDPOptions{Shards: 1, Burst: 4, PoolSize: 2}, 64, "handler"},
+		{"ring-full", psp.UDPOptions{Shards: 1, PoolSize: psp.IngressCap + 1024}, psp.IngressCap + 512, "classifier"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			block := make(chan struct{})
+			var unblock sync.Once
+			field := classify.Field{Offset: 0, Types: 2}
+			cfg := psp.Config{
+				Workers:    2,
+				Classifier: field,
+				Handler: psp.HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
+					if tc.stall == "handler" {
+						<-block
+					}
+					return copy(r, p), proto.StatusOK
+				}),
+				Policy:   sched.Spec{Kind: sched.KindCFCFS},
+				TraceCap: -1,
+			}
+			if tc.stall == "classifier" {
+				cfg.Classifier = classify.Func{Types: 2, F: func(p []byte) int {
+					<-block
+					return field.Classify(p)
+				}}
+			}
+			srv, err := psp.NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := psp.ListenUDPShards("127.0.0.1:0", srv, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Close()
+			// Lift the stall before Close, which waits on the dispatcher.
+			defer unblock.Do(func() { close(block) })
+			conn, err := net.DialUDP("udp", nil, u.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetReadBuffer(4 << 20) //nolint:errcheck // best effort
+			for i := 0; i < tc.n; i++ {
+				msg := proto.AppendMessage(nil, proto.Header{
+					Kind:      proto.KindRequest,
+					RequestID: uint64(i + 1),
+				}, typedPayloadX(0, "flood"))
+				conn.Write(msg) //nolint:errcheck
+			}
+			refused := u.RxSheds
+			if tc.stall == "classifier" {
+				refused = u.RxDrops
+			}
+			// Wait for refusals, then for the shard to go quiet: loopback
+			// may lose a datagram, so the counts need not reach n.
+			deadline := time.Now().Add(5 * time.Second)
+			for last := uint64(0); ; time.Sleep(20 * time.Millisecond) {
+				seen := u.Received() + u.RxSheds() + u.RxDrops()
+				if refused() > 0 && (seen == last || seen == uint64(tc.n)) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("after %d datagrams: rx %d, sheds %d, drops %d; want some refused",
+						tc.n, u.Received(), u.RxSheds(), u.RxDrops())
+				}
+				last = seen
+			}
+			if tc.stall == "handler" && u.RxDrops() != 0 {
+				t.Fatalf("well-formed shed datagrams counted as drops: %d", u.RxDrops())
+			}
+			if tc.stall == "classifier" && u.RxSheds() != 0 {
+				t.Fatalf("ring-full refusals counted as pool sheds: %d", u.RxSheds())
+			}
+			// Lift the stall; the admitted requests must complete.
+			unblock.Do(func() { close(block) })
+			admitted := u.Received()
+			replies := uint64(0)
+			buf := make([]byte, 2048)
+			for {
+				// Wait past the last expected reply for any reply to a
+				// refused datagram.
+				wait := 5 * time.Second
+				if replies >= admitted {
+					wait = 200 * time.Millisecond
+				}
+				conn.SetReadDeadline(time.Now().Add(wait)) //nolint:errcheck
+				if _, err := conn.Read(buf); err != nil {
+					break
+				}
+				replies++
+			}
+			if replies == 0 {
+				t.Fatal("no response after refusals")
+			}
+			if tc.stall == "classifier" && replies != admitted {
+				t.Fatalf("%d replies for %d admitted datagrams (%d refused)", replies, admitted, u.RxDrops())
+			}
+		})
 	}
 }
 

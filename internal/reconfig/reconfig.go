@@ -20,21 +20,25 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/sched"
 )
 
-// PolicyChange asks for a scheduling-policy swap. Mode names follow
-// psp.Mode.String (case-insensitive, punctuation-insensitive): "darc",
-// "c-fcfs"/"cfcfs", "d-fcfs"/"dfcfs", "darc-static".
+// PolicyChange asks for a scheduling-policy swap to the embedded
+// sched.Spec, the one policy vocabulary the simulator and the live
+// server share. Only kinds with a live form apply (sched.Spec.Mode);
+// the server refuses the rest. StaticReserved configures darc-static,
+// and a non-zero SteerSeed reseeds d-FCFS steering (0 keeps the
+// current stream).
 type PolicyChange struct {
-	// Mode is the target policy name (required).
-	Mode string
-	// StaticReserved and StaticMeans configure "darc-static" (ignored
-	// for other modes). StaticMeans must cover every request type.
-	StaticReserved int
-	StaticMeans    []time.Duration
-	// SteerSeed reseeds "d-fcfs" worker steering (0 keeps the current
-	// stream).
-	SteerSeed uint64
+	sched.Spec
+	// StaticMeans gives darc-static its per-type service times (nil
+	// keeps the server's); it must cover every request type.
+	StaticMeans []time.Duration
+	// Err is why the policy= text did not parse. ParseSpec keeps it
+	// here rather than failing, so the server refuses the spec like
+	// any other policy it cannot run.
+	Err error
 }
 
 // AdmissionChange adjusts the admission controller's policy. Nil
@@ -128,7 +132,7 @@ type Target interface {
 // ParseSpec builds a Spec from key=value pairs — the admin endpoint's
 // form fields and the config file's lines share this vocabulary:
 //
-//	policy=darc|cfcfs|dfcfs|darc-static   target scheduling policy
+//	policy=darc|cfcfs|dfcfs|darc-static   target policy (sched.ParseSpec)
 //	workers=N                             target worker-pool size
 //	static-reserved=N                     darc-static reserved cores
 //	static-means=5us,500us                darc-static per-type means
@@ -165,7 +169,7 @@ func ParseSpec(kv map[string]string) (Spec, error) {
 		var err error
 		switch k {
 		case "policy":
-			pol().Mode = v
+			pol().Spec, pol().Err = sched.ParseSpec(v)
 		case "workers":
 			n, perr := strconv.Atoi(v)
 			if perr != nil || n <= 0 {
@@ -228,7 +232,7 @@ func ParseSpec(kv map[string]string) (Spec, error) {
 			return Spec{}, fmt.Errorf("reconfig: unknown key %q", k)
 		}
 	}
-	if sp.Policy != nil && sp.Policy.Mode == "" {
+	if sp.Policy != nil && strings.TrimSpace(kv["policy"]) == "" {
 		return Spec{}, fmt.Errorf("reconfig: static-reserved/static-means/steer-seed need policy=")
 	}
 	if sp.Empty() {

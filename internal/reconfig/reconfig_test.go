@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 func TestParseSpecFull(t *testing.T) {
@@ -27,7 +29,7 @@ func TestParseSpecFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Policy == nil || sp.Policy.Mode != "darc-static" || sp.Policy.StaticReserved != 2 {
+	if sp.Policy == nil || sp.Policy.Kind != sched.KindDARCStatic || sp.Policy.StaticReserved != 2 {
 		t.Fatalf("policy: %+v", sp.Policy)
 	}
 	if len(sp.Policy.StaticMeans) != 2 || sp.Policy.StaticMeans[1] != 500*time.Microsecond {
@@ -81,7 +83,7 @@ drain = 500ms
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Policy.Mode != "cfcfs" || *sp.Workers != 3 || sp.DrainDeadline != 500*time.Millisecond {
+	if sp.Policy.Kind != sched.KindCFCFS || *sp.Workers != 3 || sp.DrainDeadline != 500*time.Millisecond {
 		t.Fatalf("parsed: %+v", sp)
 	}
 	if _, err := ParseSpecFile("policy=darc\npolicy=cfcfs\n"); err == nil {
@@ -143,7 +145,7 @@ func TestAdminHandler(t *testing.T) {
 	if resp.StatusCode != 200 || res.Generation != 7 {
 		t.Fatalf("status %d result %+v", resp.StatusCode, res)
 	}
-	if ft.last.Policy.Mode != "cfcfs" || *ft.last.Workers != 2 {
+	if ft.last.Policy.Kind != sched.KindCFCFS || *ft.last.Workers != 2 {
 		t.Fatalf("spec delivered: %+v", ft.last)
 	}
 

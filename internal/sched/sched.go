@@ -12,6 +12,10 @@
 // allocates nothing. Time, admission and the hand-off itself belong to
 // the caller, through the hooks in Config: the core names a (queue,
 // worker) pair and the caller's Take pops the head.
+//
+// The package also holds the one policy vocabulary (Spec): the name
+// and arguments by which the simulator, the live server and its
+// reconfiguration plane select a policy.
 package sched
 
 import (

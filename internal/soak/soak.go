@@ -38,6 +38,7 @@ import (
 	"repro/internal/psp"
 	"repro/internal/reconfig"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/spin"
 )
 
@@ -241,7 +242,7 @@ func Run(cfg Config) (*Report, error) {
 
 	// The reconfiguration schedule: one randomized spec per epoch.
 	schedule := rng.NewStream(cfg.Seed, 0)
-	policies := []string{"darc", "cfcfs", "dfcfs", "darc-static"}
+	policies := sched.LiveSpecs()
 	curPolicy := "DARC"
 	curWorkers := cfg.Workers
 	lastGen := uint64(0)
@@ -252,9 +253,8 @@ func Run(cfg Config) (*Report, error) {
 		wantWorkers := curWorkers
 		switch k := schedule.Intn(10); {
 		case k < 4: // policy swap
-			name := policies[schedule.Intn(len(policies))]
-			pc := &reconfig.PolicyChange{Mode: name}
-			if name == "darc-static" {
+			pc := &reconfig.PolicyChange{Spec: policies[schedule.Intn(len(policies))]}
+			if pc.Kind == sched.KindDARCStatic {
 				pc.StaticMeans = serviceTimes
 				// Keep at least one unreserved worker so no type can
 				// starve while the swap is live.
@@ -263,10 +263,7 @@ func Run(cfg Config) (*Report, error) {
 				}
 			}
 			spec.Policy = pc
-			mode, perr := psp.ParsePolicyName(name)
-			if perr != nil {
-				return nil, perr
-			}
+			mode, _ := pc.Mode() // every LiveSpecs entry has a live form
 			wantPolicy = mode.String()
 			rep.PolicySwaps++
 		case k < 8: // resize

@@ -64,6 +64,15 @@ func (m Mix) MeanService() time.Duration {
 	return time.Duration(mean)
 }
 
+// Means reports each type's mean service time, indexed by type ID.
+func (m Mix) Means() []time.Duration {
+	out := make([]time.Duration, len(m.Types))
+	for i, t := range m.Types {
+		out[i] = t.Service.Mean()
+	}
+	return out
+}
+
 // PeakLoad reports the saturation arrival rate (requests/second) for a
 // machine with the given number of workers: W / E[S].
 func (m Mix) PeakLoad(workers int) float64 {

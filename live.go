@@ -14,6 +14,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/psp"
 	"repro/internal/reconfig"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -210,24 +211,20 @@ func ParseReconfigSpec(text string) (ReconfigSpec, error) {
 // install sinks before the first request flows; otherwise
 // NewLiveServer starts it for you.
 func NewLiveServerStopped(cfg LiveConfig) (*LiveServer, error) {
-	mode := psp.ModeDARC
+	var spec PolicySpec
 	if cfg.UseCFCFS {
-		mode = psp.ModeCFCFS
+		spec.Kind = sched.KindCFCFS
 	}
-	dcfg := darc.DefaultConfig(max(cfg.Workers, 1))
-	if cfg.Workers <= 1 {
-		dcfg.Spillway = 0
-	}
+	var dcfg darc.Config // zero: psp.NewServer's live default
 	if cfg.MinWindowSamples > 0 {
+		dcfg = darc.DefaultConfig(max(cfg.Workers, 1))
 		dcfg.MinWindowSamples = cfg.MinWindowSamples
-	} else {
-		dcfg.MinWindowSamples = 512
 	}
 	return psp.NewServer(psp.Config{
 		Workers:    cfg.Workers,
 		Classifier: cfg.Classifier,
 		Handler:    cfg.Handler,
-		Mode:       mode,
+		Policy:     spec,
 		DARC:       dcfg,
 		QueueCap:   cfg.QueueCap,
 		Admission:  cfg.Admission,

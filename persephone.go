@@ -3,8 +3,6 @@ package persephone
 import (
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"strings"
 	"time"
 
@@ -14,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -126,20 +125,13 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 14
 	}
-	spec, err := ParsePolicySpec(cfg.Policy)
+	rate := cfg.Rate
+	if rate <= 0 {
+		rate = cfg.LoadFraction * cfg.Mix.PeakLoad(cfg.Workers)
+	}
+	newPolicy, err := simPolicy(cfg, len(cfg.Mix.Types), rate, cfg.Duration)
 	if err != nil {
 		return nil, err
-	}
-	newPolicy, err := spec.Constructor(cfg.Workers, cfg.Mix, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Name == "darc" {
-		rate := cfg.Rate
-		if rate <= 0 {
-			rate = cfg.LoadFraction * cfg.Mix.PeakLoad(cfg.Workers)
-		}
-		newPolicy = darcAutoPolicy(cfg.Workers, len(cfg.Mix.Types), rate, cfg.Duration, cfg.ProfileWindow)
 	}
 	res, err := cluster.Run(cluster.Config{
 		Workers:        cfg.Workers,
@@ -192,10 +184,11 @@ type Trace = trace.Trace
 func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 
 // ReplayTrace replays a recorded arrival sequence through the
-// simulator under cfg's policy and worker count. Mix (optional)
-// supplies type names; Duration (optional) truncates the replay. The
-// DARC profiling window is auto-scaled from the trace's measured rate
-// like Simulate does.
+// simulator under cfg's policy and worker count. The trace sets the
+// type count; Mix (optional) supplies type names and the per-type
+// means darc-static, fp and edf rank by; Duration (optional) truncates
+// the replay. The DARC profiling window is auto-scaled from the
+// trace's measured rate like Simulate does.
 func ReplayTrace(tr *Trace, cfg SimConfig) (*SimResult, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("persephone: empty trace")
@@ -206,20 +199,13 @@ func ReplayTrace(tr *Trace, cfg SimConfig) (*SimResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
-	spec, err := ParsePolicySpec(cfg.Policy)
+	horizon := cfg.Duration
+	if horizon <= 0 {
+		horizon = tr.Duration()
+	}
+	newPolicy, err := simPolicy(cfg, tr.NumTypes(), tr.Rate(), horizon)
 	if err != nil {
 		return nil, err
-	}
-	newPolicy, err := spec.Constructor(cfg.Workers, cfg.Mix, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Name == "darc" {
-		dur := cfg.Duration
-		if dur <= 0 {
-			dur = tr.Duration()
-		}
-		newPolicy = darcAutoPolicy(cfg.Workers, tr.NumTypes(), tr.Rate(), dur, cfg.ProfileWindow)
 	}
 	res, err := cluster.Run(cluster.Config{
 		Workers:        cfg.Workers,
@@ -237,200 +223,40 @@ func ReplayTrace(tr *Trace, cfg SimConfig) (*SimResult, error) {
 	return buildSimResult(res, tr.NumTypes()), nil
 }
 
-// PolicyNames lists the scheduler names ParsePolicySpec accepts.
-func PolicyNames() []string {
-	return []string{
-		"darc", "darc-static:N", "darc-elastic", "cfcfs", "dfcfs",
-		"shenango", "shinjuku-sq", "shinjuku-mq", "ts-ideal:Nus",
-		"fp", "sjf", "edf", "drr",
-	}
-}
+// PolicySpec selects a scheduler: a policy kind plus the argument its
+// kind reads. Build one directly or parse the string grammar with
+// ParsePolicySpec.
+type PolicySpec = sched.Spec
 
-// PolicySpec is the structured form of a scheduler selection — the
-// typed counterpart of the "name:arg" strings the CLIs accept. Build
-// one directly (Name plus the argument field its policy reads) or
-// parse the string grammar with ParsePolicySpec; Constructor binds
-// the spec to a machine shape.
-type PolicySpec struct {
-	// Name is the canonical policy name, one of: darc, darc-static,
-	// darc-elastic, cfcfs, dfcfs, shenango, shinjuku-sq, shinjuku-mq,
-	// ts-ideal, fp, sjf, edf, drr. Empty means darc.
-	Name string
-	// StaticReserved is darc-static's argument: cores statically
-	// reserved for the shortest type.
-	StaticReserved int
-	// PreemptOverhead is ts-ideal's argument: total preemption
-	// overhead charged per context switch.
-	PreemptOverhead time.Duration
-}
-
-// ParsePolicySpec parses a scheduler name with optional argument.
-// Recognized names (case-insensitive):
-//
-//	darc             the paper's policy with default tuning
-//	darc-static:N    N cores statically reserved for the shortest type
-//	cfcfs            centralized FCFS
-//	dfcfs            decentralized FCFS (RSS)
-//	shenango         per-core queues + work stealing
-//	shinjuku-sq      preemptive single queue (5µs quantum, 1µs cost)
-//	shinjuku-mq      preemptive multi-queue BVT (5µs quantum, 1µs cost)
-//	ts-ideal:Nus     idealized preemption with N µs total overhead
-//	fp               non-preemptive fixed priority (shortest first)
-//	sjf              oracle shortest-job-first
-//
+// ParsePolicySpec parses a scheduler name with optional argument
+// ("darc", "darc-static:2", "ts-ideal:1us", ...; see PolicyNames).
 // Argument validation that depends on the machine shape (darc-static's
-// N <= workers) happens in Constructor.
-func ParsePolicySpec(name string) (PolicySpec, error) {
-	n := strings.ToLower(strings.TrimSpace(name))
-	arg, hasArg := "", false
-	if i := strings.IndexByte(n, ':'); i >= 0 {
-		n, arg, hasArg = n[:i], n[i+1:], true
-	}
-	spec := PolicySpec{Name: n}
-	switch n {
-	case "":
-		spec.Name = "darc"
-	case "c-fcfs":
-		spec.Name = "cfcfs"
-	case "d-fcfs":
-		spec.Name = "dfcfs"
-	case "work-stealing":
-		spec.Name = "shenango"
-	case "ts-sq":
-		spec.Name = "shinjuku-sq"
-	case "ts-mq":
-		spec.Name = "shinjuku-mq"
-	case "darc-static":
-		reserved, err := strconv.Atoi(arg)
-		if err != nil || reserved < 0 {
-			return PolicySpec{}, fmt.Errorf("persephone: darc-static needs :N with N>=0, got %q", arg)
-		}
-		spec.StaticReserved = reserved
-		return spec, nil
-	case "ts-ideal":
-		if hasArg {
-			us, err := strconv.ParseFloat(strings.TrimSuffix(arg, "us"), 64)
-			// The bound rejects NaN and infinities too (NaN fails every
-			// comparison, so "us < 0" alone would let it through into an
-			// undefined float→Duration conversion). 1e9µs ≈ 17min is far
-			// beyond any plausible preemption overhead.
-			if err != nil || math.IsNaN(us) || us < 0 || us > 1e9 {
-				return PolicySpec{}, fmt.Errorf("persephone: ts-ideal needs :Nus, got %q", arg)
-			}
-			spec.PreemptOverhead = time.Duration(us * float64(time.Microsecond))
-		}
-		return spec, nil
-	case "darc", "cfcfs", "dfcfs", "shenango", "shinjuku-sq", "shinjuku-mq",
-		"fp", "fixed-priority", "sjf", "edf", "drr", "darc-elastic":
-		if n == "fixed-priority" {
-			spec.Name = "fp"
-		}
-	default:
-		return PolicySpec{}, fmt.Errorf("persephone: unknown policy %q (have %v)", name, PolicyNames())
-	}
-	if hasArg {
-		return PolicySpec{}, fmt.Errorf("persephone: policy %q takes no argument, got %q", spec.Name, arg)
-	}
-	return spec, nil
-}
+// N <= workers) happens when a run binds the spec.
+func ParsePolicySpec(name string) (PolicySpec, error) { return sched.ParseSpec(name) }
 
-// String renders the spec in the canonical name:arg grammar
-// ParsePolicySpec accepts.
-func (s PolicySpec) String() string {
-	switch s.Name {
-	case "darc-static":
-		return fmt.Sprintf("darc-static:%d", s.StaticReserved)
-	case "ts-ideal":
-		if s.PreemptOverhead > 0 {
-			return fmt.Sprintf("ts-ideal:%gus", float64(s.PreemptOverhead)/float64(time.Microsecond))
-		}
-	}
-	if s.Name == "" {
-		return "darc"
-	}
-	return s.Name
-}
+// PolicyNames lists the scheduler names ParsePolicySpec accepts.
+func PolicyNames() []string { return sched.Names() }
 
-// Constructor binds the spec to a machine shape, returning the policy
-// factory the simulator calls per run.
-func (s PolicySpec) Constructor(workers int, mix Mix, seed uint64) (func() cluster.Policy, error) {
-	means := make([]time.Duration, len(mix.Types))
-	for i, t := range mix.Types {
-		means[i] = t.Service.Mean()
-	}
-	switch s.Name {
-	case "", "darc":
-		return func() cluster.Policy {
-			return policy.NewDARC(darc.DefaultConfig(workers), len(mix.Types), 0)
-		}, nil
-	case "darc-static":
-		reserved := s.StaticReserved
-		if reserved < 0 || reserved > workers {
-			return nil, fmt.Errorf("persephone: darc-static needs 0<=N<=%d, got %d", workers, reserved)
-		}
-		return func() cluster.Policy {
-			return policy.NewDARCStatic(means, reserved, 0)
-		}, nil
-	case "cfcfs":
-		return func() cluster.Policy { return policy.NewCFCFS(0) }, nil
-	case "dfcfs":
-		return func() cluster.Policy { return policy.NewDFCFS(rng.New(seed+1), 0) }, nil
-	case "shenango":
-		return func() cluster.Policy {
-			return policy.NewWorkStealing(rng.New(seed+2), 0, 100*time.Nanosecond)
-		}, nil
-	case "shinjuku-sq":
-		return func() cluster.Policy {
-			return policy.NewTSSingleQueue(policy.TSConfig{Quantum: 5 * time.Microsecond, PreemptCost: time.Microsecond})
-		}, nil
-	case "shinjuku-mq":
-		return func() cluster.Policy {
-			return policy.NewTSMultiQueue(policy.TSConfig{Quantum: 5 * time.Microsecond, PreemptCost: time.Microsecond}, len(mix.Types))
-		}, nil
-	case "ts-ideal":
-		total := s.PreemptOverhead
-		if total < 0 {
-			return nil, fmt.Errorf("persephone: ts-ideal needs PreemptOverhead >= 0, got %v", total)
-		}
-		return func() cluster.Policy {
-			return policy.NewTSIdeal(total/2, total-total/2, 0)
-		}, nil
-	case "fp":
-		return func() cluster.Policy { return policy.NewFixedPriority(means, 0) }, nil
-	case "sjf":
-		return func() cluster.Policy { return policy.NewSJF(0) }, nil
-	case "edf":
-		return func() cluster.Policy { return policy.NewEDF(means, 10, 0) }, nil
-	case "drr":
-		return func() cluster.Policy {
-			return policy.NewDRR(len(mix.Types), 10*time.Microsecond, nil, 0)
-		}, nil
-	case "darc-elastic":
-		return func() cluster.Policy {
-			return policy.NewElasticDARC(darc.DefaultConfig(workers), len(mix.Types), 0)
-		}, nil
-	default:
-		return nil, fmt.Errorf("persephone: unknown policy %q (have %v)", s.Name, PolicyNames())
-	}
-}
+// The facade's clamp on DARC's auto-sized profiling window; DESIGN.md
+// §2 gives the reason for each bound.
+const (
+	simWindowMin = 500
+	simWindowMax = 50000
+)
 
-// darcAutoPolicy builds the DARC constructor used when the plain
-// "darc" policy is simulated: its c-FCFS profiling window is
-// auto-scaled to half the warm-up arrivals (clamped to [500, 50000])
-// so startup profiling finishes inside the 10% warm-up discard and
-// cannot pollute the reported tail. A non-zero override (the
-// ProfileWindow knob) wins over the auto-scale.
-func darcAutoPolicy(workers, numTypes int, rate float64, dur time.Duration, override uint64) func() cluster.Policy {
-	window := override
+// simPolicy parses cfg's policy and binds it to a machine with types
+// request types, sizing plain DARC's profiling window for a run at
+// rate over horizon unless cfg.ProfileWindow overrides it.
+func simPolicy(cfg SimConfig, types int, rate float64, horizon time.Duration) (func() cluster.Policy, error) {
+	spec, err := ParsePolicySpec(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	window := cfg.ProfileWindow
 	if window == 0 {
-		auto := uint64(rate * dur.Seconds() * 0.1 * 0.5)
-		window = minU64(50000, maxU64(500, auto))
+		window = darc.AutoWindow(rate, horizon, simWindowMin, simWindowMax)
 	}
-	return func() cluster.Policy {
-		dcfg := darc.DefaultConfig(workers)
-		dcfg.MinWindowSamples = window
-		return policy.NewDARC(dcfg, numTypes, 0)
-	}
+	return policy.Constructor(spec, cfg.Workers, types, cfg.Mix.Means(), cfg.Seed, window)
 }
 
 // ExperimentOptions tunes RunExperiment; zero value uses defaults (1s
@@ -450,18 +276,4 @@ func RunExperiment(name string, opt ExperimentOptions, w io.Writer) error {
 // RunAllExperiments regenerates every table and figure.
 func RunAllExperiments(opt ExperimentOptions, w io.Writer) error {
 	return experiments.RunAll(opt, w)
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

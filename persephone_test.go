@@ -66,6 +66,49 @@ func TestSimulateBadPolicy(t *testing.T) {
 	}
 }
 
+// TestParsePolicySpecTable checks the facade's policy grammar: every
+// accepted spelling, alias and argument form parses to the spec whose
+// canonical text and arguments are listed.
+func TestParsePolicySpecTable(t *testing.T) {
+	cases := []struct {
+		in       string
+		want     string // canonical String of the parsed spec
+		reserved int
+		overhead time.Duration
+	}{
+		{"", "darc", 0, 0},
+		{"darc", "darc", 0, 0},
+		{"  DARC  ", "darc", 0, 0},
+		{"darc-elastic", "darc-elastic", 0, 0},
+		{"darc-static:3", "darc-static:3", 3, 0},
+		{"darc-static:0", "darc-static:0", 0, 0},
+		{"cfcfs", "cfcfs", 0, 0},
+		{"c-fcfs", "cfcfs", 0, 0},
+		{"d-FCFS", "dfcfs", 0, 0},
+		{"work-stealing", "shenango", 0, 0},
+		{"ts-sq", "shinjuku-sq", 0, 0},
+		{"ts-mq", "shinjuku-mq", 0, 0},
+		{"ts-ideal", "ts-ideal", 0, 0},
+		{"ts-ideal:2us", "ts-ideal:2us", 0, 2 * time.Microsecond},
+		{"ts-ideal:0.5us", "ts-ideal:0.5us", 0, 500 * time.Nanosecond},
+		{"fixed-priority", "fp", 0, 0},
+		{"sjf", "sjf", 0, 0},
+		{"edf", "edf", 0, 0},
+		{"drr", "drr", 0, 0},
+	}
+	for _, tc := range cases {
+		got, err := persephone.ParsePolicySpec(tc.in)
+		if err != nil {
+			t.Errorf("%q: %v", tc.in, err)
+			continue
+		}
+		if got.String() != tc.want || got.StaticReserved != tc.reserved || got.PreemptOverhead != tc.overhead {
+			t.Errorf("%q: got %q %+v, want %q reserved=%d overhead=%v",
+				tc.in, got.String(), got, tc.want, tc.reserved, tc.overhead)
+		}
+	}
+}
+
 func TestSimulateDARCBeatsBaselineAtHighLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -222,12 +265,16 @@ func TestReplayTraceFacade(t *testing.T) {
 		}
 		tr.Records = append(tr.Records, traceRecord(time.Duration(i)*5*time.Microsecond, typ, svc))
 	}
-	for _, pol := range []string{"darc", "cfcfs"} {
-		res, err := persephone.ReplayTrace(tr, persephone.SimConfig{
-			Workers: 4,
-			Policy:  pol,
-			Mix:     persephone.HighBimodal(),
-		})
+	// Mix is optional: a policy sized by the type count takes the
+	// trace's own (shinjuku-mq's per-type queues).
+	for _, cfg := range []persephone.SimConfig{
+		{Policy: "darc", Mix: persephone.HighBimodal()},
+		{Policy: "cfcfs", Mix: persephone.HighBimodal()},
+		{Policy: "shinjuku-mq"},
+	} {
+		pol := cfg.Policy
+		cfg.Workers = 4
+		res, err := persephone.ReplayTrace(tr, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -286,5 +333,19 @@ func TestMixByName(t *testing.T) {
 	}
 	if _, err := persephone.MixByName("nope"); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+func TestMixByNameErrors(t *testing.T) {
+	for _, name := range []string{"", "   ", "bimodal", "high-bimodal,tpcc", "rocksdb2"} {
+		if _, err := persephone.MixByName(name); err == nil {
+			t.Errorf("%q: accepted, want error", name)
+		}
+	}
+	// Aliases and surrounding whitespace are fine.
+	for _, name := range []string{" high ", "TPC-C", "Extreme-Bimodal"} {
+		if _, err := persephone.MixByName(name); err != nil {
+			t.Errorf("%q: %v", name, err)
+		}
 	}
 }
