@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/darc"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -23,65 +21,41 @@ func AblationDelta(opt Options) ([]*Table, error) {
 	const workers = 14
 	const load = 0.85
 	deltas := []float64{1.01, 1.5, 2, 3, 5, 10, 1000}
+	g := paperGrid(opt, mix, workers)
+	g.Loads = []float64{load}
+	for _, delta := range deltas {
+		g.Policies = append(g.Policies, PolicySpec{Name: fmt.Sprintf("DARC(delta=%.2f)", delta), New: func(ctx RunCtx) cluster.Policy {
+			cfg := darcConfigFor(workers, ctx)
+			cfg.Delta = delta
+			return policy.NewDARC(cfg, len(mix.Types), 0)
+		}})
+	}
+	s, err := g.run(opt)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Name:   "ablation_delta",
 		Title:  "DARC grouping-factor sensitivity, TPC-C at 85% load",
 		Header: []string{"delta", "groups", "slowdown_p999", "Payment_p999", "StockLevel_p999"},
 	}
-	type cell struct {
-		delta  float64
-		groups int
-		slow   float64
-		payP   time.Duration
-		stockP time.Duration
-		err    error
-	}
-	cells := make([]cell, len(deltas))
-	runParallel(opt, len(deltas), func(i int) {
-		c := &cells[i]
-		c.delta = deltas[i]
-		var captured *policy.DARC
-		res, err := cluster.Run(cluster.Config{
-			Workers:        workers,
-			Mix:            mix,
-			LoadFraction:   load,
-			Duration:       opt.Duration,
-			WarmupFraction: 0.1,
-			Seed:           opt.Seed,
-			RTT:            10 * time.Microsecond,
-			NewPolicy: func() cluster.Policy {
-				cfg := darc.DefaultConfig(workers)
-				cfg.Delta = deltas[i]
-				cfg.MinWindowSamples = opt.MinWindowSamples
-				captured = policy.NewDARC(cfg, len(mix.Types), 0)
-				return captured
-			},
-		})
-		if err != nil {
-			c.err = err
-			return
+	for i, p := range s.Points {
+		groups := 0
+		if r := p.Policy.(*policy.DARC).Controller().Reservation(); r != nil {
+			groups = len(r.Groups)
 		}
-		c.slow = metrics.SlowdownAt(res.Recorder.All(), 0.999)
-		c.payP = res.Recorder.Type(0).Latency.QuantileDuration(0.999)
-		c.stockP = res.Recorder.Type(4).Latency.QuantileDuration(0.999)
-		if r := captured.Controller().Reservation(); r != nil {
-			c.groups = len(r.Groups)
-		}
-	})
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, c.err
-		}
+		rec := p.Res.Recorder
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.2f", c.delta),
-			fmt.Sprintf("%d", c.groups),
-			fmtSlow(c.slow),
-			fmtDur(c.payP),
-			fmtDur(c.stockP),
+			fmt.Sprintf("%.2f", deltas[i]),
+			fmt.Sprintf("%d", groups),
+			fmtSlow(metrics.SlowdownAt(rec.All(), 0.999)),
+			fmtDur(rec.Type(0).Latency.QuantileDuration(0.999)),
+			fmtDur(rec.Type(4).Latency.QuantileDuration(0.999)),
 		})
 	}
 	t.Notes = append(t.Notes,
 		"paper default delta=3 yields the §5.4.3 grouping {Payment,OrderStatus} {NewOrder} {Delivery,StockLevel}")
+	noteStarved(t, s)
 	return []*Table{t}, nil
 }
 
@@ -94,71 +68,39 @@ func AblationStealing(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	const workers = 14
 	const load = 0.95
+	var grids []*Grid
+	for _, mix := range []workload.Mix{workload.HighBimodal(), workload.ExtremeBimodal()} {
+		g := paperGrid(opt, mix, workers, specDARC(workers, len(mix.Types)), specDARCNoSteal(workers, len(mix.Types)))
+		g.Loads = []float64{load}
+		grids = append(grids, g)
+	}
+	sweeps, err := runGrids(opt, grids...)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Name:   "ablation_stealing",
 		Title:  "cycle stealing ablation at 95% load (DARC vs strict static partitioning)",
 		Header: []string{"workload", "variant", "slowdown_p999", "short_p999", "long_p999", "drops"},
 	}
-	type cfgRow struct {
-		mix     workload.Mix
-		noSteal bool
-	}
-	var rows []cfgRow
-	for _, mix := range []workload.Mix{workload.HighBimodal(), workload.ExtremeBimodal()} {
-		rows = append(rows, cfgRow{mix, false}, cfgRow{mix, true})
-	}
-	type cell struct {
-		slow        float64
-		short, long time.Duration
-		drops       uint64
-		err         error
-	}
-	cells := make([]cell, len(rows))
-	runParallel(opt, len(rows), func(i int) {
-		r := rows[i]
-		res, err := cluster.Run(cluster.Config{
-			Workers:        workers,
-			Mix:            r.mix,
-			LoadFraction:   load,
-			Duration:       opt.Duration,
-			WarmupFraction: 0.1,
-			Seed:           opt.Seed,
-			RTT:            10 * time.Microsecond,
-			NewPolicy: func() cluster.Policy {
-				cfg := darc.DefaultConfig(workers)
-				cfg.MinWindowSamples = opt.MinWindowSamples
-				cfg.NoCycleStealing = r.noSteal
-				return policy.NewDARC(cfg, len(r.mix.Types), 0)
-			},
-		})
-		if err != nil {
-			cells[i].err = err
-			return
+	for _, s := range sweeps {
+		for _, p := range s.Points {
+			t.Rows = append(t.Rows, shortLongRow([]string{s.Grid.Mix.Name, p.Spec.Name}, p.Res))
 		}
-		cells[i] = cell{
-			slow:  metrics.SlowdownAt(res.Recorder.All(), 0.999),
-			short: res.Recorder.Type(0).Latency.QuantileDuration(0.999),
-			long:  res.Recorder.Type(1).Latency.QuantileDuration(0.999),
-			drops: res.Machine.Dropped(),
-		}
-	})
-	for i, r := range rows {
-		if cells[i].err != nil {
-			return nil, cells[i].err
-		}
-		variant := "DARC"
-		if r.noSteal {
-			variant = "DARC-nosteal"
-		}
-		t.Rows = append(t.Rows, []string{
-			r.mix.Name, variant,
-			fmtSlow(cells[i].slow),
-			fmtDur(cells[i].short),
-			fmtDur(cells[i].long),
-			fmt.Sprintf("%d", cells[i].drops),
-		})
 	}
 	t.Notes = append(t.Notes,
 		"stealing lets shorts absorb bursts on longer groups' cores; without it the short group saturates its reservation")
+	noteStarved(t, sweeps...)
 	return []*Table{t}, nil
+}
+
+// shortLongRow appends a run's overall p99.9 slowdown, its first and
+// second types' p99.9 latency and its drops to row.
+func shortLongRow(row []string, res *cluster.Result) []string {
+	rec := res.Recorder
+	return append(row,
+		fmtSlow(metrics.SlowdownAt(rec.All(), 0.999)),
+		fmtDur(rec.Type(0).Latency.QuantileDuration(0.999)),
+		fmtDur(rec.Type(1).Latency.QuantileDuration(0.999)),
+		fmt.Sprintf("%d", res.Machine.Dropped()))
 }

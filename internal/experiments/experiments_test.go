@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/workload"
 )
 
@@ -99,20 +98,25 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
+// tinyGrid is a two-load c-FCFS sweep on a small machine.
+func tinyGrid(opt Options) *Grid {
+	g := paperGrid(opt.fill(), workload.HighBimodal(), 4, specCFCFS())
+	g.RTT = 0
+	return g
+}
+
 func TestSweepPairsSeeds(t *testing.T) {
 	opt := tinyOptions()
-	mix := workload.HighBimodal()
-	specs := []PolicySpec{specCFCFS()}
-	a, err := sweep(opt, cluster.Config{Workers: 4}, mix, specs)
+	a, err := tinyGrid(opt).run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sweep(opt, cluster.Config{Workers: 4}, mix, specs)
+	b, err := tinyGrid(opt).run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i].Res.Machine.Completed() != b[i].Res.Machine.Completed() {
+	for i := range a.Points {
+		if a.Points[i].Res.Machine.Completed() != b.Points[i].Res.Machine.Completed() {
 			t.Fatal("sweep not deterministic")
 		}
 	}
@@ -120,19 +124,94 @@ func TestSweepPairsSeeds(t *testing.T) {
 
 func TestSustainableLoad(t *testing.T) {
 	opt := tinyOptions()
-	mix := workload.HighBimodal()
-	specs := []PolicySpec{specCFCFS()}
-	points, err := sweep(opt, cluster.Config{Workers: 4}, mix, specs)
+	s, err := tinyGrid(opt).run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With a huge target, the max load is sustainable; with an
 	// impossible one, nothing is.
-	if got := sustainableLoad(opt, points, "c-FCFS", 1e12); got != 0.8 {
+	if got := s.sustainable("c-FCFS", 1e12); got != 0.8 {
 		t.Fatalf("sustainable %g, want 0.8", got)
 	}
-	if got := sustainableLoad(opt, points, "c-FCFS", 0.0001); got != 0 {
+	if got := s.sustainable("c-FCFS", 0.0001); got != 0 {
 		t.Fatalf("sustainable %g, want 0", got)
+	}
+}
+
+// TestGridOrderDoesNotReachOutput runs one grid at Parallel 1 and 2
+// and in reversed cell order: its rendered tables must be identical.
+func TestGridOrderDoesNotReachOutput(t *testing.T) {
+	opt := tinyOptions()
+	opt.Duration = 20 * time.Millisecond
+	mix := workload.HighBimodal()
+	grid := func() *Grid {
+		return paperGrid(opt.fill(), mix, 4, specDFCFS(), specCFCFS(), specDARC(4, len(mix.Types)))
+	}
+	render := func(pts []Point) string {
+		s := &Sweep{Grid: pts[0].Grid, Points: pts}
+		var buf bytes.Buffer
+		for _, tb := range []*Table{s.slowdownCurve("c", "c"), s.typedLatency("l", "l")} {
+			tb.Fprint(&buf)
+		}
+		return buf.String()
+	}
+	var outs []string
+	for _, run := range []struct {
+		parallel int
+		reverse  bool
+	}{{1, false}, {2, false}, {2, true}} {
+		cells := grid().cells()
+		order := longestFirst(cells)
+		if run.reverse {
+			for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+				order[i], order[j] = order[j], order[i]
+			}
+		}
+		pts, err := runCells(run.parallel, cells, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, render(pts))
+	}
+	if outs[0] != outs[1] || outs[0] != outs[2] {
+		t.Fatalf("tables differ across parallelism or order:\n%s\n%s\n%s", outs[0], outs[1], outs[2])
+	}
+}
+
+func TestLongestFirst(t *testing.T) {
+	opt := tinyOptions()
+	cells := tinyGrid(opt).cells() // loads 0.4, 0.8
+	if got := longestFirst(cells); got[0] != 1 || got[1] != 0 {
+		t.Fatalf("order %v, want the 80%% cell first", got)
+	}
+}
+
+// TestStarvation checks Figure 4's rule on the runner: DARC-static
+// with every core reserved for shorts starves the longs at 90% load,
+// and one reserved core starves nothing.
+func TestStarvation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	opt := tinyOptions()
+	opt.Duration = 100 * time.Millisecond
+	mix := workload.HighBimodal()
+	g := paperGrid(opt.fill(), mix, 14, specDARCStatic(mix, 14), specDARCStatic(mix, 1))
+	g.Loads = []float64{0.9}
+	s, err := g.run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Points[0].Starved; len(got) != 1 || got[0] != "long" {
+		t.Fatalf("14 reserved cores: starved %v, want [long]", got)
+	}
+	if got := s.Points[1].Starved; len(got) != 0 {
+		t.Fatalf("1 reserved core: starved %v", got)
+	}
+	tb := &Table{}
+	noteStarved(tb, s)
+	if len(tb.Notes) != 1 || !strings.Contains(tb.Notes[0], "DARC-static(14)") {
+		t.Fatalf("notes %v", tb.Notes)
 	}
 }
 
@@ -198,6 +277,28 @@ func TestFigure7Shape(t *testing.T) {
 	// At least one reservation update must have fired.
 	if len(tb.Notes) == 0 || strings.Contains(tb.Notes[0], " 0 reservation updates") {
 		t.Fatalf("notes %v", tb.Notes)
+	}
+}
+
+// TestFigure7HonoursProfileWindow: Figure 7's DARC profiles over
+// Options.MinWindowSamples, so a smaller window reacts sooner.
+func TestFigure7HonoursProfileWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	notes := func(window uint64) []string {
+		opt := tinyOptions()
+		opt.Duration = 100 * time.Millisecond
+		opt.MinWindowSamples = window
+		tables, err := Figure7(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tables[0].Notes
+	}
+	small, large := notes(500), notes(5000)
+	if strings.Join(small, "\n") == strings.Join(large, "\n") {
+		t.Fatalf("windows 500 and 5000 give the same reservation updates: %v", small)
 	}
 }
 

@@ -37,31 +37,20 @@ func ExtAutoscale(opt Options) ([]*Table, error) {
 		active int
 	}
 	var events []resizeEvent
-	var pol *policy.ElasticDARC
-	res, err := cluster.Run(cluster.Config{
-		Workers:        maxWorkers,
-		Schedule:       sched,
-		Duration:       total,
-		WarmupFraction: 0,
-		Seed:           opt.Seed,
-		TrackWindow:    window,
-		NewPolicy: func() cluster.Policy {
-			cfg := darcConfigFor(maxWorkers, RunCtx{
-				Seed: opt.Seed, Rate: 0.5 * peak, Duration: total,
-				Workers: maxWorkers, WindowCap: opt.MinWindowSamples,
-			})
-			pol = policy.NewElasticDARC(cfg, len(mix.Types), 0)
-			pol.Min = 2
-			pol.Interval = total / 120
-			pol.OnResize = func(now time.Duration, active int) {
-				events = append(events, resizeEvent{at: now, active: active})
-			}
-			return pol
-		},
-	})
+	elastic := PolicySpec{Name: "elastic-DARC", New: func(ctx RunCtx) cluster.Policy {
+		pol := policy.NewElasticDARC(darcConfigFor(maxWorkers, ctx), len(mix.Types), 0)
+		pol.Min = 2
+		pol.Interval = total / 120
+		pol.OnResize = func(now time.Duration, active int) {
+			events = append(events, resizeEvent{at: now, active: active})
+		}
+		return pol
+	}}
+	s, err := scheduleGrid(opt, sched, maxWorkers, window, elastic).run(opt)
 	if err != nil {
 		return nil, err
 	}
+	res, pol := s.Points[0].Res, s.Points[0].Policy.(*policy.ElasticDARC)
 	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
 	activeAt := func(at time.Duration) int {
 		a := 0

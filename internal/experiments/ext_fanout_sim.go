@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/fanout"
 	"repro/internal/workload"
 )
 
@@ -20,9 +18,14 @@ func ExtFanoutSim(opt Options) ([]*Table, error) {
 	const shardLoad = 0.80
 	fanouts := []int{1, 4, 8}
 
-	specs := []PolicySpec{
-		specDARC(opt, workersPer, len(mix.Types)),
-		specCFCFS(),
+	g := paperGrid(opt, mix, workersPer, specDARC(workersPer, len(mix.Types)), specCFCFS())
+	g.Loads = []float64{shardLoad}
+	g.RTT = 0
+	g.Backends = backends
+	g.FanOuts = fanouts
+	s, err := g.run(opt)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Name: "ext_fanout_sim",
@@ -30,51 +33,11 @@ func ExtFanoutSim(opt Options) ([]*Table, error) {
 			backends, workersPer, shardLoad*100),
 		Header: []string{"policy", "fanout", "queries", "query_p99", "query_p999", "shard_p999"},
 	}
-	type job struct {
-		spec PolicySpec
-		k    int
-	}
-	var jobs []job
-	for _, s := range specs {
-		for _, k := range fanouts {
-			jobs = append(jobs, job{spec: s, k: k})
-		}
-	}
-	type cell struct {
-		res *fanout.Result
-		err error
-	}
-	cells := make([]cell, len(jobs))
-	runParallel(opt, len(jobs), func(i int) {
-		j := jobs[i]
-		ctx := RunCtx{
-			Seed:      opt.Seed,
-			Rate:      shardLoad * mix.PeakLoad(workersPer),
-			Duration:  opt.Duration,
-			Workers:   workersPer,
-			WindowCap: opt.MinWindowSamples,
-		}
-		res, err := fanout.Run(fanout.Config{
-			Backends:          backends,
-			FanOut:            j.k,
-			WorkersPerBackend: workersPer,
-			Mix:               mix,
-			ShardLoad:         shardLoad,
-			Duration:          opt.Duration,
-			WarmupFraction:    0.1,
-			Seed:              opt.Seed,
-			NewPolicy:         func() cluster.Policy { return j.spec.New(ctx) },
-		})
-		cells[i] = cell{res: res, err: err}
-	})
-	for i, j := range jobs {
-		if cells[i].err != nil {
-			return nil, cells[i].err
-		}
-		r := cells[i].res
+	for _, p := range s.Points {
+		r := p.Fanout
 		t.Rows = append(t.Rows, []string{
-			j.spec.Name,
-			fmt.Sprintf("%d", j.k),
+			p.Spec.Name,
+			fmt.Sprintf("%d", p.FanOut),
 			fmt.Sprintf("%d", r.Queries),
 			fmtDur(r.QueryLatency.QuantileDuration(0.99)),
 			fmtDur(r.QueryLatency.QuantileDuration(0.999)),
@@ -83,13 +46,14 @@ func ExtFanoutSim(opt Options) ([]*Table, error) {
 	}
 	// Amplification note: how much each policy's query p99 grows from
 	// k=1 to k=max.
-	for si, s := range specs {
-		base := cells[si*len(fanouts)].res.QueryLatency.QuantileDuration(0.99)
-		wide := cells[si*len(fanouts)+len(fanouts)-1].res.QueryLatency.QuantileDuration(0.99)
+	for si, spec := range g.Policies {
+		pts := s.Points[si*len(fanouts) : (si+1)*len(fanouts)]
+		base := pts[0].Fanout.QueryLatency.QuantileDuration(0.99)
+		wide := pts[len(pts)-1].Fanout.QueryLatency.QuantileDuration(0.99)
 		if base > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf(
 				"%s: query p99 grows %.1fx from k=1 (%v) to k=%d (%v)",
-				s.Name, float64(wide)/float64(base), base, fanouts[len(fanouts)-1], wide))
+				spec.Name, float64(wide)/float64(base), base, fanouts[len(fanouts)-1], wide))
 		}
 	}
 	return []*Table{t}, nil

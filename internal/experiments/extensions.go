@@ -5,8 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -30,22 +28,20 @@ func ExtVariance(opt Options) ([]*Table, error) {
 		},
 	}
 	const workers = 14
-	specs := []PolicySpec{
-		specDARC(opt, workers, len(mix.Types)),
+	s, err := paperGrid(opt, mix, workers,
+		specDARC(workers, len(mix.Types)),
 		specCFCFS(),
 		specShinjukuMQ(5*time.Microsecond, len(mix.Types)),
-	}
-	points, err := sweep(opt, cluster.Config{Workers: workers, RTT: 10 * time.Microsecond}, mix, specs)
+	).run(opt)
 	if err != nil {
 		return nil, err
 	}
-	curve := slowdownCurveTable("ext_variance",
-		"exponential (not fixed) service times, High Bimodal means, 14 workers", opt, points, specs)
-	lat := typedLatencyTable("ext_variance_latency", "per-type p99.9 latency with exponential service", opt, points, specs, mix)
-	d := sustainableLoad(opt, points, "DARC", 20)
-	c := sustainableLoad(opt, points, "c-FCFS", 20)
+	curve := s.slowdownCurve("ext_variance", "exponential (not fixed) service times, High Bimodal means, 14 workers")
+	lat := s.typedLatency("ext_variance_latency", "per-type p99.9 latency with exponential service")
 	curve.Notes = append(curve.Notes, fmt.Sprintf(
-		"at 20x slowdown: DARC sustains %.2f vs c-FCFS %.2f — profiling tolerates service-time variance", d, c))
+		"at 20x slowdown: DARC sustains %.2f vs c-FCFS %.2f — profiling tolerates service-time variance",
+		s.sustainable("DARC", 20), s.sustainable("c-FCFS", 20)))
+	noteStarved(curve, s)
 	return []*Table{curve, lat}, nil
 }
 
@@ -70,58 +66,19 @@ func ExtBurst(opt Options) ([]*Table, error) {
 		return nil, fmt.Errorf("experiments: empty bursty trace")
 	}
 
-	specs := []PolicySpec{
-		specDARC(opt, workers, len(mix.Types)),
-		{Name: "DARC-nosteal", New: func(ctx RunCtx) cluster.Policy {
-			cfg := darcConfigFor(workers, ctx)
-			cfg.NoCycleStealing = true
-			return newDARCPolicy(cfg, len(mix.Types))
-		}},
-		specCFCFS(),
+	g := paperGrid(opt, mix, workers, specDARC(workers, len(mix.Types)), specDARCNoSteal(workers, len(mix.Types)), specCFCFS())
+	g.Trace = tr
+	s, err := g.run(opt)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Name:   "ext_burst",
 		Title:  fmt.Sprintf("bursty arrivals (on/off MMPP, 4x bursts, avg %.2f of peak): p99.9 slowdown and short p99.9", float64(tr.Rate())/peak),
 		Header: []string{"policy", "slowdown_p999", "short_p999", "long_p999", "drops"},
 	}
-	type cell struct {
-		slow        float64
-		short, long time.Duration
-		drops       uint64
-		err         error
-	}
-	cells := make([]cell, len(specs))
-	runParallel(opt, len(specs), func(i int) {
-		ctx := RunCtx{Seed: opt.Seed, Rate: tr.Rate(), Duration: opt.Duration, Workers: workers, WindowCap: opt.MinWindowSamples}
-		res, err := cluster.Run(cluster.Config{
-			Workers:        workers,
-			Mix:            mix,
-			Trace:          tr,
-			Duration:       opt.Duration,
-			WarmupFraction: 0.1,
-			Seed:           opt.Seed,
-			RTT:            10 * time.Microsecond,
-			NewPolicy:      func() cluster.Policy { return specs[i].New(ctx) },
-		})
-		if err != nil {
-			cells[i].err = err
-			return
-		}
-		cells[i] = cell{
-			slow:  metrics.SlowdownAt(res.Recorder.All(), 0.999),
-			short: res.Recorder.Type(0).Latency.QuantileDuration(0.999),
-			long:  res.Recorder.Type(1).Latency.QuantileDuration(0.999),
-			drops: res.Machine.Dropped(),
-		}
-	})
-	for i, s := range specs {
-		if cells[i].err != nil {
-			return nil, cells[i].err
-		}
-		t.Rows = append(t.Rows, []string{
-			s.Name, fmtSlow(cells[i].slow), fmtDur(cells[i].short), fmtDur(cells[i].long),
-			fmt.Sprintf("%d", cells[i].drops),
-		})
+	for _, p := range s.Points {
+		t.Rows = append(t.Rows, shortLongRow([]string{p.Spec.Name}, p.Res))
 	}
 	t.Notes = append(t.Notes,
 		"identical arrival trace for every policy; stealing is DARC's burst absorber (§3)")
@@ -139,9 +96,11 @@ func ExtFanout(opt Options) ([]*Table, error) {
 	mix := workload.HighBimodal()
 	const workers = 14
 	const load = 0.80
-	specs := []PolicySpec{
-		specDARC(opt, workers, len(mix.Types)),
-		specCFCFS(),
+	g := paperGrid(opt, mix, workers, specDARC(workers, len(mix.Types)), specCFCFS())
+	g.Loads = []float64{load}
+	s, err := g.run(opt)
+	if err != nil {
+		return nil, err
 	}
 	fanouts := []int{1, 10, 100}
 	t := &Table{
@@ -152,34 +111,12 @@ func ExtFanout(opt Options) ([]*Table, error) {
 	for _, k := range fanouts {
 		t.Header = append(t.Header, fmt.Sprintf("k=%d_query_p99", k))
 	}
-	type cell struct {
-		res *cluster.Result
-		err error
-	}
-	cells := make([]cell, len(specs))
-	runParallel(opt, len(specs), func(i int) {
-		ctx := RunCtx{Seed: opt.Seed, Rate: load * mix.PeakLoad(workers), Duration: opt.Duration, Workers: workers, WindowCap: opt.MinWindowSamples}
-		res, err := cluster.Run(cluster.Config{
-			Workers:        workers,
-			Mix:            mix,
-			LoadFraction:   load,
-			Duration:       opt.Duration,
-			WarmupFraction: 0.1,
-			Seed:           opt.Seed,
-			RTT:            10 * time.Microsecond,
-			NewPolicy:      func() cluster.Policy { return specs[i].New(ctx) },
-		})
-		cells[i] = cell{res: res, err: err}
-	})
-	for i, s := range specs {
-		if cells[i].err != nil {
-			return nil, cells[i].err
-		}
-		row := []string{s.Name}
+	for _, p := range s.Points {
+		row := []string{p.Spec.Name}
 		// The fanned-out RPCs are the short class (the paper's §1
 		// motivation: complex queries fanning out to hundreds of fast
 		// backends while long analytics requests share the machines).
-		hist := &cells[i].res.Recorder.Type(0).EndToEnd
+		hist := &p.Res.Recorder.Type(0).EndToEnd
 		for _, k := range fanouts {
 			// P(max of k ≤ x) = 0.99  ⇔  per-shard quantile 0.99^(1/k).
 			q := math.Pow(0.99, 1/float64(k))
@@ -189,5 +126,6 @@ func ExtFanout(opt Options) ([]*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"k=100 queries live at each shard's p99.99; protecting the per-shard deep tail is what fan-out services buy from DARC (paper §1)")
+	noteStarved(t, s)
 	return []*Table{t}, nil
 }

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -15,16 +15,15 @@ func Figure6(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.TPCC()
 	const workers = 14
-	specs := []PolicySpec{
+	s, err := paperGrid(opt, mix, workers,
 		specShenango(),
 		specShinjukuMQ(10*time.Microsecond, len(mix.Types)),
-		specDARC(opt, workers, len(mix.Types)),
-	}
-	points, err := sweep(opt, cluster.Config{Workers: workers, RTT: 10 * time.Microsecond}, mix, specs)
+		specDARC(workers, len(mix.Types)),
+	).run(opt)
 	if err != nil {
 		return nil, err
 	}
-	curve := slowdownCurveTable("figure6", "TPC-C overall p99.9 slowdown vs load (paper Figure 6, first column)", opt, points, specs)
+	curve := s.slowdownCurve("figure6", "TPC-C overall p99.9 slowdown vs load (paper Figure 6, first column)")
 
 	// Per-transaction p99.9 latency: one row per (load, policy),
 	// columns are the five transactions in Table 4 order.
@@ -36,16 +35,11 @@ func Figure6(opt Options) ([]*Table, error) {
 	for _, ts := range mix.Types {
 		lat.Header = append(lat.Header, ts.Name+"_p999")
 	}
-	byKey := indexPoints(points)
-	for _, load := range opt.Loads {
-		for _, s := range specs {
-			p, ok := byKey[key(s.Name, load)]
-			if !ok {
-				continue
-			}
-			row := []string{fmt.Sprintf("%.2f", load), s.Name}
+	for _, load := range s.Grid.Loads {
+		for _, p := range s.Grid.Policies {
+			row := []string{fmt.Sprintf("%.2f", load), p.Name}
 			for ti := range mix.Types {
-				row = append(row, fmtDur(p.Res.Recorder.Type(ti).Latency.QuantileDuration(0.999)))
+				row = append(row, fmtDur(s.at(p.Name, load).Res.Recorder.Type(ti).Latency.QuantileDuration(0.999)))
 			}
 			lat.Rows = append(lat.Rows, row)
 		}
@@ -55,33 +49,30 @@ func Figure6(opt Options) ([]*Table, error) {
 	// point): latency improvements for Payment/OrderStatus/NewOrder
 	// over Shenango c-FCFS, and the overall slowdown reduction.
 	cmpLoad := nearestLoad(opt.Loads, 0.85)
-	d := byKey[key("DARC", cmpLoad)]
-	she := byKey[key("shenango-cFCFS", cmpLoad)]
-	shi := byKey[key("shinjuku-MQ", cmpLoad)]
-	if d.Res != nil && she.Res != nil {
-		for _, name := range []string{"Payment", "OrderStatus", "NewOrder"} {
-			ti := typeIndexByName(mix, name)
-			dv := d.Res.Recorder.Type(ti).Latency.QuantileDuration(0.999)
-			sv := she.Res.Recorder.Type(ti).Latency.QuantileDuration(0.999)
-			curve.Notes = append(curve.Notes, fmt.Sprintf(
-				"%s p999 at %.0f%% load: DARC %v vs Shenango %v (%.1fx; paper: 9.2x/7x/3.6x for the three)",
-				name, cmpLoad*100, dv, sv, float64(sv)/float64(dv)))
-		}
-		ds := metrics.SlowdownAt(d.Res.Recorder.All(), 0.999)
-		ss := metrics.SlowdownAt(she.Res.Recorder.All(), 0.999)
+	d := s.at("DARC", cmpLoad).Res.Recorder
+	she := s.at("shenango-cFCFS", cmpLoad).Res.Recorder
+	shi := s.at("shinjuku-MQ", cmpLoad).Res.Recorder
+	for _, name := range []string{"Payment", "OrderStatus", "NewOrder"} {
+		ti := typeIndexByName(mix, name)
+		dv := d.Type(ti).Latency.QuantileDuration(0.999)
+		sv := she.Type(ti).Latency.QuantileDuration(0.999)
 		curve.Notes = append(curve.Notes, fmt.Sprintf(
-			"overall slowdown reduction vs Shenango at %.0f%%: %.1fx (paper: up to 4.6x)", cmpLoad*100, ss/ds))
-		if shi.Res != nil {
-			is := metrics.SlowdownAt(shi.Res.Recorder.All(), 0.999)
-			curve.Notes = append(curve.Notes, fmt.Sprintf(
-				"overall slowdown reduction vs Shinjuku at %.0f%%: %.1fx (paper: up to 3.1x)", cmpLoad*100, is/ds))
-		}
+			"%s p999 at %.0f%% load: DARC %v vs Shenango %v (%.1fx; paper: 9.2x/7x/3.6x for the three)",
+			name, cmpLoad*100, dv, sv, float64(sv)/float64(dv)))
 	}
+	ds := metrics.SlowdownAt(d.All(), 0.999)
+	curve.Notes = append(curve.Notes,
+		fmt.Sprintf("overall slowdown reduction vs Shenango at %.0f%%: %.1fx (paper: up to 4.6x)",
+			cmpLoad*100, metrics.SlowdownAt(she.All(), 0.999)/ds),
+		fmt.Sprintf("overall slowdown reduction vs Shinjuku at %.0f%%: %.1fx (paper: up to 3.1x)",
+			cmpLoad*100, metrics.SlowdownAt(shi.All(), 0.999)/ds))
 	target := 10.0
+	darcLoad := s.sustainable("DARC", target)
 	curve.Notes = append(curve.Notes, fmt.Sprintf(
 		"at 10x slowdown target: DARC/Shenango = %.2fx (paper 1.2x), DARC/Shinjuku = %.2fx (paper 1.05x)",
-		ratio(sustainableLoad(opt, points, "DARC", target), sustainableLoad(opt, points, "shenango-cFCFS", target)),
-		ratio(sustainableLoad(opt, points, "DARC", target), sustainableLoad(opt, points, "shinjuku-MQ", target))))
+		ratio(darcLoad, s.sustainable("shenango-cFCFS", target)),
+		ratio(darcLoad, s.sustainable("shinjuku-MQ", target))))
+	noteStarved(curve, s)
 	return []*Table{curve, lat}, nil
 }
 
@@ -92,40 +83,33 @@ func Figure8(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.RocksDB()
 	const workers = 14
-	specs := []PolicySpec{
+	s, err := paperGrid(opt, mix, workers,
 		specShenango(),
 		specShinjukuMQ(15*time.Microsecond, len(mix.Types)),
-		specDARC(opt, workers, len(mix.Types)),
-	}
-	points, err := sweep(opt, cluster.Config{Workers: workers, RTT: 10 * time.Microsecond}, mix, specs)
+		specDARC(workers, len(mix.Types)),
+	).run(opt)
 	if err != nil {
 		return nil, err
 	}
-	curve := slowdownCurveTable("figure8", "RocksDB p99.9 slowdown vs load (paper Figure 8)", opt, points, specs)
-	lat := typedLatencyTable("figure8_latency", "per-type p99.9 latency for Figure 8", opt, points, specs, mix)
+	curve := s.slowdownCurve("figure8", "RocksDB p99.9 slowdown vs load (paper Figure 8)")
+	lat := s.typedLatency("figure8_latency", "per-type p99.9 latency for Figure 8")
 	target := 20.0
-	she := sustainableLoad(opt, points, "shenango-cFCFS", target)
-	shi := sustainableLoad(opt, points, "shinjuku-MQ", target)
-	d := sustainableLoad(opt, points, "DARC", target)
+	she := s.sustainable("shenango-cFCFS", target)
+	shi := s.sustainable("shinjuku-MQ", target)
+	d := s.sustainable("DARC", target)
 	curve.Notes = append(curve.Notes, fmt.Sprintf(
 		"at 20x slowdown target: DARC/Shenango = %.2fx (paper 2.3x), DARC/Shinjuku = %.2fx (paper 1.3x)",
 		ratio(d, she), ratio(d, shi)))
+	noteStarved(curve, s)
 	return []*Table{curve, lat}, nil
 }
 
 func nearestLoad(loads []float64, want float64) float64 {
 	best := loads[0]
 	for _, l := range loads {
-		if diff(l, want) < diff(best, want) {
+		if math.Abs(l-want) < math.Abs(best-want) {
 			best = l
 		}
 	}
 	return best
-}
-
-func diff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }

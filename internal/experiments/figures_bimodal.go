@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -11,31 +10,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
-
-// typedLatencyTable renders per-type p99.9 latency columns for a
-// bimodal sweep: one row per load, per policy a (short, long) pair.
-func typedLatencyTable(name, title string, opt Options, points []runPoint, specs []PolicySpec, mix workload.Mix) *Table {
-	opt = opt.fill()
-	shortIdx := 0
-	longIdx := len(mix.Types) - 1
-	t := &Table{Name: name, Title: title, Header: []string{"load"}}
-	for _, s := range specs {
-		t.Header = append(t.Header,
-			s.Name+"_short_p999", s.Name+"_long_p999")
-	}
-	byKey := indexPoints(points)
-	for _, load := range opt.Loads {
-		row := []string{fmt.Sprintf("%.2f", load)}
-		for _, s := range specs {
-			p := byKey[key(s.Name, load)]
-			row = append(row,
-				fmtDur(p.Res.Recorder.Type(shortIdx).Latency.QuantileDuration(0.999)),
-				fmtDur(p.Res.Recorder.Type(longIdx).Latency.QuantileDuration(0.999)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
 
 // darcCPUWaste estimates the paper's "average CPU waste" for a DARC
 // run: the idle fraction summed over cores reserved for groups other
@@ -62,39 +36,38 @@ func Figure1(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.ExtremeBimodal()
 	const workers = 16
-	specs := []PolicySpec{
+	g := paperGrid(opt, mix, workers,
 		specDFCFS(),
 		specCFCFS(),
-		{Name: "TS", New: func(RunCtx) cluster.Policy {
+		PolicySpec{Name: "TS", New: func(RunCtx) cluster.Policy {
 			return policy.NewTSSingleQueue(policy.TSConfig{Quantum: 5 * time.Microsecond, PreemptCost: time.Microsecond})
 		}},
-		specDARC(opt, workers, len(mix.Types)),
-	}
-	points, err := sweep(opt, cluster.Config{Workers: workers}, mix, specs)
+		specDARC(workers, len(mix.Types)),
+	)
+	g.RTT = 0 // §2 models no network
+	s, err := g.run(opt)
 	if err != nil {
 		return nil, err
 	}
-	curve := slowdownCurveTable("figure1", "p99.9 slowdown vs load, Extreme Bimodal, 16 workers (paper Figure 1)", opt, points, specs)
-	lat := typedLatencyTable("figure1_latency", "per-type p99.9 latency for Figure 1", opt, points, specs, mix)
+	curve := s.slowdownCurve("figure1", "p99.9 slowdown vs load, Extreme Bimodal, 16 workers (paper Figure 1)")
+	lat := s.typedLatency("figure1_latency", "per-type p99.9 latency for Figure 1")
 
 	peak := mix.PeakLoad(workers)
-	for _, s := range specs {
-		sustain := sustainableLoad(opt, points, s.Name, 10)
+	for _, p := range g.Policies {
+		sustain := s.sustainable(p.Name, 10)
 		curve.Notes = append(curve.Notes, fmt.Sprintf(
 			"%s sustains %.2f of peak (%.2f Mrps) at 10x p99.9 slowdown (paper: c-FCFS 2.1, TS 3.7, DARC 5.1 Mrps)",
-			s.Name, sustain, sustain*peak/1e6))
+			p.Name, sustain, sustain*peak/1e6))
 	}
 	// §2's headline short-request tail latencies at DARC's operating
 	// point.
-	byKey := indexPoints(points)
-	maxLoad := opt.Loads[len(opt.Loads)-1]
-	for _, s := range specs {
-		if p, ok := byKey[key(s.Name, maxLoad)]; ok {
-			curve.Notes = append(curve.Notes, fmt.Sprintf(
-				"%s short p99.9 at %.0f%% load: %v (paper at 5.1 Mrps: DARC 9.87us, c-FCFS 7738us, TS 161us)",
-				s.Name, maxLoad*100, p.Res.Recorder.Type(0).Latency.QuantileDuration(0.999)))
-		}
+	maxLoad := s.maxLoad()
+	for _, p := range g.Policies {
+		curve.Notes = append(curve.Notes, fmt.Sprintf(
+			"%s short p99.9 at %.0f%% load: %v (paper at 5.1 Mrps: DARC 9.87us, c-FCFS 7738us, TS 161us)",
+			p.Name, maxLoad*100, s.at(p.Name, maxLoad).Res.Recorder.Type(0).Latency.QuantileDuration(0.999)))
 	}
+	noteStarved(curve, s)
 	return []*Table{curve, lat}, nil
 }
 
@@ -104,32 +77,26 @@ func Figure3(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.HighBimodal()
 	const workers = 14
-	specs := []PolicySpec{specDARC(opt, workers, len(mix.Types)), specCFCFS(), specDFCFS()}
-	points, err := sweep(opt, cluster.Config{Workers: workers, RTT: 10 * time.Microsecond}, mix, specs)
+	s, err := paperGrid(opt, mix, workers, specDARC(workers, len(mix.Types)), specCFCFS(), specDFCFS()).run(opt)
 	if err != nil {
 		return nil, err
 	}
-	curve := slowdownCurveTable("figure3", "p99.9 slowdown vs load, High Bimodal in Persephone (paper Figure 3)", opt, points, specs)
-	lat := typedLatencyTable("figure3_latency", "per-type p99.9 latency for Figure 3", opt, points, specs, mix)
+	curve := s.slowdownCurve("figure3", "p99.9 slowdown vs load, High Bimodal in Persephone (paper Figure 3)")
+	lat := s.typedLatency("figure3_latency", "per-type p99.9 latency for Figure 3")
 
 	// "Up to" improvement factor across the sweep, as the paper quotes
 	// (15.7x over c-FCFS at a 4.2x cost to long requests).
-	byKey := indexPoints(points)
-	maxLoad := opt.Loads[len(opt.Loads)-1]
 	bestGain, bestLoad, costAtBest := 0.0, 0.0, 0.0
-	for _, load := range opt.Loads {
-		d := byKey[key("DARC", load)]
-		c := byKey[key("c-FCFS", load)]
-		if d.Res == nil || c.Res == nil {
-			continue
-		}
-		ds := metrics.SlowdownAt(d.Res.Recorder.All(), 0.999)
-		cs := metrics.SlowdownAt(c.Res.Recorder.All(), 0.999)
+	for _, load := range s.Grid.Loads {
+		d := s.at("DARC", load).Res.Recorder
+		c := s.at("c-FCFS", load).Res.Recorder
+		ds := metrics.SlowdownAt(d.All(), 0.999)
+		cs := metrics.SlowdownAt(c.All(), 0.999)
 		if ds > 0 && cs/ds > bestGain {
 			bestGain = cs / ds
 			bestLoad = load
-			dl := d.Res.Recorder.Type(1).Latency.QuantileDuration(0.999)
-			cl := c.Res.Recorder.Type(1).Latency.QuantileDuration(0.999)
+			dl := d.Type(1).Latency.QuantileDuration(0.999)
+			cl := c.Type(1).Latency.QuantileDuration(0.999)
 			costAtBest = float64(dl) / float64(cl)
 		}
 	}
@@ -139,36 +106,20 @@ func Figure3(opt Options) ([]*Table, error) {
 			bestGain, bestLoad*100, costAtBest))
 	}
 	// CPU waste at the highest load (paper: 1 reserved core, 0.86
-	// cores of waste on High Bimodal). A dedicated run captures the
-	// policy instance so the final reservation is inspectable.
-	var captured *policy.DARC
-	wasteRes, err := cluster.Run(cluster.Config{
-		Workers:        workers,
-		Mix:            mix,
-		LoadFraction:   maxLoad,
-		Duration:       opt.Duration,
-		WarmupFraction: 0.1,
-		Seed:           opt.Seed,
-		RTT:            10 * time.Microsecond,
-		NewPolicy: func() cluster.Policy {
-			cfg := darc.DefaultConfig(workers)
-			cfg.MinWindowSamples = opt.MinWindowSamples
-			captured = policy.NewDARC(cfg, len(mix.Types), 0)
-			return captured
-		},
-	})
-	if err == nil && captured != nil {
-		if res := captured.Controller().Reservation(); res != nil {
-			curve.Notes = append(curve.Notes, fmt.Sprintf(
-				"DARC reserved %d core(s) for shorts; CPU waste %.2f cores (paper: 1 core, 0.86 waste)",
-				len(res.Groups[0].Reserved), darcCPUWaste(wasteRes, res)))
-		}
+	// cores of waste on High Bimodal), from the swept DARC instance's
+	// final reservation.
+	d := s.at("DARC", s.maxLoad())
+	if res := d.Policy.(*policy.DARC).Controller().Reservation(); res != nil {
+		curve.Notes = append(curve.Notes, fmt.Sprintf(
+			"DARC reserved %d core(s) for shorts; CPU waste %.2f cores (paper: 1 core, 0.86 waste)",
+			len(res.Groups[0].Reserved), darcCPUWaste(d.Res, res)))
 	}
+	noteStarved(curve, s)
 	return []*Table{curve, lat}, nil
 }
 
 // Figure4 reproduces §5.3: manually sweeping DARC-static's reserved
-// cores from 0..workers at 95% load on both bimodal workloads.
+// cores from 0..workers at 90% load on both bimodal workloads.
 func Figure4(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	const workers = 14
@@ -179,87 +130,45 @@ func Figure4(opt Options) ([]*Table, error) {
 	// well defined. Queues are unbounded here: shedding would flatter
 	// the starved configurations.
 	const load = 0.90
+	var grids []*Grid
+	for _, mix := range []workload.Mix{workload.HighBimodal(), workload.ExtremeBimodal()} {
+		g := paperGrid(opt, mix, workers)
+		g.Loads = []float64{load}
+		for r := 0; r <= workers; r++ {
+			g.Policies = append(g.Policies, specDARCStatic(mix, r))
+		}
+		grids = append(grids, g)
+	}
+	sweeps, err := runGrids(opt, grids...)
+	if err != nil {
+		return nil, err
+	}
+	high, extreme := sweeps[0].Points, sweeps[1].Points
+	slow := func(p Point) float64 { return metrics.SlowdownAt(p.Res.Recorder.All(), 0.999) }
+	render := func(p Point) string {
+		if len(p.Starved) > 0 {
+			return "starved"
+		}
+		return fmtSlow(slow(p))
+	}
+	better := func(a, b Point) bool {
+		if sa, sb := len(a.Starved) > 0, len(b.Starved) > 0; sa != sb {
+			return !sa
+		}
+		return slow(a) < slow(b)
+	}
 	t := &Table{
 		Name:   "figure4",
 		Title:  "DARC-static: p99.9 slowdown vs reserved cores at 90% load (paper Figure 4, 95%)",
 		Header: []string{"reserved_cores", "HighBimodal_slowdown", "ExtremeBimodal_slowdown"},
 	}
-	type cell struct {
-		mix      workload.Mix
-		reserved int
-		slow     float64
-		starved  bool
-		err      error
-	}
-	mixes := []workload.Mix{workload.HighBimodal(), workload.ExtremeBimodal()}
-	cells := make([]cell, 0, (workers+1)*2)
-	for _, mix := range mixes {
-		for r := 0; r <= workers; r++ {
-			cells = append(cells, cell{mix: mix, reserved: r})
-		}
-	}
-	runParallel(opt, len(cells), func(i int) {
-		c := &cells[i]
-		spec := specDARCStatic(c.mix, c.reserved)
-		rate := load * c.mix.PeakLoad(workers)
-		ctx := RunCtx{Seed: opt.Seed, Rate: rate, Duration: opt.Duration, Workers: workers, WindowCap: opt.MinWindowSamples}
-		res, err := cluster.Run(cluster.Config{
-			Workers:        workers,
-			Mix:            c.mix,
-			LoadFraction:   load,
-			Duration:       opt.Duration,
-			WarmupFraction: 0.1,
-			Seed:           opt.Seed,
-			RTT:            10 * time.Microsecond,
-			NewPolicy:      func() cluster.Policy { return spec.New(ctx) },
-		})
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.slow = metrics.SlowdownAt(res.Recorder.All(), 0.999)
-		// A configuration that starves a type (its completions fall
-		// far short of its arrivals) must not look good just because
-		// the survivors were fast: slowdown is only measured on
-		// completed requests.
-		measured := opt.Duration.Seconds() * (1 - 0.1)
-		for ti, ts := range c.mix.Types {
-			expected := rate * ts.Ratio * measured
-			if float64(res.Recorder.Type(ti).Completed) < expected*0.5 {
-				c.starved = true
-			}
-		}
-	})
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, c.err
-		}
-	}
-	render := func(c cell) string {
-		if c.starved {
-			return "starved"
-		}
-		return fmtSlow(c.slow)
-	}
-	better := func(a, b cell) bool {
-		if a.starved != b.starved {
-			return !a.starved
-		}
-		return a.slow < b.slow
-	}
 	bestHigh, bestExtreme := 0, 0
 	for r := 0; r <= workers; r++ {
-		high := cells[r]
-		extreme := cells[workers+1+r]
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r),
-			render(high),
-			render(extreme),
-		})
-		if better(high, cells[bestHigh]) {
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", r), render(high[r]), render(extreme[r])})
+		if better(high[r], high[bestHigh]) {
 			bestHigh = r
 		}
-		if better(extreme, cells[workers+1+bestExtreme]) {
+		if better(extreme[r], extreme[bestExtreme]) {
 			bestExtreme = r
 		}
 	}
@@ -275,25 +184,25 @@ func Figure5a(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.HighBimodal()
 	const workers = 14
-	specs := []PolicySpec{
+	s, err := paperGrid(opt, mix, workers,
 		specShenangoDFCFS(),
 		specShenango(),
 		specShinjukuMQ(5*time.Microsecond, len(mix.Types)),
-		specDARC(opt, workers, len(mix.Types)),
-	}
-	points, err := sweep(opt, cluster.Config{Workers: workers, RTT: 10 * time.Microsecond}, mix, specs)
+		specDARC(workers, len(mix.Types)),
+	).run(opt)
 	if err != nil {
 		return nil, err
 	}
-	curve := slowdownCurveTable("figure5a", "High Bimodal across systems (paper Figure 5a)", opt, points, specs)
-	lat := typedLatencyTable("figure5a_latency", "per-type p99.9 latency for Figure 5a", opt, points, specs, mix)
+	curve := s.slowdownCurve("figure5a", "High Bimodal across systems (paper Figure 5a)")
+	lat := s.typedLatency("figure5a_latency", "per-type p99.9 latency for Figure 5a")
 	target := 20.0
-	she := sustainableLoad(opt, points, "shenango-cFCFS", target)
-	shi := sustainableLoad(opt, points, "shinjuku-MQ", target)
-	d := sustainableLoad(opt, points, "DARC", target)
+	she := s.sustainable("shenango-cFCFS", target)
+	shi := s.sustainable("shinjuku-MQ", target)
+	d := s.sustainable("DARC", target)
 	curve.Notes = append(curve.Notes, fmt.Sprintf(
 		"at 20x slowdown target: DARC/Shenango = %.2fx (paper 2.35x), DARC/Shinjuku = %.2fx (paper 1.3x)",
 		ratio(d, she), ratio(d, shi)))
+	noteStarved(curve, s)
 	return []*Table{curve, lat}, nil
 }
 
@@ -303,24 +212,24 @@ func Figure5b(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.ExtremeBimodal()
 	const workers = 14
-	specs := []PolicySpec{
+	s, err := paperGrid(opt, mix, workers,
 		specShenango(),
-		specShinjukuSQ(5 * time.Microsecond),
-		specDARC(opt, workers, len(mix.Types)),
-	}
-	points, err := sweep(opt, cluster.Config{Workers: workers, RTT: 10 * time.Microsecond}, mix, specs)
+		specShinjukuSQ(5*time.Microsecond),
+		specDARC(workers, len(mix.Types)),
+	).run(opt)
 	if err != nil {
 		return nil, err
 	}
-	curve := slowdownCurveTable("figure5b", "Extreme Bimodal across systems (paper Figure 5b)", opt, points, specs)
-	lat := typedLatencyTable("figure5b_latency", "per-type p99.9 latency for Figure 5b", opt, points, specs, mix)
+	curve := s.slowdownCurve("figure5b", "Extreme Bimodal across systems (paper Figure 5b)")
+	lat := s.typedLatency("figure5b_latency", "per-type p99.9 latency for Figure 5b")
 	target := 50.0
-	she := sustainableLoad(opt, points, "shenango-cFCFS", target)
-	shi := sustainableLoad(opt, points, "shinjuku-SQ", target)
-	d := sustainableLoad(opt, points, "DARC", target)
+	she := s.sustainable("shenango-cFCFS", target)
+	shi := s.sustainable("shinjuku-SQ", target)
+	d := s.sustainable("DARC", target)
 	curve.Notes = append(curve.Notes, fmt.Sprintf(
 		"at 50x slowdown target: DARC/Shenango = %.2fx (paper 1.4x), DARC/Shinjuku = %.2fx (paper 1.25x)",
 		ratio(d, she), ratio(d, shi)))
+	noteStarved(curve, s)
 	return []*Table{curve, lat}, nil
 }
 
@@ -332,25 +241,24 @@ func Figure10(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.ExtremeBimodal()
 	const workers = 16
-	specs := []PolicySpec{
+	g := paperGrid(opt, mix, workers,
 		specTSIdeal(0),
-		specTSIdeal(1 * time.Microsecond),
-		specTSIdeal(2 * time.Microsecond),
-		specTSIdeal(4 * time.Microsecond),
-		specDARC(opt, workers, len(mix.Types)),
-	}
-	points, err := sweep(opt, cluster.Config{Workers: workers}, mix, specs)
+		specTSIdeal(1*time.Microsecond),
+		specTSIdeal(2*time.Microsecond),
+		specTSIdeal(4*time.Microsecond),
+		specDARC(workers, len(mix.Types)),
+	)
+	g.RTT = 0
+	s, err := g.run(opt)
 	if err != nil {
 		return nil, err
 	}
-	curve := slowdownCurveTable("figure10", "preemption overhead study, Extreme Bimodal, 16 workers (paper Figure 10)", opt, points, specs)
-	lat := typedLatencyTable("figure10_latency", "per-type p99.9 latency for Figure 10", opt, points, specs, mix)
-	ideal := sustainableLoad(opt, points, "TS-0us", 10)
-	oneUs := sustainableLoad(opt, points, "TS-1us", 10)
-	d := sustainableLoad(opt, points, "DARC", 10)
+	curve := s.slowdownCurve("figure10", "preemption overhead study, Extreme Bimodal, 16 workers (paper Figure 10)")
+	lat := s.typedLatency("figure10_latency", "per-type p99.9 latency for Figure 10")
 	curve.Notes = append(curve.Notes, fmt.Sprintf(
 		"at 10x slowdown: TS-0us sustains %.2f, TS-1us %.2f (paper: ~30%% less than ideal), DARC %.2f",
-		ideal, oneUs, d))
+		s.sustainable("TS-0us", 10), s.sustainable("TS-1us", 10), s.sustainable("DARC", 10)))
+	noteStarved(curve, s)
 	return []*Table{curve, lat}, nil
 }
 
@@ -359,23 +267,4 @@ func ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// runParallel executes n index-addressed jobs with bounded
-// parallelism.
-func runParallel(opt Options, n int, job func(i int)) {
-	opt = opt.fill()
-	sem := make(chan struct{}, opt.Parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			job(i)
-		}()
-	}
-	wg.Wait()
 }

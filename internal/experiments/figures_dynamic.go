@@ -57,49 +57,29 @@ func Figure7(opt Options) ([]*Table, error) {
 		window = 50 * time.Millisecond
 	}
 
-	// DARC run with reservation tracking.
+	// DARC with reservation tracking, and c-FCFS as the baseline.
+	// DARC profiles over exactly Options.MinWindowSamples
+	// (-profile-window): the paper's 50k-sample windows react too
+	// slowly for short phases, and the trigger rule is unchanged.
 	var events []reservationEvent
-	dcfg := darc.DefaultConfig(workers)
-	// React faster than the paper's 50k-sample windows when the run is
-	// short (the trigger rule itself is unchanged).
-	if opt.Duration < 5*time.Second {
-		dcfg.MinWindowSamples = 5000
-	}
-	darcRes, err := cluster.Run(cluster.Config{
-		Workers:        workers,
-		Schedule:       sched,
-		Duration:       total,
-		WarmupFraction: 0,
-		Seed:           opt.Seed,
-		TrackWindow:    window,
-		NewPolicy: func() cluster.Policy {
-			p := policy.NewDARC(dcfg, 2, 0)
-			p.OnReservationUpdate = func(now time.Duration, res *darc.Reservation) {
-				cores := make([]int, 2)
-				for t := 0; t < 2; t++ {
-					cores[t] = len(res.ReservedFor(t))
-				}
-				events = append(events, reservationEvent{At: now, Cores: cores})
+	darcSpec := PolicySpec{Name: "DARC", New: func(ctx RunCtx) cluster.Policy {
+		cfg := darc.DefaultConfig(workers)
+		cfg.MinWindowSamples = ctx.WindowCap
+		p := policy.NewDARC(cfg, 2, 0)
+		p.OnReservationUpdate = func(now time.Duration, res *darc.Reservation) {
+			cores := make([]int, 2)
+			for t := 0; t < 2; t++ {
+				cores[t] = len(res.ReservedFor(t))
 			}
-			return p
-		},
-	})
+			events = append(events, reservationEvent{At: now, Cores: cores})
+		}
+		return p
+	}}
+	s, err := scheduleGrid(opt, sched, workers, window, darcSpec, specCFCFS()).run(opt)
 	if err != nil {
 		return nil, err
 	}
-	// Baseline c-FCFS run for comparison.
-	cfcfsRes, err := cluster.Run(cluster.Config{
-		Workers:        workers,
-		Schedule:       sched,
-		Duration:       total,
-		WarmupFraction: 0,
-		Seed:           opt.Seed,
-		TrackWindow:    window,
-		NewPolicy:      func() cluster.Policy { return policy.NewCFCFS(0) },
-	})
-	if err != nil {
-		return nil, err
-	}
+	darcRes, cfcfsRes := s.Points[0].Res, s.Points[1].Res
 
 	sort.Slice(events, func(i, j int) bool { return events[i].At < events[j].At })
 	coresAt := func(at time.Duration, typ int) int {
@@ -169,32 +149,24 @@ func Figure9(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.HighBimodal()
 	const workers = 8
-	specs := []PolicySpec{
+	s, err := paperGrid(opt, mix, workers,
 		specCFCFS(),
-		specDARC(opt, workers, len(mix.Types)),
-		specDARCRandom(opt, workers, len(mix.Types)),
-	}
-	points, err := sweep(opt, cluster.Config{Workers: workers, RTT: 10 * time.Microsecond}, mix, specs)
+		specDARC(workers, len(mix.Types)),
+		specDARCRandom(workers, len(mix.Types)),
+	).run(opt)
 	if err != nil {
 		return nil, err
 	}
-	curve := slowdownCurveTable("figure9", "broken (random) classifier vs c-FCFS, High Bimodal, 8 workers (paper Figure 9)", opt, points, specs)
+	curve := s.slowdownCurve("figure9", "broken (random) classifier vs c-FCFS, High Bimodal, 8 workers (paper Figure 9)")
 	// Shape check: DARC-random within a small factor of c-FCFS at
 	// every load, DARC proper much better at high load.
-	byKey := indexPoints(points)
-	maxLoad := opt.Loads[len(opt.Loads)-1]
-	c := byKey[key("c-FCFS", maxLoad)]
-	r := byKey[key("DARC-random", maxLoad)]
-	d := byKey[key("DARC", maxLoad)]
-	if c.Res != nil && r.Res != nil && d.Res != nil {
-		curve.Notes = append(curve.Notes, fmt.Sprintf(
-			"at %.0f%% load: c-FCFS %.1f, DARC-random %.1f (paper: similar), DARC %.1f",
-			maxLoad*100,
-			slow999(c), slow999(r), slow999(d)))
+	maxLoad := s.maxLoad()
+	slow := func(policy string) float64 {
+		return metrics.SlowdownAt(s.at(policy, maxLoad).Res.Recorder.All(), 0.999)
 	}
+	curve.Notes = append(curve.Notes, fmt.Sprintf(
+		"at %.0f%% load: c-FCFS %.1f, DARC-random %.1f (paper: similar), DARC %.1f",
+		maxLoad*100, slow("c-FCFS"), slow("DARC-random"), slow("DARC")))
+	noteStarved(curve, s)
 	return []*Table{curve}, nil
-}
-
-func slow999(p runPoint) float64 {
-	return float64(p.Res.Recorder.All().Slowdown.Quantile(0.999)) / 1000
 }

@@ -41,7 +41,10 @@ var registry = map[string]Runner{
 
 // Names lists the registered artifacts in order.
 func Names() []string {
-	names := sortedNames(registry)
+	names := make([]string, 0, len(registry))
+	for name := range registry {
+		names = append(names, name)
+	}
 	sort.Strings(names)
 	return names
 }

@@ -132,7 +132,9 @@ func Table5() *Table {
 	return t
 }
 
-// standard policy spec constructors shared by figures -----------------
+// The policy axis entries the figures share. Their seed offsets and
+// quanta are the experiments' own (see DESIGN.md §3), which is why
+// they are not sched.Spec values.
 
 func specDFCFS() PolicySpec {
 	return PolicySpec{Name: "d-FCFS", New: func(ctx RunCtx) cluster.Policy {
@@ -184,16 +186,19 @@ func darcConfigFor(workers int, ctx RunCtx) darc.Config {
 	return cfg
 }
 
-// newDARCPolicy constructs the DARC simulator policy (indirection so
-// experiment files don't import the policy package directly).
-func newDARCPolicy(cfg darc.Config, numTypes int) cluster.Policy {
-	return policy.NewDARC(cfg, numTypes, 0)
+func specDARC(workers, numTypes int) PolicySpec {
+	return PolicySpec{Name: "DARC", New: func(ctx RunCtx) cluster.Policy {
+		return policy.NewDARC(darcConfigFor(workers, ctx), numTypes, 0)
+	}}
 }
 
-func specDARC(opt Options, workers, numTypes int) PolicySpec {
-	opt = opt.fill()
-	return PolicySpec{Name: "DARC", New: func(ctx RunCtx) cluster.Policy {
-		return newDARCPolicy(darcConfigFor(workers, ctx), numTypes)
+// specDARCNoSteal is DARC with cycle stealing off: strict static
+// partitioning of the reservation.
+func specDARCNoSteal(workers, numTypes int) PolicySpec {
+	return PolicySpec{Name: "DARC-nosteal", New: func(ctx RunCtx) cluster.Policy {
+		cfg := darcConfigFor(workers, ctx)
+		cfg.NoCycleStealing = true
+		return policy.NewDARC(cfg, numTypes, 0)
 	}}
 }
 
@@ -210,13 +215,10 @@ func specDARCStatic(mix workload.Mix, reserved int) PolicySpec {
 	}
 }
 
-func specDARCRandom(opt Options, workers, numTypes int) PolicySpec {
-	opt = opt.fill()
+func specDARCRandom(workers, numTypes int) PolicySpec {
 	return PolicySpec{Name: "DARC-random", New: func(ctx RunCtx) cluster.Policy {
-		cfg := darc.DefaultConfig(workers)
-		cfg.MinWindowSamples = ctx.DARCWindow()
 		return &policy.Relabel{
-			Inner:    policy.NewDARC(cfg, numTypes, 0),
+			Inner:    policy.NewDARC(darcConfigFor(workers, ctx), numTypes, 0),
 			NumTypes: numTypes,
 			R:        rng.New(ctx.Seed + 4000),
 		}

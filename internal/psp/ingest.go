@@ -132,9 +132,17 @@ func (s *Server) ingest(batch []*Request, frame []byte, buf *spsc.Buffer, l lane
 // burst is the request path's second step: it places batch on the
 // ingress ring in one synchronization, books what entered, and hands
 // the refused tail to the lane's shed. It returns how many entered.
+// The whole batch is booked before the ring publishes it, and the
+// refused tail taken back after: once a request is on the ring the
+// dispatcher may answer it at once, and no reply may reach a client
+// before its request is counted.
 func (s *Server) burst(batch []*Request, l lane) int {
+	rx := &l.ledger().rx
+	rx.Add(uint64(len(batch)))
 	n := s.injectBatch(batch)
-	l.ledger().rx.Add(uint64(n))
+	if refused := len(batch) - n; refused > 0 {
+		rx.Add(^uint64(refused - 1))
+	}
 	for _, r := range batch[n:] {
 		l.shed(r)
 	}
