@@ -6,7 +6,7 @@
 // report the headline metric via b.ReportMetric, so
 // `go test -bench . -benchmem` doubles as a smoke-check that every
 // experiment still produces paper-shaped results. Full-scale sweeps:
-// `go run ./cmd/psp-experiments -artifact all`.
+// `go run ./cmd/psp experiments -artifact all`.
 package persephone_test
 
 import (

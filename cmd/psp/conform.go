@@ -1,11 +1,3 @@
-// Command psp-conform runs the live↔sim differential conformance
-// harness from the command line: the clean matrix (every canonical
-// trace × every policy) or the mutation matrix (every catalogue entry,
-// which the comparator must flag). It prints per-case divergence
-// reports and, with -md, EXPERIMENTS.md-ready agreement tables.
-//
-// Exit status: 0 when every clean case agrees (and, under -mutate,
-// every mutation is detected); 1 otherwise.
 package main
 
 import (
@@ -13,67 +5,69 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/conformance"
 	"repro/internal/sched"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
-}
-
-func run(args []string, w io.Writer) int {
-	fs := flag.NewFlagSet("psp-conform", flag.ExitOnError)
+// conformCmd runs the live↔sim differential conformance harness: the
+// clean matrix (every canonical trace × every policy) or, with
+// -mutate, the mutation matrix (every catalogue entry, which the
+// comparator must flag). It prints per-case divergence reports and,
+// with -md, EXPERIMENTS.md-ready agreement tables. It exits 1 unless
+// every clean case agrees and, under -mutate, every mutation is
+// detected. Its lines keep the psp-conform: prefix that scripts read.
+func conformCmd(fs *flag.FlagSet) func() error {
 	traces := fs.String("traces", "all", "comma-separated canonical traces (bimodal,exp,tpcc) or all")
 	policies := fs.String("policies", "all", "comma-separated policies (darc,darc-static,cfcfs,dfcfs) or all")
-	seed := fs.Uint64("seed", 0, "override the trace seed (0 = each spec's pinned seed)")
+	seed := seedFlag(fs, 0)
 	mutate := fs.Bool("mutate", false, "run the mutation matrix (detection trials) instead of the clean matrix")
 	seeds := fs.Int("seeds", 1, "number of seeds for the mutation matrix")
 	md := fs.Bool("md", false, "print markdown agreement tables per case")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-
-	specs, err := pickSpecs(*traces)
-	if err != nil {
-		fmt.Fprintln(w, "psp-conform:", err)
-		return 1
-	}
-	if *mutate {
-		return runMutations(w, specs, *seeds, *md)
-	}
-	pols, err := pickPolicies(*policies)
-	if err != nil {
-		fmt.Fprintln(w, "psp-conform:", err)
-		return 1
-	}
-	failures := 0
-	for _, spec := range specs {
-		for _, pol := range pols {
-			s := spec.Seed
-			if *seed != 0 {
-				s = *seed
-			}
-			rep, err := runCaseRetrying(w, spec, pol, s)
-			if err != nil {
-				fmt.Fprintf(w, "psp-conform: %s/%s: %v\n", spec.Name, pol.Kind, err)
-				failures++
-				continue
-			}
-			fmt.Fprint(w, rep.String())
-			if *md {
-				fmt.Fprintln(w, rep.MarkdownTable())
-			}
-			if !rep.Agree() {
-				failures++
+	return func() error {
+		w := os.Stdout
+		specs, err := pickSpecs(*traces)
+		if err != nil {
+			fmt.Fprintln(w, "psp-conform:", err)
+			return errFailed
+		}
+		if *mutate {
+			return runMutations(w, specs, *seeds, *md)
+		}
+		pols, err := pickPolicies(*policies)
+		if err != nil {
+			fmt.Fprintln(w, "psp-conform:", err)
+			return errFailed
+		}
+		failures := 0
+		for _, spec := range specs {
+			for _, pol := range pols {
+				s := spec.Seed
+				if *seed != 0 {
+					s = *seed
+				}
+				rep, err := runCaseRetrying(w, spec, pol, s)
+				if err != nil {
+					fmt.Fprintf(w, "psp-conform: %s/%s: %v\n", spec.Name, pol.Kind, err)
+					failures++
+					continue
+				}
+				fmt.Fprint(w, rep.String())
+				if *md {
+					fmt.Fprintln(w, rep.MarkdownTable())
+				}
+				if !rep.Agree() {
+					failures++
+				}
 			}
 		}
+		if failures > 0 {
+			fmt.Fprintf(w, "psp-conform: %d case(s) diverged\n", failures)
+			return errFailed
+		}
+		fmt.Fprintln(w, "psp-conform: all cases agree")
+		return nil
 	}
-	if failures > 0 {
-		fmt.Fprintf(w, "psp-conform: %d case(s) diverged\n", failures)
-		return 1
-	}
-	fmt.Fprintln(w, "psp-conform: all cases agree")
-	return 0
 }
 
 // runCaseRetrying runs one clean case, retrying exactly once when the
@@ -97,13 +91,10 @@ func runCaseRetrying(w io.Writer, spec conformance.TraceSpec, pol sched.Spec, se
 // runMutations runs the detection trials: every catalogue mutation
 // must be flagged, and the clean counterpart of every declared policy
 // must not be (no false positives).
-func runMutations(w io.Writer, specs []conformance.TraceSpec, seeds int, md bool) int {
-	if seeds < 1 {
-		seeds = 1
-	}
+func runMutations(w io.Writer, specs []conformance.TraceSpec, seeds int, md bool) error {
 	failures := 0
 	for _, spec := range specs {
-		for s := 0; s < seeds; s++ {
+		for s := 0; s < max(seeds, 1); s++ {
 			seed := spec.Seed + uint64(10+s)
 			declared := map[sched.Spec]bool{}
 			for _, mut := range conformance.Mutations() {
@@ -145,43 +136,33 @@ func runMutations(w io.Writer, specs []conformance.TraceSpec, seeds int, md bool
 	}
 	if failures > 0 {
 		fmt.Fprintf(w, "psp-conform: %d detection failure(s)\n", failures)
-		return 1
+		return errFailed
 	}
 	fmt.Fprintln(w, "psp-conform: every mutation detected, no false positives")
-	return 0
+	return nil
 }
 
+// pickSpecs resolves -traces: a comma-separated list of canonical
+// trace names, or all.
 func pickSpecs(arg string) ([]conformance.TraceSpec, error) {
 	if arg == "all" || arg == "" {
 		return conformance.CanonicalSpecs(), nil
 	}
-	var out []conformance.TraceSpec
-	for _, name := range strings.Split(arg, ",") {
-		spec, err := conformance.SpecByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, spec)
-	}
-	return out, nil
+	return parseList(arg, conformance.SpecByName)
 }
 
-// pickPolicies parses a comma-separated policy list; each must have a
-// live form (darc-static reserves its trace's StaticReserved workers).
+// pickPolicies resolves -policies: a comma-separated list, or all.
+// Each policy must have a live form (darc-static reserves its trace's
+// StaticReserved workers).
 func pickPolicies(arg string) ([]sched.Spec, error) {
 	if arg == "all" || arg == "" {
 		return conformance.Policies(), nil
 	}
-	var out []sched.Spec
-	for _, name := range strings.Split(arg, ",") {
+	return parseList(arg, func(name string) (sched.Spec, error) {
 		p, err := sched.ParseSpec(name)
 		if err == nil {
 			_, err = p.Mode()
 		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
+		return p, err
+	})
 }

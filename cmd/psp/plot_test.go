@@ -48,7 +48,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "fig.svg")
-	if err := run(in, out, "load", "*_slowdown_p999", true, "test fig"); err != nil {
+	if err := plot(in, out, "load", "*_slowdown_p999", true, "test fig"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -67,13 +67,13 @@ func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "bad.csv")
 	os.WriteFile(in, []byte("a,b\n1,2\n"), 0o644) //nolint:errcheck
-	if err := run(in, filepath.Join(dir, "o.svg"), "load", "*_slowdown", true, ""); err == nil {
+	if err := plot(in, filepath.Join(dir, "o.svg"), "load", "*_slowdown", true, ""); err == nil {
 		t.Fatal("missing x column accepted")
 	}
-	if err := run(in, filepath.Join(dir, "o.svg"), "a", "*_nope", true, ""); err == nil {
+	if err := plot(in, filepath.Join(dir, "o.svg"), "a", "*_nope", true, ""); err == nil {
 		t.Fatal("no matching y columns accepted")
 	}
-	if err := run(filepath.Join(dir, "absent.csv"), "", "load", "*", true, ""); err == nil {
+	if err := plot(filepath.Join(dir, "absent.csv"), "", "load", "*", true, ""); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

@@ -34,6 +34,14 @@ func listenTest(t *testing.T, transport string) *persephone.LiveListener {
 	return ln
 }
 
+// received reports the requests ln's transport accepted at ingress.
+func received(ln *persephone.LiveListener) uint64 {
+	if u := ln.UDP(); u != nil {
+		return u.Received()
+	}
+	return ln.TCP().Received()
+}
+
 // driveUDP fires typed requests at the listener until stop closes,
 // draining responses so client-side buffers stay clear.
 func driveUDP(t *testing.T, ln *persephone.LiveListener, stop chan struct{}, wg *sync.WaitGroup) {
@@ -131,10 +139,10 @@ func TestShutdownDrainUnderLoad(t *testing.T) {
 
 			// Let load build so the close really races in-flight work.
 			deadline := time.Now().Add(2 * time.Second)
-			for ln.Received() < 50 && time.Now().Before(deadline) {
+			for received(ln) < 50 && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			if ln.Received() == 0 {
+			if received(ln) == 0 {
 				t.Fatal("no load reached the server")
 			}
 

@@ -17,31 +17,36 @@
 //   - RunExperiment regenerates any of the paper's tables and figures
 //     by name ("figure1" ... "figure10", "table1" ...).
 //
+// The command-line tool over the same pieces is cmd/psp: one binary
+// whose subcommands run the simulator, the experiments, the live
+// server, client and frontend, and the trace, plot, conformance and
+// soak tools.
+//
 // # Error contract
 //
-// The live runtime reports failures through three sentinel errors;
-// match them with errors.Is, not string comparison:
+// The live runtime reports failures through three sentinel errors of
+// internal/psp; match them with errors.Is, not string comparison:
 //
-//   - ErrOverloaded — the server shed the request via deadline-aware
+//   - psp.ErrOverloaded — the server shed the request via deadline-aware
 //     admission control (LiveConfig.Admission). The request did not
 //     run. TCPClient.Call returns the NACK response alongside this
 //     error; Response.RetryAfter carries the server's hint for when a
 //     retry is likely to be admitted. RunLoad honours the hint
 //     automatically with jittered backoff.
 //
-//   - ErrDeadlineExceeded — a client-side wait (request timeout,
+//   - psp.ErrDeadlineExceeded — a client-side wait (request timeout,
 //     drain deadline) elapsed before the response arrived. The
 //     request may still complete on the server.
 //
-//   - ErrPoolExhausted — a bounded resource (ingress ring, pipeline
+//   - psp.ErrPoolExhausted — a bounded resource (ingress ring, pipeline
 //     window, buffer pool) had no free capacity. Distinct from
-//     ErrOverloaded: this is backpressure at a fixed-size structure,
+//     psp.ErrOverloaded: this is backpressure at a fixed-size structure,
 //     not a scheduling decision.
 //
-// On the wire the same contract appears as Response.Status:
-// StatusOverloaded corresponds to ErrOverloaded; StatusDropped and
-// StatusError report server-side handler outcomes and are not
-// retryable by default.
+// On the wire the same contract appears as psp.Response.Status
+// (internal/proto's Status values): StatusOverloaded corresponds to
+// ErrOverloaded; StatusDropped and StatusError report server-side
+// handler outcomes and are not retryable by default.
 //
 // See README.md for a tour and DESIGN.md for the system inventory.
 package persephone

@@ -30,19 +30,6 @@ func ExampleSimulate() {
 	// short SLO met: true
 }
 
-// ExampleParsePolicySpec shows the scheduler name grammar.
-func ExampleParsePolicySpec() {
-	for _, name := range []string{"darc", "darc-static:2", "ts-ideal:1us", "bogus"} {
-		_, err := persephone.ParsePolicySpec(name)
-		fmt.Println(name, "ok:", err == nil)
-	}
-	// Output:
-	// darc ok: true
-	// darc-static:2 ok: true
-	// ts-ideal:1us ok: true
-	// bogus ok: false
-}
-
 // ExampleNewLiveServer starts the live runtime with a one-command
 // classifier and calls it in-process.
 func ExampleNewLiveServer() {
@@ -50,7 +37,7 @@ func ExampleNewLiveServer() {
 		Workers:    2,
 		Classifier: persephone.CommandClassifier("PING"),
 		Handler: persephone.HandlerFunc(func(typ int, payload, resp []byte) (int, proto.Status) {
-			return copy(resp, "PONG"), persephone.StatusOK
+			return copy(resp, "PONG"), proto.StatusOK
 		}),
 	})
 	if err != nil {

@@ -3,14 +3,15 @@
 //
 // A from-scratch skiplist store serves GETs (point lookups) and SCANs
 // (range scans over 5000 keys) — two service classes with two orders
-// of magnitude of dispersion. A Redis-style RESP classifier extracts
-// the command on the dispatch path; DARC profiles both types and
+// of magnitude of dispersion. A command classifier types each request
+// by its first token on the dispatch path; DARC profiles both types and
 // reserves cores for GETs so they stop queueing behind SCANs.
 //
 //	go run ./examples/kvstore
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"time"
@@ -32,9 +33,10 @@ func handler(store *kvstore.Store) persephone.Handler {
 	return persephone.HandlerFunc(func(typ int, payload, resp []byte) (int, proto.Status) {
 		switch typ {
 		case 0: // GET <key>
-			key := secondToken(payload)
-			if v, ok := store.Get(key); ok {
-				return copy(resp, v), proto.StatusOK
+			if f := bytes.Fields(payload); len(f) == 2 {
+				if v, ok := store.Get(f[1]); ok {
+					return copy(resp, v), proto.StatusOK
+				}
 			}
 			return 0, proto.StatusError
 		case 1: // SCAN
@@ -44,23 +46,6 @@ func handler(store *kvstore.Store) persephone.Handler {
 			return 0, proto.StatusError
 		}
 	})
-}
-
-// secondToken returns the second whitespace-separated token ("GET
-// key123" -> "key123").
-func secondToken(p []byte) []byte {
-	start, n := 0, len(p)
-	for start < n && p[start] != ' ' {
-		start++
-	}
-	for start < n && p[start] == ' ' {
-		start++
-	}
-	end := start
-	for end < n && p[end] != ' ' && p[end] != '\r' && p[end] != '\n' {
-		end++
-	}
-	return p[start:end]
 }
 
 func run(useCFCFS bool) {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"math/rand"
@@ -68,7 +69,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("> %-35s %q\n", req, firstLine(resp.Payload))
+		line, _, _ := bytes.Cut(resp.Payload, []byte("\r\n"))
+		fmt.Printf("> %-35s %q\n", req, line)
 	}
 
 	// Then a small concurrent workload mixing cheap GETs with heavy
@@ -110,13 +112,4 @@ func main() {
 	}
 	cs := cache.Snapshot()
 	fmt.Printf("cache: %d items, %d hits, %d misses\n", cs.Items, cs.Hits, cs.Misses)
-}
-
-func firstLine(b []byte) string {
-	for i, c := range b {
-		if c == '\r' || c == '\n' {
-			return string(b[:i])
-		}
-	}
-	return string(b)
 }

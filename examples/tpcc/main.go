@@ -75,22 +75,7 @@ func handler(db *tpcc.DB) persephone.Handler {
 			d = int(binary.LittleEndian.Uint16(payload[2:4])) % db.Districts()
 			c = int(binary.LittleEndian.Uint16(payload[4:6])) % db.Customers()
 		}
-		var err error
-		switch tpcc.Transaction(typ) {
-		case tpcc.Payment:
-			err = db.PaymentTxn(d, c, 100)
-		case tpcc.OrderStatus:
-			_, err = db.OrderStatusTxn(d, c)
-		case tpcc.NewOrder:
-			_, err = db.NewOrderTxn(d, c)
-		case tpcc.Delivery:
-			db.DeliveryTxn()
-		case tpcc.StockLevel:
-			_, err = db.StockLevelTxn(d, 60)
-		default:
-			return 0, proto.StatusError
-		}
-		if err != nil {
+		if err := db.Exec(tpcc.Transaction(typ), d, c, 100); err != nil {
 			return 0, proto.StatusError
 		}
 		return 0, proto.StatusOK

@@ -480,7 +480,7 @@ func quantileDur(samples []time.Duration, q float64) time.Duration {
 	return s[idx]
 }
 
-// String renders the report for logs and the psp-conform binary.
+// String renders the report for logs and `psp conform`.
 func (r *Report) String() string {
 	var b strings.Builder
 	verdict := "AGREE"

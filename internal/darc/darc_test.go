@@ -1,6 +1,8 @@
 package darc
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -379,5 +381,54 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	if cfg.QueueDelaySLO != 10 || cfg.DemandDeviation != 0.10 {
 		t.Fatalf("defaults %+v", cfg)
+	}
+}
+
+// TestReservationTPCCDelta101StarvesStockLevel pins the reservation
+// behind the ablation-delta row at δ = 1.01, where every TPC-C type is
+// its own group. The demand shares .13, .013, .46, .18 and .21 of 14
+// cores round to 2, 0 (floored to 1), 6, 3 and 3: 15 cores, one more
+// than the machine has. Workers are handed out in group order, so
+// StockLevel, the last and longest group, gets {12, 13}, and 13 is
+// also the spillway. Two cores hold about 2.5 cores of demand at 85 %
+// load, and with nothing reserved after it StockLevel can steal from
+// no one: its queue grows without bound.
+func TestReservationTPCCDelta101StarvesStockLevel(t *testing.T) {
+	cfg := DefaultConfig(14) // the ablation's config: one spillway core
+	cfg.Delta = 1.01
+	res, err := ComputeReservation(tpccStats(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantShares := []float64{0.1315, 0.0126, 0.4615, 0.1846, 0.2098}
+	wantReserved := [][]int{{0, 1}, {2}, {3, 4, 5, 6, 7, 8}, {9, 10, 11}, {12, 13}}
+	if len(res.Groups) != len(wantReserved) {
+		t.Fatalf("%d groups, want one per type: %s", len(res.Groups), res)
+	}
+	rounded := 0
+	for gi, g := range res.Groups {
+		if len(g.Types) != 1 || g.Types[0] != gi {
+			t.Fatalf("group %d holds types %v, want [%d]", gi, g.Types, gi)
+		}
+		if math.Abs(g.Demand-wantShares[gi]) > 0.0005 {
+			t.Errorf("group %d demand %.4f, want %.4f", gi, g.Demand, wantShares[gi])
+		}
+		rounded += max(1, int(math.Round(g.Demand*14)))
+		if fmt.Sprint(g.Reserved) != fmt.Sprint(wantReserved[gi]) {
+			t.Errorf("group %d reserved %v, want %v", gi, g.Reserved, wantReserved[gi])
+		}
+	}
+	if rounded != 15 {
+		t.Errorf("rounded reservations sum to %d, want 15 (one over 14 workers)", rounded)
+	}
+	if fmt.Sprint(res.SpillwayWorkers) != "[13]" {
+		t.Errorf("spillway %v, want [13]", res.SpillwayWorkers)
+	}
+	stock := res.Groups[4]
+	if len(stock.Stealable) != 0 {
+		t.Errorf("StockLevel stealable %v, want none", stock.Stealable)
+	}
+	if demand := stock.Demand * 14 * 0.85; demand <= float64(len(stock.Reserved)) {
+		t.Errorf("StockLevel demand %.2f cores at 85%% load fits its %d cores", demand, len(stock.Reserved))
 	}
 }

@@ -61,13 +61,3 @@ func Run(name string, opt Options, w io.Writer) error {
 	}
 	return Emit(w, opt, tables...)
 }
-
-// RunAll regenerates every artifact.
-func RunAll(opt Options, w io.Writer) error {
-	for _, name := range Names() {
-		if err := Run(name, opt, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -16,7 +16,7 @@ import (
 // path (StatsSnapshot, WriteMetrics, an explicit FlushTrace) drains
 // the rings under traceMu, folds each span into per-type
 // QueueDelay/Service histograms, and forwards it to the
-// optional sink (cmd/psp-server's -trace-out CSV dump). When nobody
+// optional sink (`psp server -trace-out`'s CSV dump). When nobody
 // drains, rings overflow by dropping the newest span and counting it
 // in TraceLost — tracing is free when unread.
 

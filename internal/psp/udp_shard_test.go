@@ -107,7 +107,7 @@ func TestUDPMultiShardConservation(t *testing.T) {
 
 // TestUDPShardConsecutivePorts checks the advertised binding contract:
 // with a non-zero listen port, shard i binds port+i, which is what
-// lets psp-client -shards expand a single address into the full list.
+// lets `psp client -shards` expand a single address into the full list.
 func TestUDPShardConsecutivePorts(t *testing.T) {
 	srvFor := func() *psp.Server {
 		s, err := psp.NewServer(psp.Config{

@@ -250,3 +250,16 @@ func FuzzParsePolicySpec(f *testing.F) {
 		}
 	})
 }
+
+// ExampleParseSpec shows the scheduler name grammar.
+func ExampleParseSpec() {
+	for _, name := range []string{"darc", "darc-static:2", "ts-ideal:1us", "bogus"} {
+		_, err := ParseSpec(name)
+		fmt.Println(name, "ok:", err == nil)
+	}
+	// Output:
+	// darc ok: true
+	// darc-static:2 ok: true
+	// ts-ideal:1us ok: true
+	// bogus ok: false
+}

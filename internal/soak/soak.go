@@ -19,7 +19,7 @@
 //     one, the pool and policy match the spec, and shrink drains stay
 //     within their deadline.
 //
-// The same harness runs as the psp-soak CLI (long horizons, several
+// The same harness runs as `psp soak` (long horizons, several
 // seeds) and as a -short test under -race in CI.
 package soak
 

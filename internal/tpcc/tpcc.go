@@ -302,6 +302,28 @@ func (db *DB) StockLevelTxn(districtID, threshold int) (low int, err error) {
 	return low, nil
 }
 
+// Exec runs one transaction of type t: Payment pays amountCents,
+// StockLevel counts items below a stock of 60, and Delivery takes no
+// district or customer. An unknown type is an error.
+func (db *DB) Exec(t Transaction, districtID, customerID int, amountCents int64) error {
+	var err error
+	switch t {
+	case Payment:
+		err = db.PaymentTxn(districtID, customerID, amountCents)
+	case OrderStatus:
+		_, err = db.OrderStatusTxn(districtID, customerID)
+	case NewOrder:
+		_, err = db.NewOrderTxn(districtID, customerID)
+	case Delivery:
+		db.DeliveryTxn()
+	case StockLevel:
+		_, err = db.StockLevelTxn(districtID, 60)
+	default:
+		err = fmt.Errorf("tpcc: unknown transaction %d", int(t))
+	}
+	return err
+}
+
 func (db *DB) lookup(districtID, customerID int) (*district, *customer, error) {
 	if districtID < 0 || districtID >= len(db.districts) {
 		return nil, nil, fmt.Errorf("tpcc: district %d out of range", districtID)

@@ -150,6 +150,30 @@ func TestCountsAccumulate(t *testing.T) {
 	}
 }
 
+// TestExec checks the one transaction switch the live server's tpcc
+// app and examples/tpcc share: each type runs its transaction once,
+// Payment with the given amount, and errors pass through.
+func TestExec(t *testing.T) {
+	db := newTestDB(t)
+	for typ := Payment; typ < numTransactions; typ++ {
+		if err := db.Exec(typ, 1, 2, 250); err != nil {
+			t.Fatalf("%v: %v", typ, err)
+		}
+	}
+	if got := db.Counts(); got != [5]uint64{1, 1, 1, 1, 1} {
+		t.Fatalf("counts %v, want one of each", got)
+	}
+	if ytd := db.WarehouseYTD(); ytd != 250 {
+		t.Fatalf("warehouse YTD %d, want the one payment of 250", ytd)
+	}
+	if err := db.Exec(numTransactions, 0, 0, 1); err == nil {
+		t.Fatal("unknown transaction accepted")
+	}
+	if err := db.Exec(Payment, db.Districts(), 0, 1); err == nil {
+		t.Fatal("out-of-range district accepted")
+	}
+}
+
 func TestDefaultConfigConstruction(t *testing.T) {
 	db := New(Config{}, 1) // falls back to Default()
 	if db.Districts() != 10 || db.Customers() != 300 {

@@ -11,7 +11,7 @@ import (
 )
 
 // sourceAdapter bridges workload.Source to trace.Generator (the same
-// shim cmd/psp-trace uses).
+// shim `psp trace record` uses).
 type sourceAdapter struct{ s *workload.Source }
 
 func (a sourceAdapter) Next() (time.Duration, int, time.Duration) {

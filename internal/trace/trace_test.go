@@ -33,6 +33,14 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: %+v != %+v", i, got.Records[i], tr.Records[i])
 		}
 	}
+	// The documented CSV format, written by hand.
+	lit, err := Read(strings.NewReader("offset_ns,type,service_ns\n0,0,1000\n500,1,2000\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lit.Len() != 2 || lit.NumTypes() != 2 {
+		t.Fatalf("hand-written trace read as %+v", lit)
+	}
 }
 
 func TestStats(t *testing.T) {

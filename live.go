@@ -11,22 +11,14 @@ import (
 	"repro/internal/darc"
 	"repro/internal/faults"
 	"repro/internal/loadgen"
-	"repro/internal/proto"
 	"repro/internal/psp"
-	"repro/internal/reconfig"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// Live runtime facade ---------------------------------------------------
-
 // Classifier types incoming request payloads; see the constructors
 // below and the paper's §4.2 request-classifier API.
 type Classifier = classify.Classifier
-
-// UnknownType marks unclassifiable requests; they are served on
-// spillway cores at low priority.
-const UnknownType = classify.Unknown
 
 // FieldClassifier reads the request type from a little-endian uint16
 // at a fixed payload offset (the ≈100ns fast path the paper measures).
@@ -40,52 +32,11 @@ func CommandClassifier(commands ...string) Classifier {
 	return classify.NewCommand(commands...)
 }
 
-// RESPClassifier types Redis-serialization-protocol requests by
-// command name.
-func RESPClassifier(commands ...string) Classifier {
-	return classify.NewRESP(commands...)
-}
-
-// FuncClassifier wraps an arbitrary classification function producing
-// types in [0, numTypes).
-func FuncClassifier(name string, numTypes int, f func(payload []byte) int) Classifier {
-	return classify.Func{F: f, Types: numTypes, Label: name}
-}
-
 // Handler executes application logic on worker cores.
 type Handler = psp.Handler
 
 // HandlerFunc adapts a function to Handler.
 type HandlerFunc = psp.HandlerFunc
-
-// Response is a completed request as seen by the submitter.
-type Response = psp.Response
-
-// Status values for responses.
-const (
-	StatusOK      = proto.StatusOK
-	StatusDropped = proto.StatusDropped
-	StatusError   = proto.StatusError
-	// StatusOverloaded is the admission-control NACK: the server shed
-	// the request before running it and the response carries a
-	// retry-after hint (Response.RetryAfter).
-	StatusOverloaded = proto.StatusOverloaded
-)
-
-// Sentinel errors of the live runtime's error contract; match with
-// errors.Is. See the package documentation for when each is returned.
-var (
-	// ErrOverloaded: the server shed the request via admission control.
-	// TCPClient.Call returns it alongside the NACK response, whose
-	// RetryAfter field hints when to retry.
-	ErrOverloaded = psp.ErrOverloaded
-	// ErrDeadlineExceeded: a client-side wait elapsed before the
-	// response arrived.
-	ErrDeadlineExceeded = psp.ErrDeadlineExceeded
-	// ErrPoolExhausted: a bounded resource (ingress ring, buffer pool)
-	// had no capacity to accept the request.
-	ErrPoolExhausted = psp.ErrPoolExhausted
-)
 
 // AdmissionPolicy configures the live server's deadline-aware
 // admission controller (see internal/admission): per-type queueing
@@ -94,16 +45,9 @@ var (
 // The zero value auto-derives everything.
 type AdmissionPolicy = admission.Config
 
-// AdmissionStats is the admission controller's ledger snapshot,
-// surfaced on LiveStats.Admission. Per slot (one per type plus one for
-// unclassifiable requests) accepted == completed + shed exactly at any
-// quiescent point.
-type AdmissionStats = admission.Stats
-
 // LiveConfig assembles a live server. It is the one public
-// configuration path for the live runtime: NewLiveServerStopped
-// translates it into a ready-to-start pipeline, and every constructor
-// (NewLiveServer and Listen) goes through that translation.
+// configuration path for the live runtime: NewLiveServer and Listen
+// both translate it through newLiveServer.
 type LiveConfig struct {
 	// Workers is the number of application worker goroutines.
 	Workers int
@@ -117,7 +61,7 @@ type LiveConfig struct {
 	// MinWindowSamples tunes DARC's profiling window (default 512).
 	MinWindowSamples uint64
 	// QueueCap bounds each typed queue (default 4096); overflowing
-	// requests are answered with StatusDropped.
+	// requests are answered with proto.StatusDropped.
 	QueueCap int
 	// NetShards is the number of ingress shards when the server is
 	// exposed with Listen. Over UDP each shard is a socket with its own
@@ -142,10 +86,10 @@ type LiveConfig struct {
 	TCPIdleTimeout time.Duration
 	// Admission optionally enables deadline-aware admission control
 	// and overload management: requests whose queueing delay exceeds
-	// their type's budget are answered with StatusOverloaded (plus a
-	// retry-after hint) instead of occupying workers, and sustained
-	// overload sheds in reverse-reservation order so short-request
-	// tails stay bounded. Nil disables admission control.
+	// their type's budget are answered with proto.StatusOverloaded
+	// (plus a retry-after hint) instead of occupying workers, and
+	// sustained overload sheds in reverse-reservation order so
+	// short-request tails stay bounded. Nil disables admission control.
 	Admission *AdmissionPolicy
 	// Faults optionally enables the chaos layer with the given fault
 	// profile (see internal/faults); nil injects nothing.
@@ -165,53 +109,17 @@ type LiveConfig struct {
 type TraceSpan = trace.Span
 
 // FaultProfile configures the deterministic fault injector; build one
-// with ParseFaultProfile or a faults.Profile literal.
+// with faults.ParseProfile or a faults.Profile literal.
 type FaultProfile = faults.Profile
-
-// ParseFaultProfile decodes a chaos spec like
-// "seed=42,drop=0.1,stall=0:5ms,crash=0.001,respawn=10ms".
-func ParseFaultProfile(spec string) (FaultProfile, error) {
-	return faults.ParseProfile(spec)
-}
 
 // LiveServer is the running Perséphone pipeline.
 type LiveServer = psp.Server
 
-// LiveStats is a snapshot of live-server metrics.
-type LiveStats = psp.Stats
-
-// ReconfigSpec is a declarative live-reconfiguration request for
-// LiveServer.Reconfigure: swap the scheduling policy, resize the
-// worker pool, retune admission budgets, or force a DARC reservation
-// refresh — atomically and without dropping in-flight requests. Build
-// one directly or decode the admin/HTTP form with ParseReconfigSpec.
-type ReconfigSpec = reconfig.Spec
-
-// ReconfigResult reports what a reconfiguration actually changed,
-// including the drain wait for retired workers and the new
-// configuration generation.
-type ReconfigResult = reconfig.Result
-
-// ReconfigSnapshot is the current runtime configuration as reported
-// by LiveServer.ConfigSnapshot and the GET /admin/config endpoint.
-type ReconfigSnapshot = reconfig.Snapshot
-
-// ParseReconfigSpec decodes a reconfiguration spec from key=value
-// lines (comments and blanks allowed) — the same format psp-server's
-// -reconfig-file SIGHUP reload and the POST /admin/reconfig form
-// accept (e.g. "policy=cfcfs\nworkers=6").
-func ParseReconfigSpec(text string) (ReconfigSpec, error) {
-	return reconfig.ParseSpecFile(text)
-}
-
-// NewLiveServerStopped translates a LiveConfig into a configured but
-// not yet started pipeline — the single config path behind every live
-// constructor. Use it when a transport takes ownership of startup
-// (Listen starts the server itself) or when the caller wants to
-// install sinks before the first request flows; otherwise
-// NewLiveServer starts it for you.
-func NewLiveServerStopped(cfg LiveConfig) (*LiveServer, error) {
-	var spec PolicySpec
+// newLiveServer translates a LiveConfig into a configured but not yet
+// started pipeline: NewLiveServer starts it, and Listen hands it to a
+// transport, which starts it.
+func newLiveServer(cfg LiveConfig) (*LiveServer, error) {
+	var spec sched.Spec
 	if cfg.UseCFCFS {
 		spec.Kind = sched.KindCFCFS
 	}
@@ -237,7 +145,7 @@ func NewLiveServerStopped(cfg LiveConfig) (*LiveServer, error) {
 // NewLiveServer builds and starts the live runtime for in-process use
 // (Submit/Call). To expose it on the network, use Listen instead.
 func NewLiveServer(cfg LiveConfig) (*LiveServer, error) {
-	srv, err := NewLiveServerStopped(cfg)
+	srv, err := newLiveServer(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -250,8 +158,13 @@ func NewLiveServer(cfg LiveConfig) (*LiveServer, error) {
 // datagram datapath) and "tcp" (the stateful-dispatcher deployment §6
 // sketches).
 type LiveListener struct {
-	udp *psp.UDPServer
-	tcp *psp.TCPServer
+	srv *LiveServer
+	// ingress is the transport: a *psp.UDPServer or a *psp.TCPServer.
+	ingress interface {
+		RxDrops() uint64
+		RxSheds() uint64
+		Close() error
+	}
 }
 
 // Listen builds a live server from cfg and exposes it on network
@@ -267,122 +180,89 @@ type LiveListener struct {
 // the server, answering everything already accepted (TCP drains
 // gracefully).
 func Listen(network, addr string, cfg LiveConfig) (*LiveListener, error) {
-	srv, err := NewLiveServerStopped(cfg)
+	srv, err := newLiveServer(cfg)
 	if err != nil {
 		return nil, err
 	}
+	l := &LiveListener{srv: srv}
 	switch network {
 	case "udp":
-		u, err := psp.ListenUDPShards(addr, srv, psp.UDPOptions{
+		l.ingress, err = psp.ListenUDPShards(addr, srv, psp.UDPOptions{
 			Shards: cfg.NetShards,
 			Burst:  cfg.RxBurst,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return &LiveListener{udp: u}, nil
 	case "tcp":
-		t, err := psp.ListenTCPShards(addr, srv, psp.TCPOptions{
+		l.ingress, err = psp.ListenTCPShards(addr, srv, psp.TCPOptions{
 			Shards:      cfg.NetShards,
 			Burst:       cfg.RxBurst,
 			MaxConns:    cfg.TCPMaxConns,
 			IdleTimeout: cfg.TCPIdleTimeout,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return &LiveListener{tcp: t}, nil
 	default:
 		return nil, fmt.Errorf("persephone: Listen network %q (want \"udp\" or \"tcp\")", network)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // Server exposes the underlying live pipeline (stats, tracing,
 // metrics endpoints).
-func (l *LiveListener) Server() *LiveServer {
-	if l.udp != nil {
-		return l.udp.Server
-	}
-	return l.tcp.Server
-}
+func (l *LiveListener) Server() *LiveServer { return l.srv }
 
 // Addr reports the primary bound address (the first UDP shard, or the
 // TCP listener).
 func (l *LiveListener) Addr() net.Addr {
-	if l.udp != nil {
-		return l.udp.Addr()
+	if u := l.UDP(); u != nil {
+		return u.Addr()
 	}
-	return l.tcp.Addr()
+	return l.TCP().Addr()
 }
 
-// Addrs reports every bound address — one per UDP ingress shard, or
-// one per TCP accept shard (all equal under SO_REUSEPORT sharding).
-func (l *LiveListener) Addrs() []net.Addr {
-	if l.udp == nil {
-		return l.tcp.Addrs()
-	}
-	shardAddrs := l.udp.Addrs()
-	out := make([]net.Addr, len(shardAddrs))
-	for i, a := range shardAddrs {
-		out[i] = a
-	}
-	return out
-}
-
-// AddrStrings reports Addrs formatted as a comma-separated list — the
-// form RunLoad's udp transport and psp-client accept for client-side
-// shard selection.
+// AddrStrings reports every bound address as a comma-separated list:
+// one per UDP ingress shard, or one per TCP accept shard (all equal
+// under SO_REUSEPORT sharding). It is the form RunLoad's udp transport
+// and `psp client -addr` accept for client-side shard selection.
 func (l *LiveListener) AddrStrings() string {
-	addrs := l.Addrs()
-	parts := make([]string, len(addrs))
-	for i, a := range addrs {
-		parts[i] = a.String()
+	var addrs []string
+	if u := l.UDP(); u != nil {
+		for _, a := range u.Addrs() {
+			addrs = append(addrs, a.String())
+		}
+	} else {
+		for _, a := range l.TCP().Addrs() {
+			addrs = append(addrs, a.String())
+		}
 	}
-	return strings.Join(parts, ",")
-}
-
-// Received reports requests accepted into the pipeline at ingress.
-func (l *LiveListener) Received() uint64 {
-	if l.udp != nil {
-		return l.udp.Received()
-	}
-	return l.tcp.Received()
+	return strings.Join(addrs, ",")
 }
 
 // RxDrops reports ingress frames dropped unanswered: malformed ones,
 // and over UDP those refused by a full ingress ring.
-func (l *LiveListener) RxDrops() uint64 {
-	if l.udp != nil {
-		return l.udp.RxDrops()
-	}
-	return l.tcp.RxDrops()
-}
+func (l *LiveListener) RxDrops() uint64 { return l.ingress.RxDrops() }
 
 // RxSheds reports ingress frames refused under buffer-pool exhaustion,
 // and over TCP also those refused by a full ingress ring. TCP answers
-// each with an immediate StatusDropped; UDP drops the datagram.
-func (l *LiveListener) RxSheds() uint64 {
-	if l.udp != nil {
-		return l.udp.RxSheds()
-	}
-	return l.tcp.RxSheds()
-}
+// each with an immediate proto.StatusDropped; UDP drops the datagram.
+func (l *LiveListener) RxSheds() uint64 { return l.ingress.RxSheds() }
 
 // UDP exposes the UDP transport when the listener was built with
 // Listen("udp", ...); nil otherwise.
-func (l *LiveListener) UDP() *psp.UDPServer { return l.udp }
+func (l *LiveListener) UDP() *psp.UDPServer {
+	u, _ := l.ingress.(*psp.UDPServer)
+	return u
+}
 
 // TCP exposes the TCP transport when the listener was built with
 // Listen("tcp", ...); nil otherwise.
-func (l *LiveListener) TCP() *psp.TCPServer { return l.tcp }
+func (l *LiveListener) TCP() *psp.TCPServer {
+	t, _ := l.ingress.(*psp.TCPServer)
+	return t
+}
 
 // Close stops the transport and the server.
-func (l *LiveListener) Close() error {
-	if l.udp != nil {
-		return l.udp.Close()
-	}
-	return l.tcp.Close()
-}
+func (l *LiveListener) Close() error { return l.ingress.Close() }
 
 // DialTCP connects a pipelined client to a Listen("tcp", ...) server:
 // any number of goroutines may Call concurrently over the one
@@ -399,23 +279,10 @@ type LoadConfig = loadgen.Config
 // "tcp") and its target (Server or Addr).
 type LoadRunConfig = loadgen.RunConfig
 
-// Transport names for LoadRunConfig.Transport.
-const (
-	LoadTransportInProcess = loadgen.TransportInProcess
-	LoadTransportUDP       = loadgen.TransportUDP
-	LoadTransportTCP       = loadgen.TransportTCP
-)
-
-// LoadResult summarises a load generation run.
-type LoadResult = loadgen.Result
-
 // RunLoad runs the open-loop Poisson client against the target named
 // by rc — the one load-generation entry point across all transports.
-// Admission NACKs (StatusOverloaded) are retried with the server's
-// retry-after hint plus jittered backoff, up to rc.MaxRetries.
-func RunLoad(rc LoadRunConfig) (*LoadResult, error) {
+// Admission NACKs (proto.StatusOverloaded) are retried with the
+// server's retry-after hint plus jittered backoff, up to rc.MaxRetries.
+func RunLoad(rc LoadRunConfig) (*loadgen.Result, error) {
 	return loadgen.Run(rc)
 }
-
-// Timeout helper so examples don't import time for one constant.
-func Seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }

@@ -34,8 +34,6 @@ var (
 	TPCC = workload.TPCC
 	// RocksDB is §5.4.4's 50% GET / 50% SCAN workload.
 	RocksDB = workload.RocksDB
-	// TwoType builds a custom two-type mix.
-	TwoType = workload.TwoType
 )
 
 // MixByName resolves a workload name used across the CLIs:
@@ -69,7 +67,8 @@ type SimConfig struct {
 	Workers int
 	// Mix is the workload.
 	Mix Mix
-	// Policy selects the scheduler by name; see ParsePolicySpec.
+	// Policy selects the scheduler by name, with an optional argument
+	// ("darc", "darc-static:2", "ts-ideal:1us"; see PolicyNames).
 	Policy string
 	// LoadFraction is the offered load as a fraction of the mix's
 	// peak for this worker count; Rate (requests/second) overrides it.
@@ -119,69 +118,21 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = time.Second
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 14
-	}
+	cfg.fill()
 	rate := cfg.Rate
 	if rate <= 0 {
 		rate = cfg.LoadFraction * cfg.Mix.PeakLoad(cfg.Workers)
 	}
-	newPolicy, err := simPolicy(cfg, len(cfg.Mix.Types), rate, cfg.Duration)
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.Run(cluster.Config{
-		Workers:        cfg.Workers,
-		Mix:            cfg.Mix,
-		LoadFraction:   cfg.LoadFraction,
-		Rate:           cfg.Rate,
-		Duration:       cfg.Duration,
-		WarmupFraction: 0.1,
-		Seed:           cfg.Seed,
-		RTT:            cfg.RTT,
-		NewPolicy:      newPolicy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return buildSimResult(res, len(cfg.Mix.Types)), nil
+	return simulate(cfg, cluster.Config{
+		LoadFraction: cfg.LoadFraction,
+		Rate:         cfg.Rate,
+		Duration:     cfg.Duration,
+	}, len(cfg.Mix.Types), rate, cfg.Duration)
 }
 
-func buildSimResult(res *cluster.Result, numTypes int) *SimResult {
-	out := &SimResult{
-		Policy:          res.Policy,
-		OfferedRPS:      res.OfferedRPS,
-		ThroughputRPS:   res.Recorder.Throughput(),
-		Completed:       res.Machine.Completed(),
-		Dropped:         res.Machine.Dropped(),
-		Utilization:     res.Machine.Utilization(),
-		OverallP999:     res.Recorder.All().Latency.QuantileDuration(0.999),
-		OverallSlowdown: metrics.SlowdownAt(res.Recorder.All(), 0.999),
-	}
-	for i := 0; i < numTypes; i++ {
-		ts := res.Recorder.Type(i)
-		out.Types = append(out.Types, TypeResult{
-			Name:         ts.Name,
-			Completed:    ts.Completed,
-			Dropped:      ts.Dropped,
-			P50:          ts.Latency.QuantileDuration(0.50),
-			P99:          ts.Latency.QuantileDuration(0.99),
-			P999:         ts.Latency.QuantileDuration(0.999),
-			SlowdownP999: metrics.SlowdownAt(ts, 0.999),
-		})
-	}
-	return out
-}
-
-// Trace is a recorded arrival sequence (see cmd/psp-trace and the
+// Trace is a recorded arrival sequence (see `psp trace` and the
 // internal/trace package for the CSV format).
 type Trace = trace.Trace
-
-// ReadTrace parses a CSV arrival trace.
-func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 
 // ReplayTrace replays a recorded arrival sequence through the
 // simulator under cfg's policy and worker count. The trace sets the
@@ -193,48 +144,76 @@ func ReplayTrace(tr *Trace, cfg SimConfig) (*SimResult, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("persephone: empty trace")
 	}
+	cfg.fill()
+	horizon := cfg.Duration
+	if horizon <= 0 {
+		horizon = tr.Duration()
+	}
+	return simulate(cfg, cluster.Config{Trace: tr, Duration: cfg.Duration}, tr.NumTypes(), tr.Rate(), horizon)
+}
+
+// fill applies the worker and seed defaults Simulate and ReplayTrace
+// share.
+func (cfg *SimConfig) fill() {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 14
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
-	horizon := cfg.Duration
-	if horizon <= 0 {
-		horizon = tr.Duration()
-	}
-	newPolicy, err := simPolicy(cfg, tr.NumTypes(), tr.Rate(), horizon)
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.Run(cluster.Config{
-		Workers:        cfg.Workers,
-		Trace:          tr,
-		Mix:            cfg.Mix,
-		Duration:       cfg.Duration,
-		WarmupFraction: 0.1,
-		Seed:           cfg.Seed,
-		RTT:            cfg.RTT,
-		NewPolicy:      newPolicy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return buildSimResult(res, tr.NumTypes()), nil
 }
 
-// PolicySpec selects a scheduler: a policy kind plus the argument its
-// kind reads. Build one directly or parse the string grammar with
-// ParsePolicySpec.
-type PolicySpec = sched.Spec
+// simulate completes run from cfg, runs it, and summarises types
+// request types. Plain DARC's profiling window is sized for a run at
+// rate over horizon unless cfg.ProfileWindow overrides it.
+func simulate(cfg SimConfig, run cluster.Config, types int, rate float64, horizon time.Duration) (*SimResult, error) {
+	spec, err := sched.ParseSpec(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	window := cfg.ProfileWindow
+	if window == 0 {
+		window = darc.AutoWindow(rate, horizon, simWindowMin, simWindowMax)
+	}
+	run.NewPolicy, err = policy.Constructor(spec, cfg.Workers, types, cfg.Mix.Means(), cfg.Seed, window)
+	if err != nil {
+		return nil, err
+	}
+	run.Workers = cfg.Workers
+	run.Mix = cfg.Mix
+	run.WarmupFraction = 0.1
+	run.Seed = cfg.Seed
+	run.RTT = cfg.RTT
+	res, err := cluster.Run(run)
+	if err != nil {
+		return nil, err
+	}
+	out := &SimResult{
+		Policy:          res.Policy,
+		OfferedRPS:      res.OfferedRPS,
+		ThroughputRPS:   res.Recorder.Throughput(),
+		Completed:       res.Machine.Completed(),
+		Dropped:         res.Machine.Dropped(),
+		Utilization:     res.Machine.Utilization(),
+		OverallP999:     res.Recorder.All().Latency.QuantileDuration(0.999),
+		OverallSlowdown: metrics.SlowdownAt(res.Recorder.All(), 0.999),
+	}
+	for i := 0; i < types; i++ {
+		ts := res.Recorder.Type(i)
+		out.Types = append(out.Types, TypeResult{
+			Name:         ts.Name,
+			Completed:    ts.Completed,
+			Dropped:      ts.Dropped,
+			P50:          ts.Latency.QuantileDuration(0.50),
+			P99:          ts.Latency.QuantileDuration(0.99),
+			P999:         ts.Latency.QuantileDuration(0.999),
+			SlowdownP999: metrics.SlowdownAt(ts, 0.999),
+		})
+	}
+	return out, nil
+}
 
-// ParsePolicySpec parses a scheduler name with optional argument
-// ("darc", "darc-static:2", "ts-ideal:1us", ...; see PolicyNames).
-// Argument validation that depends on the machine shape (darc-static's
-// N <= workers) happens when a run binds the spec.
-func ParsePolicySpec(name string) (PolicySpec, error) { return sched.ParseSpec(name) }
-
-// PolicyNames lists the scheduler names ParsePolicySpec accepts.
+// PolicyNames lists the scheduler names SimConfig.Policy accepts.
 func PolicyNames() []string { return sched.Names() }
 
 // The facade's clamp on DARC's auto-sized profiling window; DESIGN.md
@@ -243,21 +222,6 @@ const (
 	simWindowMin = 500
 	simWindowMax = 50000
 )
-
-// simPolicy parses cfg's policy and binds it to a machine with types
-// request types, sizing plain DARC's profiling window for a run at
-// rate over horizon unless cfg.ProfileWindow overrides it.
-func simPolicy(cfg SimConfig, types int, rate float64, horizon time.Duration) (func() cluster.Policy, error) {
-	spec, err := ParsePolicySpec(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	window := cfg.ProfileWindow
-	if window == 0 {
-		window = darc.AutoWindow(rate, horizon, simWindowMin, simWindowMax)
-	}
-	return policy.Constructor(spec, cfg.Workers, types, cfg.Mix.Means(), cfg.Seed, window)
-}
 
 // ExperimentOptions tunes RunExperiment; zero value uses defaults (1s
 // per load point, the paper's load grid).
@@ -271,9 +235,4 @@ func ExperimentNames() []string { return experiments.Names() }
 // prints it to w.
 func RunExperiment(name string, opt ExperimentOptions, w io.Writer) error {
 	return experiments.Run(name, opt, w)
-}
-
-// RunAllExperiments regenerates every table and figure.
-func RunAllExperiments(opt ExperimentOptions, w io.Writer) error {
-	return experiments.RunAll(opt, w)
 }

@@ -7,7 +7,10 @@ import (
 	"time"
 
 	persephone "repro"
+	"repro/internal/classify"
 	"repro/internal/proto"
+	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 func TestSimulateDefaults(t *testing.T) {
@@ -67,8 +70,9 @@ func TestSimulateBadPolicy(t *testing.T) {
 }
 
 // TestParsePolicySpecTable checks the facade's policy grammar: every
-// accepted spelling, alias and argument form parses to the spec whose
-// canonical text and arguments are listed.
+// accepted spelling, alias and argument form of SimConfig.Policy parses
+// to the spec whose canonical text and arguments are listed, and
+// Simulate runs the spelling exactly as it runs the canonical text.
 func TestParsePolicySpecTable(t *testing.T) {
 	cases := []struct {
 		in       string
@@ -96,8 +100,17 @@ func TestParsePolicySpecTable(t *testing.T) {
 		{"edf", "edf", 0, 0},
 		{"drr", "drr", 0, 0},
 	}
+	simulate := func(policy string) (*persephone.SimResult, error) {
+		return persephone.Simulate(persephone.SimConfig{
+			Workers:      4,
+			Mix:          persephone.HighBimodal(),
+			Policy:       policy,
+			LoadFraction: 0.3,
+			Duration:     5 * time.Millisecond,
+		})
+	}
 	for _, tc := range cases {
-		got, err := persephone.ParsePolicySpec(tc.in)
+		got, err := sched.ParseSpec(tc.in)
 		if err != nil {
 			t.Errorf("%q: %v", tc.in, err)
 			continue
@@ -105,6 +118,20 @@ func TestParsePolicySpecTable(t *testing.T) {
 		if got.String() != tc.want || got.StaticReserved != tc.reserved || got.PreemptOverhead != tc.overhead {
 			t.Errorf("%q: got %q %+v, want %q reserved=%d overhead=%v",
 				tc.in, got.String(), got, tc.want, tc.reserved, tc.overhead)
+		}
+		res, err := simulate(tc.in)
+		if err != nil {
+			t.Errorf("Simulate %q: %v", tc.in, err)
+			continue
+		}
+		ref, err := simulate(tc.want)
+		if err != nil {
+			t.Errorf("Simulate %q: %v", tc.want, err)
+			continue
+		}
+		if res.Policy != ref.Policy || res.Completed != ref.Completed {
+			t.Errorf("Simulate %q: %s completed %d, %q: %s completed %d",
+				tc.in, res.Policy, res.Completed, tc.want, ref.Policy, ref.Completed)
 		}
 	}
 }
@@ -197,7 +224,7 @@ func TestLiveServerFacade(t *testing.T) {
 		Workers:    2,
 		Classifier: persephone.CommandClassifier("PING"),
 		Handler: persephone.HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
-			return copy(r, "PONG"), persephone.StatusOK
+			return copy(r, "PONG"), proto.StatusOK
 		}),
 	})
 	if err != nil {
@@ -208,7 +235,7 @@ func TestLiveServerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(resp.Payload) != "PONG" || resp.Status != persephone.StatusOK {
+	if string(resp.Payload) != "PONG" || resp.Status != proto.StatusOK {
 		t.Fatalf("resp %+v", resp)
 	}
 }
@@ -218,7 +245,7 @@ func TestRunLoadFacade(t *testing.T) {
 		Workers:    2,
 		Classifier: persephone.FieldClassifier(0, 2),
 		Handler: persephone.HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
-			return 0, persephone.StatusOK
+			return 0, proto.StatusOK
 		}),
 	})
 	if err != nil {
@@ -227,13 +254,12 @@ func TestRunLoadFacade(t *testing.T) {
 	defer srv.Stop()
 	res, err := persephone.RunLoad(persephone.LoadRunConfig{
 		Config: persephone.LoadConfig{
-			Mix:      persephone.TwoType("a", time.Microsecond, 0.5, "b", 2*time.Microsecond),
+			Mix:      persephone.HighBimodal(),
 			Rate:     1000,
 			Duration: 200 * time.Millisecond,
 			Seed:     1,
 		},
-		Transport: persephone.LoadTransportInProcess,
-		Server:    srv,
+		Server: srv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,15 +269,20 @@ func TestRunLoadFacade(t *testing.T) {
 	}
 }
 
+// TestFuncClassifierFacade checks that a plain function, adapted by
+// classify.Func, serves as the facade's Classifier.
 func TestFuncClassifierFacade(t *testing.T) {
-	c := persephone.FuncClassifier("by-size", 2, func(p []byte) int {
+	var c persephone.Classifier = classify.Func{Label: "by-size", Types: 2, F: func(p []byte) int {
 		if len(p) > 4 {
 			return 1
 		}
 		return 0
-	})
+	}}
 	if c.Classify([]byte("12345")) != 1 || c.Classify([]byte("1")) != 0 {
 		t.Fatal("classifier wrong")
+	}
+	if c.NumTypes() != 2 || c.Name() != "by-size" {
+		t.Fatalf("classifier %d types, name %q", c.NumTypes(), c.Name())
 	}
 }
 
@@ -287,13 +318,23 @@ func TestReplayTraceFacade(t *testing.T) {
 	}
 }
 
+// TestReadTraceFacade reads a hand-written CSV trace into the facade's
+// Trace and replays it.
 func TestReadTraceFacade(t *testing.T) {
-	tr, err := persephone.ReadTrace(strings.NewReader("offset_ns,type,service_ns\n0,0,1000\n500,1,2000\n"))
+	var tr *persephone.Trace
+	tr, err := trace.Read(strings.NewReader("offset_ns,type,service_ns\n0,0,1000\n500,1,2000\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != 2 || tr.NumTypes() != 2 {
 		t.Fatalf("trace %+v", tr)
+	}
+	res, err := persephone.ReplayTrace(tr, persephone.SimConfig{Workers: 2, Policy: "cfcfs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 2 {
+		t.Fatalf("replayed %d of 2", res.Completed)
 	}
 }
 
@@ -303,9 +344,6 @@ func TestServiceDistHelpers(t *testing.T) {
 	}
 	if persephone.ExpService(time.Millisecond).Mean() != time.Millisecond {
 		t.Fatal("ExpService mean")
-	}
-	if persephone.Seconds(1.5) != 1500*time.Millisecond {
-		t.Fatal("Seconds helper")
 	}
 }
 
@@ -347,5 +385,65 @@ func TestMixByNameErrors(t *testing.T) {
 		if _, err := persephone.MixByName(name); err != nil {
 			t.Errorf("%q: %v", name, err)
 		}
+	}
+}
+
+// TestPolicyNamesSimulate runs every name PolicyNames lists (with 1
+// for a placeholder argument), so the list `psp sim -policies` prints
+// stays one that Simulate accepts.
+func TestPolicyNamesSimulate(t *testing.T) {
+	names := persephone.PolicyNames()
+	if len(names) < 10 {
+		t.Fatalf("PolicyNames lists %d policies: %v", len(names), names)
+	}
+	for _, name := range names {
+		name = strings.Replace(name, ":N", ":1", 1)
+		res, err := persephone.Simulate(persephone.SimConfig{
+			Workers:      4,
+			Mix:          persephone.HighBimodal(),
+			Policy:       name,
+			LoadFraction: 0.3,
+			Duration:     10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if res.Completed == 0 {
+			t.Errorf("%s: no completions", name)
+		}
+	}
+}
+
+// TestListenAddrStrings checks the address list Listen reports: one
+// entry per UDP shard, the first being Addr, and the TCP listener's
+// one address.
+func TestListenAddrStrings(t *testing.T) {
+	cfg := persephone.LiveConfig{
+		Workers:    1,
+		NetShards:  2,
+		Classifier: persephone.FieldClassifier(0, 1),
+		Handler: persephone.HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
+			return 0, proto.StatusOK
+		}),
+	}
+	udp, err := persephone.Listen("udp", "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	addrs := strings.Split(udp.AddrStrings(), ",")
+	if len(addrs) != 2 || addrs[0] != udp.Addr().String() || addrs[0] == addrs[1] {
+		t.Fatalf("udp AddrStrings %q, Addr %v", udp.AddrStrings(), udp.Addr())
+	}
+	cfg.NetShards = 1
+	tcp, err := persephone.Listen("tcp", "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	if got := tcp.AddrStrings(); got != tcp.Addr().String() {
+		t.Fatalf("tcp AddrStrings %q, Addr %v", got, tcp.Addr())
+	}
+	if _, err := persephone.Listen("quic", "127.0.0.1:0", cfg); err == nil {
+		t.Fatal("unknown network accepted")
 	}
 }
