@@ -23,6 +23,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/psp"
 	"repro/internal/reconfig"
+	"repro/internal/rng"
 	"repro/internal/soak"
 	"repro/internal/spin"
 	"repro/internal/tpcc"
@@ -282,6 +283,21 @@ func buildApp(app string, mix persephone.Mix, workers int, cfcfs bool) (persepho
 	}
 }
 
+// clientPayload builds psp client's payloads: the 2-byte type, then 4
+// bytes drawn per request from a generator of seed, which psp server's
+// applications read as the key (kv) or the district and customer
+// (tpcc). The open-loop engine builds every payload on its one pacing
+// goroutine, so the generator needs no lock.
+func clientPayload(seed uint64) func(typ int) []byte {
+	r := rng.NewStream(seed, 1) // apart from the arrivals' stream of seed
+	return func(typ int) []byte {
+		p := make([]byte, 8)
+		binary.LittleEndian.PutUint16(p[0:2], uint16(typ))
+		binary.LittleEndian.PutUint32(p[2:6], r.Uint32())
+		return p
+	}
+}
+
 // clientCmd is the open-loop Poisson load generator for psp server and
 // psp frontend: it offers a configured request rate over UDP or TCP,
 // matches responses by request ID, and reports client-observed latency
@@ -321,14 +337,7 @@ func clientCmd(fs *flag.FlagSet) func() error {
 				RetryBackoffMax: *backoffMax,
 				Conns:           *conns,
 				Pipeline:        *depth,
-				BuildPayload: func(typ int) []byte {
-					// 2-byte type + 4 bytes of per-request entropy, as
-					// psp server's applications read them.
-					p := make([]byte, 8)
-					binary.LittleEndian.PutUint16(p[0:2], uint16(typ))
-					binary.LittleEndian.PutUint32(p[2:6], uint32(typ*2654435761))
-					return p
-				},
+				BuildPayload:    clientPayload(*seed),
 			},
 			Transport: *transport,
 			Addr:      target,

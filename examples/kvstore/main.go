@@ -19,6 +19,7 @@ import (
 	persephone "repro"
 	"repro/internal/kvstore"
 	"repro/internal/proto"
+	"repro/internal/rng"
 )
 
 func buildStore() *kvstore.Store {
@@ -63,15 +64,19 @@ func run(useCFCFS bool) {
 	defer srv.Stop()
 
 	mix := persephone.RocksDB() // 50% GET / 50% SCAN ratios
+	const seed = 1
+	// One key per GET, drawn on the load generator's one pacing
+	// goroutine from a stream apart from the arrivals'.
+	keys := rng.NewStream(seed, 1)
 	res, err := persephone.RunLoad(persephone.LoadRunConfig{
 		Config: persephone.LoadConfig{
 			Mix:      mix,
 			Rate:     2000,
 			Duration: 3 * time.Second,
-			Seed:     1,
+			Seed:     seed,
 			BuildPayload: func(typ int) []byte {
 				if typ == 0 {
-					return []byte(fmt.Sprintf("GET key%06d", typ*997%5000))
+					return []byte(fmt.Sprintf("GET key%06d", keys.Intn(5000)))
 				}
 				return []byte("SCAN")
 			},

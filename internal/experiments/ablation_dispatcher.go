@@ -9,6 +9,14 @@ import (
 	"repro/internal/workload"
 )
 
+// dispatcher puts a serialized dispatch stage of cost per request in
+// front of the policy.
+func dispatcher(cost time.Duration) Modifier {
+	return func(p cluster.Policy, _ policy.Streams) cluster.Policy {
+		return &policy.IngressBottleneck{Inner: p, PerRequest: cost}
+	}
+}
+
 // AblationDispatcher reproduces the system-level effect behind
 // Shinjuku's load ceiling: the paper measured Shinjuku's centralized
 // dispatcher sustaining ≈4.5M 1µs requests/second *without*
@@ -23,14 +31,9 @@ func AblationDispatcher(opt Options) ([]*Table, error) {
 	const workers = 16
 	const dispatchCost = 222 * time.Nanosecond // 1s / 4.5M
 	g := paperGrid(opt, mix, workers,
-		specShinjukuSQ(5*time.Microsecond),
-		PolicySpec{Name: "shinjuku-SQ+dispatcher", New: func(RunCtx) cluster.Policy {
-			return &policy.IngressBottleneck{
-				Inner:      policy.NewTSSingleQueue(policy.TSConfig{Quantum: 5 * time.Microsecond, PreemptCost: time.Microsecond}),
-				PerRequest: dispatchCost,
-			}
-		}},
-		specDARC(workers, len(mix.Types)),
+		column("shinjuku-SQ", "shinjuku-sq"),
+		column("shinjuku-SQ+dispatcher", "shinjuku-sq").with(dispatcher(dispatchCost)),
+		column("DARC", "darc"),
 	)
 	g.RTT = 0
 	s, err := g.run(opt)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/darc"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -23,12 +24,9 @@ func AblationDelta(opt Options) ([]*Table, error) {
 	deltas := []float64{1.01, 1.5, 2, 3, 5, 10, 1000}
 	g := paperGrid(opt, mix, workers)
 	g.Loads = []float64{load}
-	for _, delta := range deltas {
-		g.Policies = append(g.Policies, PolicySpec{Name: fmt.Sprintf("DARC(delta=%.2f)", delta), New: func(ctx RunCtx) cluster.Policy {
-			cfg := darcConfigFor(workers, ctx)
-			cfg.Delta = delta
-			return policy.NewDARC(cfg, len(mix.Types), 0)
-		}})
+	for _, d := range deltas {
+		delta := tune(func(c *darc.Config) { c.Delta = d })
+		g.Policies = append(g.Policies, column(fmt.Sprintf("DARC(delta=%.2f)", d), "darc").with(delta))
 	}
 	s, err := g.run(opt)
 	if err != nil {
@@ -59,6 +57,18 @@ func AblationDelta(opt Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// tune edits the configuration of the DARC policy Constructor built.
+func tune(edit func(*darc.Config)) Modifier {
+	return func(p cluster.Policy, _ policy.Streams) cluster.Policy {
+		p.(*policy.DARC).Tune(edit)
+		return p
+	}
+}
+
+// noSteal turns DARC's cycle stealing off: strict static partitioning
+// of the reservation.
+var noSteal = tune(func(c *darc.Config) { c.NoCycleStealing = true })
+
 // AblationStealing compares full DARC against DARC without cycle
 // stealing (strict static partitioning) on both bimodal workloads at
 // 95% load: without stealing, bursts of short requests overwhelm the
@@ -70,7 +80,7 @@ func AblationStealing(opt Options) ([]*Table, error) {
 	const load = 0.95
 	var grids []*Grid
 	for _, mix := range []workload.Mix{workload.HighBimodal(), workload.ExtremeBimodal()} {
-		g := paperGrid(opt, mix, workers, specDARC(workers, len(mix.Types)), specDARCNoSteal(workers, len(mix.Types)))
+		g := paperGrid(opt, mix, workers, column("DARC", "darc"), column("DARC-nosteal", "darc").with(noSteal))
 		g.Loads = []float64{load}
 		grids = append(grids, g)
 	}
@@ -85,7 +95,7 @@ func AblationStealing(opt Options) ([]*Table, error) {
 	}
 	for _, s := range sweeps {
 		for _, p := range s.Points {
-			t.Rows = append(t.Rows, shortLongRow([]string{s.Grid.Mix.Name, p.Spec.Name}, p.Res))
+			t.Rows = append(t.Rows, shortLongRow([]string{s.Grid.Mix.Name, p.Column.Label}, p.Res))
 		}
 	}
 	t.Notes = append(t.Notes,

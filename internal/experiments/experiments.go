@@ -38,10 +38,9 @@ type Options struct {
 	Parallel int
 	// CSVDir, when set, receives one CSV file per table.
 	CSVDir string
-	// MinWindowSamples sets DARC's profiling window (default 5000;
-	// the paper uses 50000 over 20s runs — scale it with Duration):
-	// the cap on a sweep's auto-sized window (RunCtx.DARCWindow), and
-	// Figure 7's window as given.
+	// MinWindowSamples caps DARC's auto-sized profiling window
+	// (default 5000; the paper uses 50000 over 20s runs — scale it
+	// with Duration).
 	MinWindowSamples uint64
 }
 
@@ -59,7 +58,7 @@ func (o Options) fill() Options {
 		o.Parallel = runtime.NumCPU()
 	}
 	if o.MinWindowSamples == 0 {
-		o.MinWindowSamples = sweepWindowCap
+		o.MinWindowSamples = 5000
 	}
 	return o
 }

@@ -100,7 +100,7 @@ func TestRegistryNames(t *testing.T) {
 
 // tinyGrid is a two-load c-FCFS sweep on a small machine.
 func tinyGrid(opt Options) *Grid {
-	g := paperGrid(opt.fill(), workload.HighBimodal(), 4, specCFCFS())
+	g := paperGrid(opt.fill(), workload.HighBimodal(), 4, column("c-FCFS", "cfcfs"))
 	g.RTT = 0
 	return g
 }
@@ -145,7 +145,7 @@ func TestGridOrderDoesNotReachOutput(t *testing.T) {
 	opt.Duration = 20 * time.Millisecond
 	mix := workload.HighBimodal()
 	grid := func() *Grid {
-		return paperGrid(opt.fill(), mix, 4, specDFCFS(), specCFCFS(), specDARC(4, len(mix.Types)))
+		return paperGrid(opt.fill(), mix, 4, column("d-FCFS", "dfcfs"), column("c-FCFS", "cfcfs"), column("DARC", "darc"))
 	}
 	render := func(pts []Point) string {
 		s := &Sweep{Grid: pts[0].Grid, Points: pts}
@@ -196,7 +196,9 @@ func TestStarvation(t *testing.T) {
 	opt := tinyOptions()
 	opt.Duration = 100 * time.Millisecond
 	mix := workload.HighBimodal()
-	g := paperGrid(opt.fill(), mix, 14, specDARCStatic(mix, 14), specDARCStatic(mix, 1))
+	g := paperGrid(opt.fill(), mix, 14,
+		column("DARC-static(14)", "darc-static:14").with(unbounded),
+		column("DARC-static(1)", "darc-static:1").with(unbounded))
 	g.Loads = []float64{0.9}
 	s, err := g.run(opt)
 	if err != nil {

@@ -37,16 +37,16 @@ func ExtAutoscale(opt Options) ([]*Table, error) {
 		active int
 	}
 	var events []resizeEvent
-	elastic := PolicySpec{Name: "elastic-DARC", New: func(ctx RunCtx) cluster.Policy {
-		pol := policy.NewElasticDARC(darcConfigFor(maxWorkers, ctx), len(mix.Types), 0)
+	allocator := func(p cluster.Policy, _ policy.Streams) cluster.Policy {
+		pol := p.(*policy.ElasticDARC)
 		pol.Min = 2
 		pol.Interval = total / 120
 		pol.OnResize = func(now time.Duration, active int) {
 			events = append(events, resizeEvent{at: now, active: active})
 		}
 		return pol
-	}}
-	s, err := scheduleGrid(opt, sched, maxWorkers, window, elastic).run(opt)
+	}
+	s, err := scheduleGrid(opt, sched, maxWorkers, window, column("elastic-DARC", "darc-elastic").with(allocator)).run(opt)
 	if err != nil {
 		return nil, err
 	}

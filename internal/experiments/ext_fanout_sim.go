@@ -18,7 +18,7 @@ func ExtFanoutSim(opt Options) ([]*Table, error) {
 	const shardLoad = 0.80
 	fanouts := []int{1, 4, 8}
 
-	g := paperGrid(opt, mix, workersPer, specDARC(workersPer, len(mix.Types)), specCFCFS())
+	g := paperGrid(opt, mix, workersPer, column("DARC", "darc"), column("c-FCFS", "cfcfs"))
 	g.Loads = []float64{shardLoad}
 	g.RTT = 0
 	g.Backends = backends
@@ -36,7 +36,7 @@ func ExtFanoutSim(opt Options) ([]*Table, error) {
 	for _, p := range s.Points {
 		r := p.Fanout
 		t.Rows = append(t.Rows, []string{
-			p.Spec.Name,
+			p.Column.Label,
 			fmt.Sprintf("%d", p.FanOut),
 			fmt.Sprintf("%d", r.Queries),
 			fmtDur(r.QueryLatency.QuantileDuration(0.99)),
@@ -53,7 +53,7 @@ func ExtFanoutSim(opt Options) ([]*Table, error) {
 		if base > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf(
 				"%s: query p99 grows %.1fx from k=1 (%v) to k=%d (%v)",
-				spec.Name, float64(wide)/float64(base), base, fanouts[len(fanouts)-1], wide))
+				spec.Label, float64(wide)/float64(base), base, fanouts[len(fanouts)-1], wide))
 		}
 	}
 	return []*Table{t}, nil

@@ -29,9 +29,9 @@ func ExtVariance(opt Options) ([]*Table, error) {
 	}
 	const workers = 14
 	s, err := paperGrid(opt, mix, workers,
-		specDARC(workers, len(mix.Types)),
-		specCFCFS(),
-		specShinjukuMQ(5*time.Microsecond, len(mix.Types)),
+		column("DARC", "darc"),
+		column("c-FCFS", "cfcfs"),
+		column("shinjuku-MQ", "shinjuku-mq"),
 	).run(opt)
 	if err != nil {
 		return nil, err
@@ -66,7 +66,7 @@ func ExtBurst(opt Options) ([]*Table, error) {
 		return nil, fmt.Errorf("experiments: empty bursty trace")
 	}
 
-	g := paperGrid(opt, mix, workers, specDARC(workers, len(mix.Types)), specDARCNoSteal(workers, len(mix.Types)), specCFCFS())
+	g := paperGrid(opt, mix, workers, column("DARC", "darc"), column("DARC-nosteal", "darc").with(noSteal), column("c-FCFS", "cfcfs"))
 	g.Trace = tr
 	s, err := g.run(opt)
 	if err != nil {
@@ -78,7 +78,7 @@ func ExtBurst(opt Options) ([]*Table, error) {
 		Header: []string{"policy", "slowdown_p999", "short_p999", "long_p999", "drops"},
 	}
 	for _, p := range s.Points {
-		t.Rows = append(t.Rows, shortLongRow([]string{p.Spec.Name}, p.Res))
+		t.Rows = append(t.Rows, shortLongRow([]string{p.Column.Label}, p.Res))
 	}
 	t.Notes = append(t.Notes,
 		"identical arrival trace for every policy; stealing is DARC's burst absorber (§3)")
@@ -96,7 +96,7 @@ func ExtFanout(opt Options) ([]*Table, error) {
 	mix := workload.HighBimodal()
 	const workers = 14
 	const load = 0.80
-	g := paperGrid(opt, mix, workers, specDARC(workers, len(mix.Types)), specCFCFS())
+	g := paperGrid(opt, mix, workers, column("DARC", "darc"), column("c-FCFS", "cfcfs"))
 	g.Loads = []float64{load}
 	s, err := g.run(opt)
 	if err != nil {
@@ -112,7 +112,7 @@ func ExtFanout(opt Options) ([]*Table, error) {
 		t.Header = append(t.Header, fmt.Sprintf("k=%d_query_p99", k))
 	}
 	for _, p := range s.Points {
-		row := []string{p.Spec.Name}
+		row := []string{p.Column.Label}
 		// The fanned-out RPCs are the short class (the paper's §1
 		// motivation: complex queries fanning out to hundreds of fast
 		// backends while long analytics requests share the machines).

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -16,9 +15,9 @@ func Figure6(opt Options) ([]*Table, error) {
 	mix := workload.TPCC()
 	const workers = 14
 	s, err := paperGrid(opt, mix, workers,
-		specShenango(),
-		specShinjukuMQ(10*time.Microsecond, len(mix.Types)),
-		specDARC(workers, len(mix.Types)),
+		column("shenango-cFCFS", "shenango"),
+		column("shinjuku-MQ", "shinjuku-mq:10us"),
+		column("DARC", "darc"),
 	).run(opt)
 	if err != nil {
 		return nil, err
@@ -37,9 +36,9 @@ func Figure6(opt Options) ([]*Table, error) {
 	}
 	for _, load := range s.Grid.Loads {
 		for _, p := range s.Grid.Policies {
-			row := []string{fmt.Sprintf("%.2f", load), p.Name}
+			row := []string{fmt.Sprintf("%.2f", load), p.Label}
 			for ti := range mix.Types {
-				row = append(row, fmtDur(s.at(p.Name, load).Res.Recorder.Type(ti).Latency.QuantileDuration(0.999)))
+				row = append(row, fmtDur(s.at(p.Label, load).Res.Recorder.Type(ti).Latency.QuantileDuration(0.999)))
 			}
 			lat.Rows = append(lat.Rows, row)
 		}
@@ -84,9 +83,9 @@ func Figure8(opt Options) ([]*Table, error) {
 	mix := workload.RocksDB()
 	const workers = 14
 	s, err := paperGrid(opt, mix, workers,
-		specShenango(),
-		specShinjukuMQ(15*time.Microsecond, len(mix.Types)),
-		specDARC(workers, len(mix.Types)),
+		column("shenango-cFCFS", "shenango"),
+		column("shinjuku-MQ", "shinjuku-mq:15us"),
+		column("DARC", "darc"),
 	).run(opt)
 	if err != nil {
 		return nil, err

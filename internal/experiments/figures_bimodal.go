@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/darc"
@@ -37,12 +36,10 @@ func Figure1(opt Options) ([]*Table, error) {
 	mix := workload.ExtremeBimodal()
 	const workers = 16
 	g := paperGrid(opt, mix, workers,
-		specDFCFS(),
-		specCFCFS(),
-		PolicySpec{Name: "TS", New: func(RunCtx) cluster.Policy {
-			return policy.NewTSSingleQueue(policy.TSConfig{Quantum: 5 * time.Microsecond, PreemptCost: time.Microsecond})
-		}},
-		specDARC(workers, len(mix.Types)),
+		column("d-FCFS", "dfcfs"),
+		column("c-FCFS", "cfcfs"),
+		column("TS", "shinjuku-sq"),
+		column("DARC", "darc"),
 	)
 	g.RTT = 0 // §2 models no network
 	s, err := g.run(opt)
@@ -54,10 +51,10 @@ func Figure1(opt Options) ([]*Table, error) {
 
 	peak := mix.PeakLoad(workers)
 	for _, p := range g.Policies {
-		sustain := s.sustainable(p.Name, 10)
+		sustain := s.sustainable(p.Label, 10)
 		curve.Notes = append(curve.Notes, fmt.Sprintf(
 			"%s sustains %.2f of peak (%.2f Mrps) at 10x p99.9 slowdown (paper: c-FCFS 2.1, TS 3.7, DARC 5.1 Mrps)",
-			p.Name, sustain, sustain*peak/1e6))
+			p.Label, sustain, sustain*peak/1e6))
 	}
 	// §2's headline short-request tail latencies at DARC's operating
 	// point.
@@ -65,7 +62,7 @@ func Figure1(opt Options) ([]*Table, error) {
 	for _, p := range g.Policies {
 		curve.Notes = append(curve.Notes, fmt.Sprintf(
 			"%s short p99.9 at %.0f%% load: %v (paper at 5.1 Mrps: DARC 9.87us, c-FCFS 7738us, TS 161us)",
-			p.Name, maxLoad*100, s.at(p.Name, maxLoad).Res.Recorder.Type(0).Latency.QuantileDuration(0.999)))
+			p.Label, maxLoad*100, s.at(p.Label, maxLoad).Res.Recorder.Type(0).Latency.QuantileDuration(0.999)))
 	}
 	noteStarved(curve, s)
 	return []*Table{curve, lat}, nil
@@ -77,7 +74,7 @@ func Figure3(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.HighBimodal()
 	const workers = 14
-	s, err := paperGrid(opt, mix, workers, specDARC(workers, len(mix.Types)), specCFCFS(), specDFCFS()).run(opt)
+	s, err := paperGrid(opt, mix, workers, column("DARC", "darc"), column("c-FCFS", "cfcfs"), column("d-FCFS", "dfcfs")).run(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +132,8 @@ func Figure4(opt Options) ([]*Table, error) {
 		g := paperGrid(opt, mix, workers)
 		g.Loads = []float64{load}
 		for r := 0; r <= workers; r++ {
-			g.Policies = append(g.Policies, specDARCStatic(mix, r))
+			spec := fmt.Sprintf("darc-static:%d", r)
+			g.Policies = append(g.Policies, column(fmt.Sprintf("DARC-static(%d)", r), spec).with(unbounded))
 		}
 		grids = append(grids, g)
 	}
@@ -178,17 +176,26 @@ func Figure4(opt Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// unbounded lifts DARC-static's queue bound: Figure 4's right side
+// starves long requests, and load shedding would otherwise flatter the
+// starved configurations (survivors look fast).
+func unbounded(p cluster.Policy, _ policy.Streams) cluster.Policy {
+	p.(*policy.DARCStatic).SetQueueCap(-1)
+	return p
+}
+
 // Figure5a reproduces §5.4.1: High Bimodal across Shenango (d-FCFS and
 // work stealing), Shinjuku (multi-queue, 5µs) and Perséphone (DARC).
+// Shenango with stealing off is d-FCFS, so its column is Figure 3's.
 func Figure5a(opt Options) ([]*Table, error) {
 	opt = opt.fill()
 	mix := workload.HighBimodal()
 	const workers = 14
 	s, err := paperGrid(opt, mix, workers,
-		specShenangoDFCFS(),
-		specShenango(),
-		specShinjukuMQ(5*time.Microsecond, len(mix.Types)),
-		specDARC(workers, len(mix.Types)),
+		column("shenango-dFCFS", "dfcfs"),
+		column("shenango-cFCFS", "shenango"),
+		column("shinjuku-MQ", "shinjuku-mq"),
+		column("DARC", "darc"),
 	).run(opt)
 	if err != nil {
 		return nil, err
@@ -213,9 +220,9 @@ func Figure5b(opt Options) ([]*Table, error) {
 	mix := workload.ExtremeBimodal()
 	const workers = 14
 	s, err := paperGrid(opt, mix, workers,
-		specShenango(),
-		specShinjukuSQ(5*time.Microsecond),
-		specDARC(workers, len(mix.Types)),
+		column("shenango-cFCFS", "shenango"),
+		column("shinjuku-SQ", "shinjuku-sq"),
+		column("DARC", "darc"),
 	).run(opt)
 	if err != nil {
 		return nil, err
@@ -242,11 +249,11 @@ func Figure10(opt Options) ([]*Table, error) {
 	mix := workload.ExtremeBimodal()
 	const workers = 16
 	g := paperGrid(opt, mix, workers,
-		specTSIdeal(0),
-		specTSIdeal(1*time.Microsecond),
-		specTSIdeal(2*time.Microsecond),
-		specTSIdeal(4*time.Microsecond),
-		specDARC(workers, len(mix.Types)),
+		column("TS-0us", "ts-ideal"),
+		column("TS-1us", "ts-ideal:1us"),
+		column("TS-2us", "ts-ideal:2us"),
+		column("TS-4us", "ts-ideal:4us"),
+		column("DARC", "darc"),
 	)
 	g.RTT = 0
 	s, err := g.run(opt)

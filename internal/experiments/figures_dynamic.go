@@ -58,15 +58,13 @@ func Figure7(opt Options) ([]*Table, error) {
 	}
 
 	// DARC with reservation tracking, and c-FCFS as the baseline.
-	// DARC profiles over exactly Options.MinWindowSamples
-	// (-profile-window): the paper's 50k-sample windows react too
-	// slowly for short phases, and the trigger rule is unchanged.
+	// DARC profiles over Options.MinWindowSamples (-profile-window),
+	// the sweeps' cap, which this schedule's offered requests always
+	// reach: the paper's 50k-sample windows react too slowly for short
+	// phases, and the trigger rule is unchanged.
 	var events []reservationEvent
-	darcSpec := PolicySpec{Name: "DARC", New: func(ctx RunCtx) cluster.Policy {
-		cfg := darc.DefaultConfig(workers)
-		cfg.MinWindowSamples = ctx.WindowCap
-		p := policy.NewDARC(cfg, 2, 0)
-		p.OnReservationUpdate = func(now time.Duration, res *darc.Reservation) {
+	track := func(p cluster.Policy, _ policy.Streams) cluster.Policy {
+		p.(*policy.DARC).OnReservationUpdate = func(now time.Duration, res *darc.Reservation) {
 			cores := make([]int, 2)
 			for t := 0; t < 2; t++ {
 				cores[t] = len(res.ReservedFor(t))
@@ -74,8 +72,8 @@ func Figure7(opt Options) ([]*Table, error) {
 			events = append(events, reservationEvent{At: now, Cores: cores})
 		}
 		return p
-	}}
-	s, err := scheduleGrid(opt, sched, workers, window, darcSpec, specCFCFS()).run(opt)
+	}
+	s, err := scheduleGrid(opt, sched, workers, window, column("DARC", "darc").with(track), column("c-FCFS", "cfcfs")).run(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -143,6 +141,14 @@ func valueAt(pts []metrics.Point, i int) int64 {
 	return 0
 }
 
+// randomClassifier relabels every arrival with a uniformly random one
+// of types (Figure 9's broken classifier).
+func randomClassifier(types int) Modifier {
+	return func(p cluster.Policy, streams policy.Streams) cluster.Policy {
+		return &policy.Relabel{Inner: p, NumTypes: types, R: streams.Relabel()}
+	}
+}
+
 // Figure9 reproduces §5.6: DARC with a deliberately random classifier
 // converges to c-FCFS (8 workers, High Bimodal).
 func Figure9(opt Options) ([]*Table, error) {
@@ -150,9 +156,9 @@ func Figure9(opt Options) ([]*Table, error) {
 	mix := workload.HighBimodal()
 	const workers = 8
 	s, err := paperGrid(opt, mix, workers,
-		specCFCFS(),
-		specDARC(workers, len(mix.Types)),
-		specDARCRandom(workers, len(mix.Types)),
+		column("c-FCFS", "cfcfs"),
+		column("DARC", "darc"),
+		column("DARC-random", "darc").with(randomClassifier(len(mix.Types))),
 	).run(opt)
 	if err != nil {
 		return nil, err

@@ -11,15 +11,18 @@ import (
 	"repro/internal/darc"
 	"repro/internal/fanout"
 	"repro/internal/metrics"
+	"repro/internal/policy"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // The paper's evaluation is one kind of experiment: a sweep of
 // policies over load on a fixed mix and worker count. A Grid describes
-// one such sweep, runGrids runs its cells on the simulator, and each
-// artifact renders the resulting points into tables. Cells are the one
-// place a cluster.Config or a RunCtx is built.
+// one such sweep and its policy axis of Columns, runGrids runs its
+// cells on the simulator, and each artifact renders the resulting
+// points into tables. Cell.Config is the one place a simulated run is
+// put together: every grid cell, Simulate and ReplayTrace call it.
 
 // The paper's testbed (§5): a 10 µs network round trip and the first
 // 10 % of every run discarded as warm-up.
@@ -35,14 +38,13 @@ type Grid struct {
 	Trace    *trace.Trace       // replays arrivals instead of Loads
 	Workers  int
 	Loads    []float64
-	Policies []PolicySpec
+	Policies []Column
 	RTT      time.Duration
 	Warmup   float64       // fraction of Horizon discarded
 	Track    time.Duration // latency time-series window; 0 disables
-	Horizon  time.Duration
+	Horizon  time.Duration // 0 on a trace grid replays the whole trace
 	Seed     uint64
-	// WindowCap is Options.MinWindowSamples (see RunCtx).
-	WindowCap uint64
+	Window   WindowClamp
 	// Backends and FanOuts make a fan-out grid: each cell runs
 	// fanout.Run on Backends machines of Workers cores, one cell per
 	// (policy, load, fan-out).
@@ -50,32 +52,47 @@ type Grid struct {
 	FanOuts  []int
 }
 
+// WindowClamp bounds DARC's profiling window, which a run sizes from
+// its offered requests (darc.AutoWindow) so the c-FCFS startup phase
+// ends inside the warm-up discard. Min == Max fixes the window.
+type WindowClamp struct{ Min, Max uint64 }
+
+// SimWindow is the clamp of single runs (Simulate, and so psp sim);
+// DESIGN.md §2 gives the reason for its bounds and the sweeps'.
+var SimWindow = WindowClamp{Min: 500, Max: 50000}
+
+// sweepWindow is the sweeps' clamp, up to Options.MinWindowSamples
+// (5000 by default).
+func (o Options) sweepWindow() WindowClamp {
+	return WindowClamp{Min: 200, Max: o.MinWindowSamples}
+}
+
 // paperGrid is the testbed sweep of policies over opt's loads on mix.
-func paperGrid(opt Options, mix workload.Mix, workers int, policies ...PolicySpec) *Grid {
+func paperGrid(opt Options, mix workload.Mix, workers int, policies ...Column) *Grid {
 	return &Grid{
-		Mix:       mix,
-		Workers:   workers,
-		Loads:     opt.Loads,
-		Policies:  policies,
-		RTT:       paperRTT,
-		Warmup:    paperWarmup,
-		Horizon:   opt.Duration,
-		Seed:      opt.Seed,
-		WindowCap: opt.MinWindowSamples,
+		Mix:      mix,
+		Workers:  workers,
+		Loads:    opt.Loads,
+		Policies: policies,
+		RTT:      paperRTT,
+		Warmup:   paperWarmup,
+		Horizon:  opt.Duration,
+		Seed:     opt.Seed,
+		Window:   opt.sweepWindow(),
 	}
 }
 
 // scheduleGrid runs each policy once through a phased schedule, with
 // no warm-up discard and a latency time series of window track.
-func scheduleGrid(opt Options, sched *workload.Schedule, workers int, track time.Duration, policies ...PolicySpec) *Grid {
+func scheduleGrid(opt Options, sched *workload.Schedule, workers int, track time.Duration, policies ...Column) *Grid {
 	return &Grid{
-		Schedule:  sched,
-		Workers:   workers,
-		Policies:  policies,
-		Track:     track,
-		Horizon:   sched.TotalDuration(),
-		Seed:      opt.Seed,
-		WindowCap: opt.MinWindowSamples,
+		Schedule: sched,
+		Workers:  workers,
+		Policies: policies,
+		Track:    track,
+		Horizon:  sched.TotalDuration(),
+		Seed:     opt.Seed,
+		Window:   opt.sweepWindow(),
 	}
 }
 
@@ -98,55 +115,49 @@ func (g *Grid) cells() []Cell {
 	for _, p := range g.Policies {
 		for _, load := range loads {
 			for _, k := range fanOuts {
-				cells = append(cells, Cell{Grid: g, Spec: p, Load: load, FanOut: k, Seed: g.Seed})
+				cells = append(cells, Cell{Grid: g, Column: p, Load: load, FanOut: k, Seed: g.Seed})
 			}
 		}
 	}
 	return cells
 }
 
-// RunCtx carries the parameters of one simulation run into policy
-// constructors: stochastic policies need the seed, and DARC sizes its
-// profiling window from the arrival rate so the c-FCFS startup phase
-// always completes inside the warm-up discard.
-type RunCtx struct {
-	Seed     uint64
-	Rate     float64 // offered requests/second
-	Duration time.Duration
-	// WindowCap is Options.MinWindowSamples, the upper bound on DARC's
-	// auto-scaled profiling window.
-	WindowCap uint64
+// Column is one entry of a grid's policy axis: a label, the Spec
+// policy.Constructor binds, and at most one modifier.
+type Column struct {
+	Label string
+	Spec  sched.Spec
+	Mod   Modifier // nil runs the Spec as Constructor builds it
 }
 
-// The sweeps' clamp on DARC's auto-sized profiling window; DESIGN.md
-// §2 gives the reason for each bound.
-const (
-	sweepWindowMin = 200
-	sweepWindowCap = 5000
-)
+// A Modifier makes an experiment-only variant of the policy
+// policy.Constructor built for a column's Spec. The run's seed and
+// DARC's window stay the builder's; a variant that draws at random
+// takes its stream from streams.
+type Modifier func(p cluster.Policy, streams policy.Streams) cluster.Policy
 
-// DARCWindow returns the profiling-window size for this run:
-// darc.AutoWindow clamped to [sweepWindowMin, WindowCap].
-func (c RunCtx) DARCWindow() uint64 {
-	hi := c.WindowCap
-	if hi == 0 {
-		hi = sweepWindowCap
+// column is the column label running spec, the experiments' own text,
+// so a spec that does not parse is a programming error.
+func column(label, spec string) Column {
+	s, err := sched.ParseSpec(spec)
+	if err != nil {
+		panic(err)
 	}
-	return darc.AutoWindow(c.Rate, c.Duration, sweepWindowMin, hi)
+	return Column{Label: label, Spec: s}
 }
 
-// PolicySpec is one entry of a grid's policy axis: a column label and
-// a constructor bound to the cell's RunCtx.
-type PolicySpec struct {
-	Name string
-	New  func(ctx RunCtx) cluster.Policy
+// with returns the column running c.Spec under mod.
+func (c Column) with(mod Modifier) Column {
+	c.Mod = mod
+	return c
 }
 
 // Cell is one simulation of a grid: one policy at one load.
 type Cell struct {
 	Grid   *Grid
-	Spec   PolicySpec
+	Column Column
 	Load   float64 // 0 on a schedule or trace grid
+	Rate   float64 // requests/second in place of Load, when positive
 	FanOut int     // 0 outside a fan-out grid
 	Seed   uint64
 }
@@ -163,6 +174,8 @@ func (c Cell) rate() float64 {
 			n += ph.Rate * ph.Duration.Seconds()
 		}
 		return n / g.Schedule.TotalDuration().Seconds()
+	case c.Rate > 0:
+		return c.Rate
 	}
 	return c.Load * g.Mix.PeakLoad(g.Workers)
 }
@@ -173,12 +186,8 @@ func (c Cell) cost() float64 {
 	return c.rate() * c.Grid.Horizon.Seconds() * float64(max(1, c.Grid.Backends))
 }
 
-func (c Cell) ctx() RunCtx {
-	return RunCtx{Seed: c.Seed, Rate: c.rate(), Duration: c.Grid.Horizon, WindowCap: c.Grid.WindowCap}
-}
-
 func (c Cell) label() string {
-	parts := []string{c.Grid.Mix.Name, c.Spec.Name}
+	parts := []string{c.Grid.Mix.Name, c.Column.Label}
 	if c.Grid.loadDriven() {
 		parts = append(parts, fmt.Sprintf("@%.0f%%", c.Load*100))
 	}
@@ -188,12 +197,59 @@ func (c Cell) label() string {
 	return strings.TrimSpace(strings.Join(parts, " "))
 }
 
-// run simulates the cell once.
+// Config puts the cell's run together: the cluster.Config, and the
+// policy factory that binds the cell's column through
+// policy.Constructor, with DARC's profiling window sized for the
+// cell's offered requests inside the grid's clamp, then applies the
+// column's modifier.
+func (c Cell) Config() (cluster.Config, error) {
+	g := c.Grid
+	mix, horizon := g.Mix, g.Horizon
+	types := len(mix.Types)
+	switch {
+	case g.Schedule != nil:
+		mix = g.Schedule.Phases[0].Mix
+		types = len(mix.Types)
+	case g.Trace != nil:
+		types = g.Trace.NumTypes()
+		if horizon <= 0 {
+			horizon = g.Trace.Duration()
+		}
+	}
+	window := darc.AutoWindow(c.rate(), horizon, g.Window.Min, g.Window.Max)
+	newPolicy, err := policy.Constructor(c.Column.Spec, g.Workers, types, mix.Means(), c.Seed, window)
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	if mod := c.Column.Mod; mod != nil {
+		build, streams := newPolicy, policy.Streams(c.Seed)
+		newPolicy = func() cluster.Policy { return mod(build(), streams) }
+	}
+	return cluster.Config{
+		Workers:        g.Workers,
+		Mix:            g.Mix,
+		LoadFraction:   c.Load,
+		Rate:           c.Rate,
+		Schedule:       g.Schedule,
+		Trace:          g.Trace,
+		Duration:       g.Horizon,
+		WarmupFraction: g.Warmup,
+		Seed:           c.Seed,
+		RTT:            g.RTT,
+		TrackWindow:    g.Track,
+		NewPolicy:      newPolicy,
+	}, nil
+}
+
+// run simulates the cell once; a fan-out cell runs the policy factory
+// of its Config on every backend.
 func (c Cell) run() (Point, error) {
 	g := c.Grid
-	ctx := c.ctx()
 	pt := Point{Cell: c}
-	var err error
+	cfg, err := c.Config()
+	if err != nil {
+		return pt, err
+	}
 	if c.FanOut > 0 {
 		pt.Fanout, err = fanout.Run(fanout.Config{
 			Backends:          g.Backends,
@@ -204,26 +260,16 @@ func (c Cell) run() (Point, error) {
 			Duration:          g.Horizon,
 			WarmupFraction:    g.Warmup,
 			Seed:              c.Seed,
-			NewPolicy:         func() cluster.Policy { return c.Spec.New(ctx) },
+			NewPolicy:         cfg.NewPolicy,
 		})
 		return pt, err
 	}
-	pt.Res, err = cluster.Run(cluster.Config{
-		Workers:        g.Workers,
-		Mix:            g.Mix,
-		LoadFraction:   c.Load,
-		Schedule:       g.Schedule,
-		Trace:          g.Trace,
-		Duration:       g.Horizon,
-		WarmupFraction: g.Warmup,
-		Seed:           c.Seed,
-		RTT:            g.RTT,
-		TrackWindow:    g.Track,
-		NewPolicy: func() cluster.Policy {
-			pt.Policy = c.Spec.New(ctx)
-			return pt.Policy
-		},
-	})
+	newPolicy := cfg.NewPolicy
+	cfg.NewPolicy = func() cluster.Policy {
+		pt.Policy = newPolicy()
+		return pt.Policy
+	}
+	pt.Res, err = cluster.Run(cfg)
 	if err == nil && g.loadDriven() {
 		pt.Starved = c.starved(pt.Res)
 	}
@@ -337,7 +383,7 @@ func runCells(parallel int, cells []Cell, order []int) ([]Point, error) {
 // at returns the point of policy at load, or nil.
 func (s *Sweep) at(policy string, load float64) *Point {
 	for i := range s.Points {
-		if p := &s.Points[i]; p.Spec.Name == policy && p.Load == load {
+		if p := &s.Points[i]; p.Column.Label == policy && p.Load == load {
 			return p
 		}
 	}
@@ -366,15 +412,15 @@ func noteStarved(t *Table, sweeps ...*Sweep) {
 func (s *Sweep) slowdownCurve(name, title string) *Table {
 	t := &Table{Name: name, Title: title, Header: []string{"load", "offered_Mrps"}}
 	for _, p := range s.Grid.Policies {
-		t.Header = append(t.Header, p.Name+"_slowdown_p999")
+		t.Header = append(t.Header, p.Label+"_slowdown_p999")
 	}
 	for _, load := range s.Grid.Loads {
 		row := []string{
 			fmt.Sprintf("%.2f", load),
-			fmt.Sprintf("%.3f", s.at(s.Grid.Policies[0].Name, load).Res.OfferedRPS/1e6),
+			fmt.Sprintf("%.3f", s.at(s.Grid.Policies[0].Label, load).Res.OfferedRPS/1e6),
 		}
 		for _, p := range s.Grid.Policies {
-			row = append(row, fmtSlow(metrics.SlowdownAt(s.at(p.Name, load).Res.Recorder.All(), 0.999)))
+			row = append(row, fmtSlow(metrics.SlowdownAt(s.at(p.Label, load).Res.Recorder.All(), 0.999)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -387,12 +433,12 @@ func (s *Sweep) typedLatency(name, title string) *Table {
 	longIdx := len(s.Grid.Mix.Types) - 1
 	t := &Table{Name: name, Title: title, Header: []string{"load"}}
 	for _, p := range s.Grid.Policies {
-		t.Header = append(t.Header, p.Name+"_short_p999", p.Name+"_long_p999")
+		t.Header = append(t.Header, p.Label+"_short_p999", p.Label+"_long_p999")
 	}
 	for _, load := range s.Grid.Loads {
 		row := []string{fmt.Sprintf("%.2f", load)}
 		for _, p := range s.Grid.Policies {
-			rec := s.at(p.Name, load).Res.Recorder
+			rec := s.at(p.Label, load).Res.Recorder
 			row = append(row,
 				fmtDur(rec.Type(0).Latency.QuantileDuration(0.999)),
 				fmtDur(rec.Type(longIdx).Latency.QuantileDuration(0.999)))

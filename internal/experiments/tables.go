@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/darc"
 	"repro/internal/policy"
 	"repro/internal/rng"
@@ -130,104 +129,4 @@ func Table5() *Table {
 		})
 	}
 	return t
-}
-
-// The policy axis entries the figures share. Their seed offsets and
-// quanta are the experiments' own (see DESIGN.md §3), which is why
-// they are not sched.Spec values.
-
-func specDFCFS() PolicySpec {
-	return PolicySpec{Name: "d-FCFS", New: func(ctx RunCtx) cluster.Policy {
-		return policy.NewDFCFS(rng.New(ctx.Seed+1000), 0)
-	}}
-}
-
-func specCFCFS() PolicySpec {
-	return PolicySpec{Name: "c-FCFS", New: func(RunCtx) cluster.Policy {
-		return policy.NewCFCFS(0)
-	}}
-}
-
-// specShenango is Shenango's c-FCFS approximation: RSS + work stealing.
-func specShenango() PolicySpec {
-	return PolicySpec{Name: "shenango-cFCFS", New: func(ctx RunCtx) cluster.Policy {
-		return policy.NewWorkStealing(rng.New(ctx.Seed+2000), 0, 100*time.Nanosecond)
-	}}
-}
-
-// specShenangoDFCFS is Shenango with stealing disabled (the paper's
-// d-FCFS baseline in §5.4).
-func specShenangoDFCFS() PolicySpec {
-	return PolicySpec{Name: "shenango-dFCFS", New: func(ctx RunCtx) cluster.Policy {
-		return policy.NewDFCFS(rng.New(ctx.Seed+3000), 0)
-	}}
-}
-
-// specShinjukuSQ is Shinjuku's single-queue policy with the paper's
-// measured 1µs preemption cost.
-func specShinjukuSQ(quantum time.Duration) PolicySpec {
-	return PolicySpec{Name: "shinjuku-SQ", New: func(RunCtx) cluster.Policy {
-		return policy.NewTSSingleQueue(policy.TSConfig{Quantum: quantum, PreemptCost: time.Microsecond})
-	}}
-}
-
-// specShinjukuMQ is Shinjuku's multi-queue (BVT) policy.
-func specShinjukuMQ(quantum time.Duration, numTypes int) PolicySpec {
-	return PolicySpec{Name: "shinjuku-MQ", New: func(RunCtx) cluster.Policy {
-		return policy.NewTSMultiQueue(policy.TSConfig{Quantum: quantum, PreemptCost: time.Microsecond}, numTypes)
-	}}
-}
-
-// darcConfigFor builds a DARC config with the profiling window sized
-// for this run.
-func darcConfigFor(workers int, ctx RunCtx) darc.Config {
-	cfg := darc.DefaultConfig(workers)
-	cfg.MinWindowSamples = ctx.DARCWindow()
-	return cfg
-}
-
-func specDARC(workers, numTypes int) PolicySpec {
-	return PolicySpec{Name: "DARC", New: func(ctx RunCtx) cluster.Policy {
-		return policy.NewDARC(darcConfigFor(workers, ctx), numTypes, 0)
-	}}
-}
-
-// specDARCNoSteal is DARC with cycle stealing off: strict static
-// partitioning of the reservation.
-func specDARCNoSteal(workers, numTypes int) PolicySpec {
-	return PolicySpec{Name: "DARC-nosteal", New: func(ctx RunCtx) cluster.Policy {
-		cfg := darcConfigFor(workers, ctx)
-		cfg.NoCycleStealing = true
-		return policy.NewDARC(cfg, numTypes, 0)
-	}}
-}
-
-func specDARCStatic(mix workload.Mix, reserved int) PolicySpec {
-	means := mix.Means()
-	return PolicySpec{
-		Name: fmt.Sprintf("DARC-static(%d)", reserved),
-		New: func(RunCtx) cluster.Policy {
-			// Unbounded queues: Figure 4's right side starves long
-			// requests, and load shedding would otherwise flatter the
-			// starved configurations (survivors look fast).
-			return policy.NewDARCStatic(means, reserved, -1)
-		},
-	}
-}
-
-func specDARCRandom(workers, numTypes int) PolicySpec {
-	return PolicySpec{Name: "DARC-random", New: func(ctx RunCtx) cluster.Policy {
-		return &policy.Relabel{
-			Inner:    policy.NewDARC(darcConfigFor(workers, ctx), numTypes, 0),
-			NumTypes: numTypes,
-			R:        rng.New(ctx.Seed + 4000),
-		}
-	}}
-}
-
-func specTSIdeal(total time.Duration) PolicySpec {
-	name := fmt.Sprintf("TS-%dus", total/time.Microsecond)
-	return PolicySpec{Name: name, New: func(RunCtx) cluster.Policy {
-		return policy.NewTSIdeal(total/2, total-total/2, 0)
-	}}
 }

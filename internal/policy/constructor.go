@@ -10,20 +10,36 @@ import (
 	"repro/internal/sched"
 )
 
+// Streams hands out the random streams of a simulated run by the
+// run's seed. Each stochastic decision draws from its own stream, a
+// fixed offset from the seed, so a figure's cell and psp sim make the
+// same draws at the same seed.
+type Streams uint64
+
+// Steer is d-FCFS's per-arrival worker steering.
+func (s Streams) Steer() *rng.RNG { return rng.New(uint64(s) + 1000) }
+
+// Steal is work stealing's victim choice.
+func (s Streams) Steal() *rng.RNG { return rng.New(uint64(s) + 2000) }
+
+// Relabel is the random classifier of Figure 9's DARC-random.
+func (s Streams) Relabel() *rng.RNG { return rng.New(uint64(s) + 4000) }
+
 // Constructor binds s to a simulated machine of workers cores serving
 // types request types, returning the policy factory the simulator
 // calls per run. means holds each type's mean service time, by which
-// darc-static, fp and edf rank types. seed feeds the stochastic
-// policies: d-FCFS steers from seed+1 (s.SteerSeed when set), work
-// stealing from seed+2. A non-zero window replaces plain DARC's
-// profiling window.
+// darc-static, fp and edf rank types. seed picks the stochastic
+// policies' Streams (s.SteerSeed, when set, seeds d-FCFS instead). A
+// non-zero window replaces DARC's and elastic DARC's profiling window.
 func Constructor(s sched.Spec, workers, types int, means []time.Duration, seed, window uint64) (func() cluster.Policy, error) {
+	dcfg := darc.DefaultConfig(workers)
+	if window > 0 {
+		dcfg.MinWindowSamples = window
+	}
+	streams := Streams(seed)
+	ts := TSConfig{Quantum: s.Quantum, PreemptCost: time.Microsecond}
 	switch s.Kind {
 	case sched.KindDARC:
-		dcfg := darc.DefaultConfig(workers)
-		if window > 0 {
-			dcfg.MinWindowSamples = window
-		}
 		return func() cluster.Policy { return NewDARC(dcfg, types, 0) }, nil
 	case sched.KindDARCStatic:
 		reserved := s.StaticReserved
@@ -34,23 +50,18 @@ func Constructor(s sched.Spec, workers, types int, means []time.Duration, seed, 
 	case sched.KindCFCFS:
 		return func() cluster.Policy { return NewCFCFS(0) }, nil
 	case sched.KindDFCFS:
-		steer := seed + 1
 		if s.SteerSeed != 0 {
-			steer = s.SteerSeed
+			return func() cluster.Policy { return NewDFCFS(rng.New(s.SteerSeed), 0) }, nil
 		}
-		return func() cluster.Policy { return NewDFCFS(rng.New(steer), 0) }, nil
+		return func() cluster.Policy { return NewDFCFS(streams.Steer(), 0) }, nil
 	case sched.KindShenango:
 		return func() cluster.Policy {
-			return NewWorkStealing(rng.New(seed+2), 0, 100*time.Nanosecond)
+			return NewWorkStealing(streams.Steal(), 0, 100*time.Nanosecond)
 		}, nil
 	case sched.KindShinjukuSQ:
-		return func() cluster.Policy {
-			return NewTSSingleQueue(TSConfig{Quantum: 5 * time.Microsecond, PreemptCost: time.Microsecond})
-		}, nil
+		return func() cluster.Policy { return NewTSSingleQueue(ts) }, nil
 	case sched.KindShinjukuMQ:
-		return func() cluster.Policy {
-			return NewTSMultiQueue(TSConfig{Quantum: 5 * time.Microsecond, PreemptCost: time.Microsecond}, types)
-		}, nil
+		return func() cluster.Policy { return NewTSMultiQueue(ts, types) }, nil
 	case sched.KindTSIdeal:
 		total := s.PreemptOverhead
 		if total < 0 {
@@ -66,9 +77,7 @@ func Constructor(s sched.Spec, workers, types int, means []time.Duration, seed, 
 	case sched.KindDRR:
 		return func() cluster.Policy { return NewDRR(types, 10*time.Microsecond, nil, 0) }, nil
 	case sched.KindDARCElastic:
-		return func() cluster.Policy {
-			return NewElasticDARC(darc.DefaultConfig(workers), types, 0)
-		}, nil
+		return func() cluster.Policy { return NewElasticDARC(dcfg, types, 0) }, nil
 	}
 	return nil, fmt.Errorf("policy: unknown policy %s (have %v)", s.Kind, sched.Names())
 }

@@ -21,6 +21,10 @@ type coreAdapter struct {
 	core *sched.Core[*cluster.Request]
 }
 
+// SetQueueCap replaces the queue bound given at construction (0
+// applies DefaultQueueCap, negative is unbounded); call it before Init.
+func (a *coreAdapter) SetQueueCap(queueCap int) { a.conf.QueueCap = normalizeCap(queueCap) }
+
 // Init implements cluster.Policy: it builds the core from conf over
 // m's workers. A nil conf.Take runs the head of the queue the core
 // names on the worker it names.

@@ -36,6 +36,10 @@ func NewDARC(cfg darc.Config, numTypes, queueCap int) *DARC {
 	return p
 }
 
+// Tune edits the configuration Init builds the controller from; call
+// it before Init.
+func (p *DARC) Tune(edit func(*darc.Config)) { edit(&p.cfg) }
+
 // Name implements cluster.Policy.
 func (p *DARC) Name() string { return "DARC" }
 

@@ -137,11 +137,6 @@ type Config struct {
 	DARC darc.Config
 	// QueueCap bounds each typed queue (default 4096).
 	QueueCap int
-	// PinThreads locks the dispatcher and each worker goroutine to an
-	// OS thread (the closest Go gets to the paper's per-core pinned
-	// threads). Only useful when the host has at least Workers+2
-	// cores; on oversubscribed machines it hurts.
-	PinThreads bool
 	// Admission enables the deadline-aware overload controller: per
 	// request type an admission budget (explicit or auto-derived from
 	// the DARC profiler's service-time estimates) bounds queue delay,
@@ -488,10 +483,6 @@ func (s *Server) injectBatch(batch []*Request) int {
 // typed queues, DARC and worker handoff.
 func (s *Server) dispatcherLoop() {
 	defer s.wg.Done()
-	if s.cfg.PinThreads {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	for {
 		progress := false
 		// 0. Control plane: begin the next reconfiguration, one at a
@@ -798,10 +789,6 @@ func (s *Server) drainAndShutdown() {
 // own sentinel.
 func (s *Server) workerLoop(id int, ring *spsc.Ring[*Request], traceRing *spsc.Ring[trace.Span]) {
 	defer s.wg.Done()
-	if s.cfg.PinThreads {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	scratch := make([]byte, responseBuf)
 	for {
 		r := ring.Get()

@@ -292,27 +292,3 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatalf("median slowdown %g < 1", sd)
 	}
 }
-
-func TestPinThreadsOption(t *testing.T) {
-	srv, err := NewServer(Config{
-		Workers:    1,
-		Classifier: classify.Field{Offset: 0, Types: 1},
-		Handler: HandlerFunc(func(typ int, p, r []byte) (int, proto.Status) {
-			return 0, proto.StatusOK
-		}),
-		PinThreads: true,
-		DARC: func() darc.Config {
-			c := darc.DefaultConfig(1)
-			c.Spillway = 0
-			return c
-		}(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	defer srv.Stop()
-	if _, err := srv.Call(typedPayload(0, "pinned")); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -70,6 +70,9 @@ type Spec struct {
 	// PreemptOverhead is ts-ideal's argument: the total preemption
 	// overhead charged per context switch.
 	PreemptOverhead time.Duration
+	// Quantum is shinjuku-sq's and shinjuku-mq's argument: the
+	// preemption interval (0 keeps Shinjuku's 5 µs).
+	Quantum time.Duration
 	// SteerSeed seeds d-FCFS's per-arrival worker steering (0 keeps the
 	// default stream). It has no text form: reconfiguration's
 	// steer-seed= key and the conformance harness set it.
@@ -84,6 +87,8 @@ var ErrNoLiveForm = errors.New("no live form")
 func Names() []string {
 	names := kindNames // a copy: the canonical names stay as they are
 	names[KindDARCStatic] += ":N"
+	names[KindShinjukuSQ] += ":Nus"
+	names[KindShinjukuMQ] += ":Nus"
 	names[KindTSIdeal] += ":Nus"
 	return names[:]
 }
@@ -100,24 +105,25 @@ func LiveSpecs() []Spec {
 // ParseSpec parses a policy name with its optional argument,
 // case-insensitively and ignoring surrounding space:
 //
-//	darc             the paper's policy with default tuning
-//	darc-static:N    N workers statically reserved for the shortest type
-//	darc-elastic     DARC that lends idle reserved workers
-//	cfcfs            centralized FCFS (also c-fcfs)
-//	dfcfs            decentralized FCFS (RSS; also d-fcfs)
-//	shenango         per-core queues + work stealing (also work-stealing)
-//	shinjuku-sq      preemptive single queue (also ts-sq)
-//	shinjuku-mq      preemptive multi-queue BVT (also ts-mq)
-//	ts-ideal[:Nus]   idealized preemption with N µs total overhead
-//	fp               non-preemptive fixed priority (also fixed-priority)
-//	sjf, edf, drr    oracle SJF, earliest deadline first, deficit round robin
+//	darc               the paper's policy with default tuning
+//	darc-static:N      N workers statically reserved for the shortest type
+//	darc-elastic       DARC that lends idle reserved workers
+//	cfcfs              centralized FCFS (also c-fcfs)
+//	dfcfs              decentralized FCFS (RSS; also d-fcfs)
+//	shenango           per-core queues + work stealing (also work-stealing)
+//	shinjuku-sq[:Nus]  preemptive single queue, N µs quantum (also ts-sq)
+//	shinjuku-mq[:Nus]  preemptive multi-queue BVT, N µs quantum (also ts-mq)
+//	ts-ideal[:Nus]     idealized preemption with N µs total overhead
+//	fp                 non-preemptive fixed priority (also fixed-priority)
+//	sjf, edf, drr      oracle SJF, earliest deadline first, deficit round robin
 //
-// The empty string is darc. The four live kinds also match with their
-// hyphens dropped or moved ("darcstatic", "c-f-cfs"), and darc-static
-// without :N reserves no worker: that is how the reconfiguration
-// plane's policy= key has always read them, with static-reserved=
-// supplying N. Validation that depends on the machine (N <= workers)
-// happens where the Spec is bound.
+// The empty string is darc. A Shinjuku kind without :Nus (or with
+// :0us) runs the paper's 5 µs quantum. The four live kinds also match
+// with their hyphens dropped or moved ("darcstatic", "c-f-cfs"), and
+// darc-static without :N reserves no worker: that is how the
+// reconfiguration plane's policy= key has always read them, with
+// static-reserved= supplying N. Validation that depends on the
+// machine (N <= workers) happens where the Spec is bound.
 func ParseSpec(text string) (Spec, error) {
 	name, arg, hasArg := strings.Cut(strings.ToLower(strings.TrimSpace(text)), ":")
 	switch name {
@@ -150,16 +156,21 @@ func ParseSpec(text string) (Spec, error) {
 			return Spec{}, fmt.Errorf("sched: darc-static needs :N with N>=0, got %q", arg)
 		}
 		s.StaticReserved = reserved
-	case s.Kind == KindTSIdeal:
+	case s.Kind == KindTSIdeal || s.Kind == KindShinjukuSQ || s.Kind == KindShinjukuMQ:
 		us, err := strconv.ParseFloat(strings.TrimSuffix(arg, "us"), 64)
 		// The bound rejects NaN and infinities too (NaN fails every
 		// comparison, so "us < 0" alone would let it through into an
 		// undefined float→Duration conversion). 1e9µs ≈ 17min is far
-		// beyond any plausible preemption overhead.
+		// beyond any plausible preemption overhead or quantum.
 		if err != nil || math.IsNaN(us) || us < 0 || us > 1e9 {
-			return Spec{}, fmt.Errorf("sched: ts-ideal needs :Nus, got %q", arg)
+			return Spec{}, fmt.Errorf("sched: %s needs :Nus, got %q", s.Kind, arg)
 		}
-		s.PreemptOverhead = time.Duration(us * float64(time.Microsecond))
+		d := time.Duration(us * float64(time.Microsecond))
+		if s.Kind == KindTSIdeal {
+			s.PreemptOverhead = d
+		} else {
+			s.Quantum = d
+		}
 	default:
 		return Spec{}, fmt.Errorf("sched: policy %q takes no argument, got %q", s.Kind, arg)
 	}
@@ -173,6 +184,8 @@ func (s Spec) String() string {
 		return fmt.Sprintf("darc-static:%d", s.StaticReserved)
 	case s.Kind == KindTSIdeal && s.PreemptOverhead > 0:
 		return fmt.Sprintf("ts-ideal:%gus", float64(s.PreemptOverhead)/float64(time.Microsecond))
+	case (s.Kind == KindShinjukuSQ || s.Kind == KindShinjukuMQ) && s.Quantum > 0:
+		return fmt.Sprintf("%s:%gus", s.Kind, float64(s.Quantum)/float64(time.Microsecond))
 	}
 	return s.Kind.String()
 }

@@ -34,6 +34,11 @@ func TestParsePolicySpecTable(t *testing.T) {
 		{"work-stealing", Spec{Kind: KindShenango}},
 		{"ts-sq", Spec{Kind: KindShinjukuSQ}},
 		{"ts-mq", Spec{Kind: KindShinjukuMQ}},
+		{"shinjuku-mq:10us", Spec{Kind: KindShinjukuMQ, Quantum: 10 * time.Microsecond}},
+		{"TS-MQ:15us", Spec{Kind: KindShinjukuMQ, Quantum: 15 * time.Microsecond}},
+		{"shinjuku-sq:0.5us", Spec{Kind: KindShinjukuSQ, Quantum: 500 * time.Nanosecond}},
+		{"ts-sq:5", Spec{Kind: KindShinjukuSQ, Quantum: 5 * time.Microsecond}},
+		{"shinjuku-sq:0us", Spec{Kind: KindShinjukuSQ}},
 		{"ts-ideal", Spec{Kind: KindTSIdeal}},
 		{"ts-ideal:2us", Spec{Kind: KindTSIdeal, PreemptOverhead: 2 * time.Microsecond}},
 		{"ts-ideal:0.5us", Spec{Kind: KindTSIdeal, PreemptOverhead: 500 * time.Nanosecond}},
@@ -82,6 +87,10 @@ func TestParsePolicySpecErrors(t *testing.T) {
 		{"ts-ideal:abcus", "needs :Nus"},
 		{"ts-ideal:-3us", "needs :Nus"},
 		{"ts-ideal:NaNus", "needs :Nus"},
+		{"shinjuku-mq:", "needs :Nus"},
+		{"shinjuku-mq:-1us", "needs :Nus"},
+		{"ts-sq:fastus", "needs :Nus"},
+		{"shinjuku-sq:+Infus", "needs :Nus"},
 		{":", "takes no argument"},
 		// Rejected by both replaced grammars: only the four live names
 		// are hyphen-insensitive, and only without an argument.
@@ -115,6 +124,9 @@ func TestPolicySpecStringRoundTrip(t *testing.T) {
 		{Kind: KindTSIdeal},
 		{Kind: KindTSIdeal, PreemptOverhead: 1500 * time.Nanosecond},
 		{Kind: KindShenango},
+		{Kind: KindShinjukuSQ},
+		{Kind: KindShinjukuMQ, Quantum: 10 * time.Microsecond},
+		{Kind: KindShinjukuSQ, Quantum: 2500 * time.Nanosecond},
 	}
 	for _, s := range specs {
 		got, err := ParseSpec(s.String())
@@ -215,6 +227,11 @@ func FuzzParsePolicySpec(f *testing.F) {
 	f.Add("ts-ideal:NaNus")
 	f.Add("ts-ideal:+Infus")
 	f.Add("ts-ideal:1e300us")
+	f.Add("shinjuku-mq:10us")
+	f.Add("ts-mq:15us")
+	f.Add("shinjuku-sq:0.5us")
+	f.Add("ts-sq:NaNus")
+	f.Add("shinjuku-sq:-0us")
 	f.Add("darc-static:+3")
 	f.Add("  D-FCFS  ")
 	f.Add("darc:")
@@ -233,7 +250,7 @@ func FuzzParsePolicySpec(f *testing.F) {
 		if spec.Kind >= numKinds {
 			t.Fatalf("%q: unknown kind %d", in, spec.Kind)
 		}
-		if spec.StaticReserved < 0 || spec.PreemptOverhead < 0 || spec.SteerSeed != 0 {
+		if spec.StaticReserved < 0 || spec.PreemptOverhead < 0 || spec.Quantum < 0 || spec.SteerSeed != 0 {
 			t.Fatalf("%q: argument out of range in %+v", in, spec)
 		}
 		again, err := ParseSpec(spec.String())

@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/darc"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -118,16 +116,7 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = time.Second
 	}
-	cfg.fill()
-	rate := cfg.Rate
-	if rate <= 0 {
-		rate = cfg.LoadFraction * cfg.Mix.PeakLoad(cfg.Workers)
-	}
-	return simulate(cfg, cluster.Config{
-		LoadFraction: cfg.LoadFraction,
-		Rate:         cfg.Rate,
-		Duration:     cfg.Duration,
-	}, len(cfg.Mix.Types), rate, cfg.Duration)
+	return simulate(cfg, nil)
 }
 
 // Trace is a recorded arrival sequence (see `psp trace` and the
@@ -144,46 +133,46 @@ func ReplayTrace(tr *Trace, cfg SimConfig) (*SimResult, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("persephone: empty trace")
 	}
-	cfg.fill()
-	horizon := cfg.Duration
-	if horizon <= 0 {
-		horizon = tr.Duration()
-	}
-	return simulate(cfg, cluster.Config{Trace: tr, Duration: cfg.Duration}, tr.NumTypes(), tr.Rate(), horizon)
+	return simulate(cfg, tr)
 }
 
-// fill applies the worker and seed defaults Simulate and ReplayTrace
-// share.
-func (cfg *SimConfig) fill() {
+// simulate runs cfg (replaying tr when it is set) as one cell of the
+// experiments' builder, the one a figure's cell goes through, and
+// summarises it. Plain DARC's profiling window is sized for the run
+// inside experiments.SimWindow unless cfg.ProfileWindow fixes it.
+func simulate(cfg SimConfig, tr *trace.Trace) (*SimResult, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 14
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
-}
-
-// simulate completes run from cfg, runs it, and summarises types
-// request types. Plain DARC's profiling window is sized for a run at
-// rate over horizon unless cfg.ProfileWindow overrides it.
-func simulate(cfg SimConfig, run cluster.Config, types int, rate float64, horizon time.Duration) (*SimResult, error) {
 	spec, err := sched.ParseSpec(cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
-	window := cfg.ProfileWindow
-	if window == 0 {
-		window = darc.AutoWindow(rate, horizon, simWindowMin, simWindowMax)
+	window := experiments.SimWindow
+	if cfg.ProfileWindow > 0 {
+		window = experiments.WindowClamp{Min: cfg.ProfileWindow, Max: cfg.ProfileWindow}
 	}
-	run.NewPolicy, err = policy.Constructor(spec, cfg.Workers, types, cfg.Mix.Means(), cfg.Seed, window)
+	run, err := experiments.Cell{
+		Grid: &experiments.Grid{
+			Mix:     cfg.Mix,
+			Trace:   tr,
+			Workers: cfg.Workers,
+			RTT:     cfg.RTT,
+			Warmup:  0.1,
+			Horizon: cfg.Duration,
+			Window:  window,
+		},
+		Column: experiments.Column{Spec: spec},
+		Load:   cfg.LoadFraction,
+		Rate:   cfg.Rate,
+		Seed:   cfg.Seed,
+	}.Config()
 	if err != nil {
 		return nil, err
 	}
-	run.Workers = cfg.Workers
-	run.Mix = cfg.Mix
-	run.WarmupFraction = 0.1
-	run.Seed = cfg.Seed
-	run.RTT = cfg.RTT
 	res, err := cluster.Run(run)
 	if err != nil {
 		return nil, err
@@ -198,7 +187,7 @@ func simulate(cfg SimConfig, run cluster.Config, types int, rate float64, horizo
 		OverallP999:     res.Recorder.All().Latency.QuantileDuration(0.999),
 		OverallSlowdown: metrics.SlowdownAt(res.Recorder.All(), 0.999),
 	}
-	for i := 0; i < types; i++ {
+	for i := 0; i < res.Recorder.NumTypes(); i++ {
 		ts := res.Recorder.Type(i)
 		out.Types = append(out.Types, TypeResult{
 			Name:         ts.Name,
@@ -215,13 +204,6 @@ func simulate(cfg SimConfig, run cluster.Config, types int, rate float64, horizo
 
 // PolicyNames lists the scheduler names SimConfig.Policy accepts.
 func PolicyNames() []string { return sched.Names() }
-
-// The facade's clamp on DARC's auto-sized profiling window; DESIGN.md
-// §2 gives the reason for each bound.
-const (
-	simWindowMin = 500
-	simWindowMax = 50000
-)
 
 // ExperimentOptions tunes RunExperiment; zero value uses defaults (1s
 // per load point, the paper's load grid).

@@ -92,6 +92,8 @@ func TestParsePolicySpecTable(t *testing.T) {
 		{"work-stealing", "shenango", 0, 0},
 		{"ts-sq", "shinjuku-sq", 0, 0},
 		{"ts-mq", "shinjuku-mq", 0, 0},
+		{"ts-mq:10", "shinjuku-mq:10us", 0, 0},
+		{"Shinjuku-SQ:15us", "shinjuku-sq:15us", 0, 0},
 		{"ts-ideal", "ts-ideal", 0, 0},
 		{"ts-ideal:2us", "ts-ideal:2us", 0, 2 * time.Microsecond},
 		{"ts-ideal:0.5us", "ts-ideal:0.5us", 0, 500 * time.Nanosecond},
