@@ -14,6 +14,14 @@ import (
 )
 
 // Request is one in-flight request inside the simulated machine.
+//
+// A completed request is valid until the completion callbacks return:
+// the Recorder, Machine.OnComplete, the policy's CompletionObserver
+// and its WorkerFree. The machine then reuses it for a later arrival,
+// so a holder keeps it only while the request is queued or running
+// (a policy's queues, a RunHandle, which reports Done once it
+// completes) or drops it by the end of those callbacks. A shed request
+// (RecordDrop) is never reused.
 type Request struct {
 	ID   uint64
 	Type int
@@ -116,7 +124,12 @@ type Machine struct {
 	arrived   uint64
 	dropped   uint64
 
-	// slab is the unused tail of the block Arrive takes requests from.
+	// observer is Policy's CompletionObserver, if it has one.
+	observer CompletionObserver
+	// free holds completed requests for Arrive to reuse; slab is the
+	// unused tail of the block Arrive takes requests from when free is
+	// empty.
+	free []*Request
 	slab []Request
 }
 
@@ -155,6 +168,7 @@ func NewMachine(s *sim.Sim, workers int, p Policy, rec *metrics.Recorder) *Machi
 		}
 		m.Workers = append(m.Workers, w)
 	}
+	m.observer, _ = p.(CompletionObserver)
 	p.Init(m)
 	return m
 }
@@ -162,11 +176,17 @@ func NewMachine(s *sim.Sim, workers int, p Policy, rec *metrics.Recorder) *Machi
 // Arrive injects a request of the given type and service demand at the
 // current virtual instant.
 func (m *Machine) Arrive(typ int, service time.Duration) *Request {
-	if len(m.slab) == 0 {
-		m.slab = make([]Request, slabSize)
+	var r *Request
+	if n := len(m.free); n > 0 {
+		r = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		if len(m.slab) == 0 {
+			m.slab = make([]Request, slabSize)
+		}
+		r = &m.slab[0]
+		m.slab = m.slab[1:]
 	}
-	r := &m.slab[0]
-	m.slab = m.slab[1:]
 	*r = Request{
 		ID:            m.nextID,
 		Type:          typ,
@@ -283,13 +303,16 @@ func (m *Machine) finish(w *Worker, r *Request) {
 	w.cur = nil
 }
 
-// done completes r, which has no service left, and hands w back to the
-// policy.
+// done completes r, which has no service left, hands w back to the
+// policy and then keeps r for reuse.
 func (m *Machine) done(w *Worker, r *Request) {
 	m.finish(w, r)
 	m.complete(r)
-	m.notifyCompleted(w, r)
+	if m.observer != nil {
+		m.observer.Completed(w, r)
+	}
 	m.Policy.WorkerFree(w)
+	m.free = append(m.free, r)
 }
 
 func (m *Machine) complete(r *Request) {
@@ -299,12 +322,6 @@ func (m *Machine) complete(r *Request) {
 	}
 	if m.OnComplete != nil {
 		m.OnComplete(r, m.Sim.Now())
-	}
-}
-
-func (m *Machine) notifyCompleted(w *Worker, r *Request) {
-	if co, ok := m.Policy.(CompletionObserver); ok {
-		co.Completed(w, r)
 	}
 }
 

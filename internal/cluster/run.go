@@ -108,23 +108,14 @@ func Run(cfg Config) (*Result, error) {
 	policy := cfg.NewPolicy()
 	m := NewMachine(s, cfg.Workers, policy, rec)
 
-	var series *metrics.TimeSeries
-	if cfg.TrackWindow > 0 {
-		series = metrics.NewTimeSeries(cfg.TrackWindow)
-	}
-	m.OnComplete = func(r *Request, at sim.Time) {
-		if series != nil {
-			series.Record(at, r.Type, int64(at-r.Arrival))
-		}
-		if cfg.OnComplete != nil {
-			cfg.OnComplete(r, at)
-		}
-	}
+	series := cfg.observe(m)
 
-	src, err := workload.NewSource(mix, rate, rng.New(cfg.Seed))
+	r := rng.New(cfg.Seed)
+	src, err := workload.NewSource(mix, rate, r)
 	if err != nil {
 		return nil, err
 	}
+	arrivals := newArrivalBlock(src, r)
 
 	// Phase switching (if scheduled).
 	if cfg.Schedule != nil {
@@ -133,6 +124,7 @@ func Run(cfg Config) (*Result, error) {
 			acc += cfg.Schedule.Phases[i-1].Duration
 			phase := cfg.Schedule.Phases[i]
 			s.At(acc, func() {
+				arrivals.rewind()
 				// SetMix only fails on malformed phases, which
 				// Validate already rejected.
 				if err := src.SetMix(phase.Mix); err != nil {
@@ -145,11 +137,11 @@ func Run(cfg Config) (*Result, error) {
 
 	// Open-loop arrivals on the simulator's stream: each arrival
 	// schedules its successor, through the one callback.
-	a := src.Next()
+	a := arrivals.next()
 	var arrive func()
 	arrive = func() {
 		m.Arrive(a.Type, a.Service)
-		a = src.Next()
+		a = arrivals.next()
 		s.Stream(s.Now()+a.Gap, arrive)
 	}
 	s.Stream(a.Gap, arrive)
@@ -169,4 +161,68 @@ func Run(cfg Config) (*Result, error) {
 		Duration:   cfg.Duration,
 		WorkerBusy: busy,
 	}, nil
+}
+
+// observe builds the run's latency time series (nil unless TrackWindow
+// is set) and installs m.OnComplete only when the series or
+// cfg.OnComplete will read it.
+func (cfg Config) observe(m *Machine) *metrics.TimeSeries {
+	if cfg.TrackWindow <= 0 {
+		m.OnComplete = cfg.OnComplete
+		return nil
+	}
+	series := metrics.NewTimeSeries(cfg.TrackWindow)
+	onComplete := cfg.OnComplete
+	m.OnComplete = func(r *Request, at sim.Time) {
+		series.Record(at, r.Type, int64(at-r.Arrival))
+		if onComplete != nil {
+			onComplete(r, at)
+		}
+	}
+	return series
+}
+
+// arrivalBlockSize is how many arrivals an arrivalBlock draws at once.
+const arrivalBlockSize = 64
+
+// arrivalBlock hands out a Source's arrivals, drawn arrivalBlockSize at
+// a time. It yields exactly the arrivals that drawing each one on
+// demand would: before the source's mix or rate changes, rewind puts
+// the generator back where on-demand draws would have left it.
+type arrivalBlock struct {
+	src   *workload.Source
+	rng   *rng.RNG // src's generator, which no one else draws from
+	start rng.RNG  // *rng before buf's first draw
+	buf   [arrivalBlockSize]workload.Arrival
+	n, i  int // buf[i:n] are drawn and not yet handed out
+}
+
+func newArrivalBlock(src *workload.Source, r *rng.RNG) *arrivalBlock {
+	return &arrivalBlock{src: src, rng: r, start: *r}
+}
+
+func (b *arrivalBlock) next() workload.Arrival {
+	if b.i == b.n {
+		b.start = *b.rng
+		for k := range b.buf {
+			b.buf[k] = b.src.Next()
+		}
+		b.i, b.n = 0, len(b.buf)
+	}
+	a := b.buf[b.i]
+	b.i++
+	return a
+}
+
+// rewind discards the arrivals not yet handed out: it restores the
+// generator to the block's start and replays the draws of those
+// already handed out, so the next arrival is drawn under whatever mix
+// and rate the source has by then.
+func (b *arrivalBlock) rewind() {
+	*b.rng = b.start
+	for range b.i {
+		b.src.Next()
+	}
+	b.start = *b.rng
+	b.i, b.n = 0, 0
 }

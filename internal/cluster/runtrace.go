@@ -38,18 +38,7 @@ func runTrace(cfg Config) (*Result, error) {
 	policy := cfg.NewPolicy()
 	m := NewMachine(s, cfg.Workers, policy, rec)
 
-	var series *metrics.TimeSeries
-	if cfg.TrackWindow > 0 {
-		series = metrics.NewTimeSeries(cfg.TrackWindow)
-	}
-	m.OnComplete = func(r *Request, at sim.Time) {
-		if series != nil {
-			series.Record(at, r.Type, int64(at-r.Arrival))
-		}
-		if cfg.OnComplete != nil {
-			cfg.OnComplete(r, at)
-		}
-	}
+	series := cfg.observe(m)
 
 	// Replay lazily on the simulator's stream: each arrival schedules
 	// its successor, so even a multi-million-record trace keeps one

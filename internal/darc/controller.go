@@ -29,7 +29,10 @@ type Controller struct {
 
 	pressure     bool
 	lastSnapshot []TypeStats
-	order        []int // DispatchOrder's result, reused across calls
+	// order is DispatchOrder's result, reused across calls; it was
+	// sorted when the profiler had observed orderAt completions.
+	order   []int
+	orderAt uint64
 
 	// desiredSpillway remembers the configured spillway width so a
 	// Resize down to a tiny pool (where that many spillway cores would
@@ -48,12 +51,18 @@ func NewController(cfg Config, numTypes int) (*Controller, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:             cfg,
 		prof:            NewProfiler(numTypes, cfg.EWMAAlpha),
 		desiredSpillway: cfg.Spillway,
 		order:           make([]int, numTypes),
-	}, nil
+	}
+	// With no completion observed every mean is 0, and the stable
+	// sort of equal means is type order.
+	for i := range c.order {
+		c.order[i] = i
+	}
+	return c, nil
 }
 
 // Config returns the controller's effective configuration (with
@@ -204,12 +213,18 @@ func (c *Controller) ForceUpdate() bool {
 // DispatchOrder returns type IDs sorted by ascending profiled service
 // time — the order Algorithm 1 scans typed queues in. Unknown types
 // are not included (the caller services the UNKNOWN queue on spillway
-// cores last). The slice is the controller's own scratch, rebuilt in
-// place on every call so that a dispatcher pass allocates nothing: it
-// is valid until the next call and, like the mutating methods, for the
-// dispatcher thread only.
+// cores last). The slice is the controller's own scratch, sorted in
+// place so that a dispatcher pass allocates nothing. Only a completion
+// moves a mean, so it is sorted again only when the profiler has
+// observed one since the last sort. It is valid until the next call
+// and, like the mutating methods, for the dispatcher thread only;
+// callers must not modify it.
 func (c *Controller) DispatchOrder() []int {
 	order := c.order
+	if c.orderAt == c.prof.observed {
+		return order
+	}
+	c.orderAt = c.prof.observed
 	for i := range order {
 		order[i] = i
 	}

@@ -23,6 +23,9 @@ type Profiler struct {
 	types   []typeProfile
 	window  uint64 // completions in current window across all types
 	unknown uint64 // completions of unclassified requests
+	// observed counts classified completions across the run: every
+	// moving average moves only when it does.
+	observed uint64
 }
 
 // NewProfiler creates a profiler for n types with the given EWMA
@@ -54,6 +57,7 @@ func (p *Profiler) Observe(typ int, service time.Duration) {
 	}
 	t.windowCount++
 	t.totalCount++
+	p.observed++
 }
 
 // WindowSamples reports how many completions the current window has

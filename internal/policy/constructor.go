@@ -28,9 +28,10 @@ func (s Streams) Relabel() *rng.RNG { return rng.New(uint64(s) + 4000) }
 // Constructor binds s to a simulated machine of workers cores serving
 // types request types, returning the policy factory the simulator
 // calls per run. means holds each type's mean service time, by which
-// darc-static, fp and edf rank types. seed picks the stochastic
-// policies' Streams (s.SteerSeed, when set, seeds d-FCFS instead). A
-// non-zero window replaces DARC's and elastic DARC's profiling window.
+// darc-static, fp and edf rank types: they need one per type. seed
+// picks the stochastic policies' Streams (s.SteerSeed, when set, seeds
+// d-FCFS instead). A non-zero window replaces DARC's and elastic
+// DARC's profiling window.
 func Constructor(s sched.Spec, workers, types int, means []time.Duration, seed, window uint64) (func() cluster.Policy, error) {
 	dcfg := darc.DefaultConfig(workers)
 	if window > 0 {
@@ -38,6 +39,12 @@ func Constructor(s sched.Spec, workers, types int, means []time.Duration, seed, 
 	}
 	streams := Streams(seed)
 	ts := TSConfig{Quantum: s.Quantum, PreemptCost: time.Microsecond}
+	switch s.Kind {
+	case sched.KindDARCStatic, sched.KindFP, sched.KindEDF:
+		if len(means) < types {
+			return nil, fmt.Errorf("policy: %s ranks %d types by mean service time, given %d means", s.Kind, types, len(means))
+		}
+	}
 	switch s.Kind {
 	case sched.KindDARC:
 		return func() cluster.Policy { return NewDARC(dcfg, types, 0) }, nil

@@ -42,6 +42,13 @@ func TestPolicySpecConstructorValidation(t *testing.T) {
 	if _, err := bind(sched.Spec{Kind: sched.KindTSIdeal, PreemptOverhead: -time.Microsecond}); err == nil {
 		t.Fatal("negative preemption overhead accepted")
 	}
+	// The policies that rank types by mean service time need a mean
+	// per type.
+	for _, kind := range []sched.Kind{sched.KindDARCStatic, sched.KindFP, sched.KindEDF} {
+		if _, err := Constructor(sched.Spec{Kind: kind}, 4, 2, []time.Duration{time.Microsecond}, 1, 0); err == nil {
+			t.Fatalf("%s with one mean for two types accepted", kind)
+		}
+	}
 }
 
 // TestParsePolicySpecConstructor: the two-step parse-then-bind path —

@@ -17,7 +17,6 @@ type EDF struct {
 	queue *requestHeap
 	// relDeadline holds per-type relative deadlines.
 	relDeadline []time.Duration
-	deadlines   map[*cluster.Request]time.Duration
 }
 
 // NewEDF builds the policy: each type's relative deadline is sloFactor
@@ -31,10 +30,8 @@ func NewEDF(meanService []time.Duration, sloFactor float64, queueCap int) *EDF {
 	for i, s := range meanService {
 		rel[i] = time.Duration(float64(s) * sloFactor)
 	}
-	p := &EDF{relDeadline: rel, deadlines: make(map[*cluster.Request]time.Duration)}
-	p.queue = newRequestHeap(normalizeCap(queueCap), func(a, b *cluster.Request) bool {
-		return p.deadlines[a] < p.deadlines[b]
-	})
+	p := &EDF{relDeadline: rel}
+	p.queue = newRequestHeap(normalizeCap(queueCap), p.deadlineFor)
 	return p
 }
 
@@ -65,9 +62,7 @@ func (p *EDF) Arrive(r *cluster.Request) {
 			return
 		}
 	}
-	p.deadlines[r] = p.deadlineFor(r)
 	if !p.queue.Push(r) {
-		delete(p.deadlines, r)
 		p.m.RecordDrop(r)
 	}
 }
@@ -75,7 +70,6 @@ func (p *EDF) Arrive(r *cluster.Request) {
 // WorkerFree implements cluster.Policy.
 func (p *EDF) WorkerFree(w *cluster.Worker) {
 	if r := p.queue.Pop(); r != nil {
-		delete(p.deadlines, r)
 		p.m.Run(w, r)
 	}
 }

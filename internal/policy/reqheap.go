@@ -1,13 +1,19 @@
 package policy
 
-import "repro/internal/cluster"
+import (
+	"time"
 
-// requestHeap is a bounded binary min-heap of requests under an
-// arbitrary ordering, used by the SRPT-flavoured policies (oracle SJF,
-// idealized time sharing). Ties break by arrival order via a
-// monotonic sequence number.
+	"repro/internal/cluster"
+)
+
+// requestHeap is a bounded binary min-heap of requests by a key taken
+// when the request is pushed, used by the SRPT-flavoured policies
+// (oracle SJF, idealized time sharing) and EDF. Ties break by push
+// order via a monotonic sequence number. The key sits inline beside the
+// request, so sifting never calls out or dereferences a request; a
+// key must therefore not change while its request is queued.
 type requestHeap struct {
-	less  func(a, b *cluster.Request) bool
+	key   func(r *cluster.Request) time.Duration
 	items []heapItem
 	seq   uint64
 	// Cap bounds the heap; 0 means unbounded.
@@ -15,12 +21,13 @@ type requestHeap struct {
 }
 
 type heapItem struct {
-	r   *cluster.Request
+	key time.Duration
 	seq uint64
+	r   *cluster.Request
 }
 
-func newRequestHeap(capacity int, less func(a, b *cluster.Request) bool) *requestHeap {
-	return &requestHeap{less: less, Cap: capacity}
+func newRequestHeap(capacity int, key func(r *cluster.Request) time.Duration) *requestHeap {
+	return &requestHeap{key: key, Cap: capacity}
 }
 
 func (h *requestHeap) Len() int    { return len(h.items) }
@@ -31,7 +38,7 @@ func (h *requestHeap) Push(r *cluster.Request) bool {
 	if h.Cap > 0 && len(h.items) >= h.Cap {
 		return false
 	}
-	h.items = append(h.items, heapItem{r: r, seq: h.seq})
+	h.items = append(h.items, heapItem{key: h.key(r), seq: h.seq, r: r})
 	h.seq++
 	h.up(len(h.items) - 1)
 	return true
@@ -61,14 +68,8 @@ func (h *requestHeap) Peek() *cluster.Request {
 }
 
 func (h *requestHeap) before(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if h.less(a.r, b.r) {
-		return true
-	}
-	if h.less(b.r, a.r) {
-		return false
-	}
-	return a.seq < b.seq
+	a, b := &h.items[i], &h.items[j]
+	return a.key < b.key || a.key == b.key && a.seq < b.seq
 }
 
 func (h *requestHeap) up(i int) {

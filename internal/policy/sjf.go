@@ -1,6 +1,10 @@
 package policy
 
-import "repro/internal/cluster"
+import (
+	"time"
+
+	"repro/internal/cluster"
+)
 
 // SJF is non-preemptive shortest-job-first with oracle knowledge of
 // each request's exact service time (Table 5 lists it as requiring
@@ -14,8 +18,8 @@ type SJF struct {
 // NewSJF builds the policy. A queueCap of 0 applies DefaultQueueCap;
 // negative means unbounded.
 func NewSJF(queueCap int) *SJF {
-	return &SJF{queue: newRequestHeap(normalizeCap(queueCap), func(a, b *cluster.Request) bool {
-		return a.Service < b.Service
+	return &SJF{queue: newRequestHeap(normalizeCap(queueCap), func(r *cluster.Request) time.Duration {
+		return r.Service
 	})}
 }
 

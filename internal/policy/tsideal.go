@@ -25,6 +25,10 @@ type TSIdeal struct {
 	preempting []bool
 	target     []cluster.RunHandle
 	fire       []func()
+	// victims indexes the workers a preemption may pick: those running
+	// a request with no preemption in flight, keyed by the request's
+	// remaining work at start.
+	victims victimHeap
 	// onPreempted is requeue, bound once.
 	onPreempted func(w *cluster.Worker, r *cluster.Request)
 
@@ -43,8 +47,8 @@ func NewTSIdeal(propagate, cost time.Duration, queueCap int) *TSIdeal {
 	return &TSIdeal{
 		PropagateDelay: propagate,
 		PreemptCost:    cost,
-		queue: newRequestHeap(normalizeCap(queueCap), func(a, b *cluster.Request) bool {
-			return a.Remaining < b.Remaining
+		queue: newRequestHeap(normalizeCap(queueCap), func(r *cluster.Request) time.Duration {
+			return r.Remaining
 		}),
 	}
 }
@@ -68,9 +72,15 @@ func (p *TSIdeal) Init(m *cluster.Machine) {
 	for id := range p.fire {
 		p.fire[id] = func() {
 			p.preempting[id] = false
+			// The worker's execution, the target or one started
+			// during propagation, may be picked again.
+			if h := p.running[id]; !h.Done() {
+				p.victims.set(id, h.Request().Remaining)
+			}
 			p.firePreemption(id, p.target[id])
 		}
 	}
+	p.victims = newVictimHeap(n)
 	p.onPreempted = p.requeue
 }
 
@@ -94,6 +104,8 @@ func (p *TSIdeal) Arrive(r *cluster.Request) {
 
 // WorkerFree implements cluster.Policy.
 func (p *TSIdeal) WorkerFree(w *cluster.Worker) {
+	// w's execution, if it had one, completed or was preempted.
+	p.victims.remove(w.ID)
 	if r := p.queue.Pop(); r != nil {
 		p.start(w, r)
 	}
@@ -101,33 +113,28 @@ func (p *TSIdeal) WorkerFree(w *cluster.Worker) {
 
 func (p *TSIdeal) start(w *cluster.Worker, r *cluster.Request) {
 	p.running[w.ID] = p.m.RunPreemptible(w, r)
+	if !p.preempting[w.ID] {
+		p.victims.set(w.ID, r.Remaining)
+	}
 }
 
 // maybePreempt triggers a preemption when the shortest waiting request
 // is blocked behind a running request with strictly larger remaining
-// work. The victim is the worker with the largest remaining work that
-// has no preemption already in flight.
+// work. The victim is the worker with the largest remaining work at
+// start (the lowest ID on a tie) that has no preemption already in
+// flight.
 func (p *TSIdeal) maybePreempt() {
 	head := p.queue.Peek()
 	if head == nil {
 		return
 	}
-	victim := -1
-	var worst time.Duration
-	for id, h := range p.running {
-		if h.Done() || p.preempting[id] {
-			continue
-		}
-		rem := h.Request().Remaining // demand when started; still an upper bound ordering
-		if rem > worst {
-			worst = rem
-			victim = id
-		}
-	}
-	if victim < 0 || worst <= head.Remaining {
+	victim, worst := p.victims.top()
+	// A victim must have positive remaining work, and more than head.
+	if victim < 0 || worst <= 0 || worst <= head.Remaining {
 		return
 	}
 	p.preempting[victim] = true
+	p.victims.remove(victim)
 	p.target[victim] = p.running[victim]
 	p.m.Sim.After(p.PropagateDelay, p.fire[victim])
 }
@@ -147,6 +154,7 @@ func (p *TSIdeal) firePreemption(victim int, h cluster.RunHandle) {
 	}
 	r := h.Request()
 	p.running[victim] = cluster.RunHandle{}
+	p.victims.remove(victim)
 	if r.Remaining <= head.Remaining {
 		// No longer worth preempting (it nearly finished during the
 		// delay): resume it.
@@ -166,4 +174,95 @@ func (p *TSIdeal) requeue(w *cluster.Worker, r *cluster.Request) {
 	}
 	p.WorkerFree(w)
 	p.maybePreempt()
+}
+
+// victimHeap is a binary max-heap of worker IDs keyed by a remaining
+// work, the lower ID first on a tie, with each ID's position tracked
+// so that an ID can be updated or removed in place.
+type victimHeap struct {
+	ids []int           // the heap
+	pos []int           // pos[id] is id's index in ids, -1 when absent
+	rem []time.Duration // rem[id] is id's key while present
+}
+
+func newVictimHeap(workers int) victimHeap {
+	h := victimHeap{pos: make([]int, workers), rem: make([]time.Duration, workers)}
+	for id := range h.pos {
+		h.pos[id] = -1
+	}
+	return h
+}
+
+// top returns the ID with the largest key and that key, or -1.
+func (h *victimHeap) top() (int, time.Duration) {
+	if len(h.ids) == 0 {
+		return -1, 0
+	}
+	return h.ids[0], h.rem[h.ids[0]]
+}
+
+// set files id under key rem, adding it if absent.
+func (h *victimHeap) set(id int, rem time.Duration) {
+	i := h.pos[id]
+	if i < 0 {
+		i = len(h.ids)
+		h.ids = append(h.ids, id)
+		h.pos[id] = i
+	}
+	h.rem[id] = rem
+	h.fix(i)
+}
+
+// remove takes id out, if present.
+func (h *victimHeap) remove(id int) {
+	i := h.pos[id]
+	if i < 0 {
+		return
+	}
+	h.pos[id] = -1
+	last := len(h.ids) - 1
+	if i != last {
+		h.ids[i] = h.ids[last]
+		h.pos[h.ids[i]] = i
+	}
+	h.ids = h.ids[:last]
+	if i != last {
+		h.fix(i)
+	}
+}
+
+func (h *victimHeap) before(a, b int) bool {
+	return h.rem[a] > h.rem[b] || h.rem[a] == h.rem[b] && a < b
+}
+
+func (h *victimHeap) swap(i, j int) {
+	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
+	h.pos[h.ids[i]] = i
+	h.pos[h.ids[j]] = j
+}
+
+// fix restores the heap order around index i.
+func (h *victimHeap) fix(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.before(h.ids[i], h.ids[parent]) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+	for n := len(h.ids); ; {
+		child := 2*i + 1
+		if child >= n {
+			return
+		}
+		if right := child + 1; right < n && h.before(h.ids[right], h.ids[child]) {
+			child = right
+		}
+		if !h.before(h.ids[child], h.ids[i]) {
+			return
+		}
+		h.swap(i, child)
+		i = child
+	}
 }

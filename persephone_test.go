@@ -315,6 +315,14 @@ func TestReplayTraceFacade(t *testing.T) {
 			t.Fatalf("%s: completed %d", pol, res.Completed)
 		}
 	}
+	// A policy that ranks types by mean service time has nothing to
+	// rank by without a Mix: edf used to panic, fp and darc-static to
+	// rank by zeros.
+	for _, pol := range []string{"edf", "fp", "darc-static:1"} {
+		if _, err := persephone.ReplayTrace(tr, persephone.SimConfig{Policy: pol, Workers: 4}); err == nil {
+			t.Fatalf("%s without a Mix accepted", pol)
+		}
+	}
 	if _, err := persephone.ReplayTrace(&persephone.Trace{}, persephone.SimConfig{}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
