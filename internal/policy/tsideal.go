@@ -129,8 +129,7 @@ func (p *TSIdeal) maybePreempt() {
 		return
 	}
 	victim, worst := p.victims.top()
-	// A victim must have positive remaining work, and more than head.
-	if victim < 0 || worst <= 0 || worst <= head.Remaining {
+	if victim < 0 || worst <= head.Remaining {
 		return
 	}
 	p.preempting[victim] = true
